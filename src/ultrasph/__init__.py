@@ -32,6 +32,7 @@ from .harmonics import (
     MultiIndex,
     addition_reduced,
     addition_sum,
+    axis_factors,
     count,
     enumerate_indices,
     eval_harmonic,
@@ -39,7 +40,14 @@ from .harmonics import (
     harmonicity_residual,
     norm_coeff,
 )
-from .quadrature import SphereGrid, ThetaRule, inner_product, sphere_grid, theta_rule
+from .quadrature import (
+    SphereGrid,
+    ThetaRule,
+    grid_shape,
+    inner_product,
+    sphere_grid,
+    theta_rule,
+)
 from .solver import (
     BoundaryProblem,
     HarmonicExpansion,
@@ -69,6 +77,7 @@ __all__ = [
     "addition_sum",
     "alpha_factor",
     "assoc",
+    "axis_factors",
     "cos_gamma",
     "count",
     "deriv_at_one",
@@ -80,6 +89,7 @@ __all__ = [
     "fit_exterior",
     "fit_interior",
     "green_expansion",
+    "grid_shape",
     "harmonicity_residual",
     "inner_product",
     "norm_coeff",

@@ -9,8 +9,11 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import formats
 from .gegenbauer import assoc, norm_factor, poly
+from .geometry import UltrasphericalPoint
 from .harmonics import count
 from .solver import eval_expansion, fit_annulus, fit_exterior, fit_interior
 from .verify import HARMONICITY_FLOOR, run_verification
@@ -192,7 +195,13 @@ def _cmd_eval(args):
             f"dimension mismatch: coefficients have d={expansion.d}, "
             f"points have d={d}"
         )
-    values = [eval_expansion(expansion, p.r, p) for p in points]
+    stacked = UltrasphericalPoint(
+        d,
+        np.array([p.r for p in points]),
+        tuple(np.array([p.theta for p in points]).T),
+        np.array([p.phi for p in points]),
+    )
+    values = eval_expansion(expansion, stacked.r, stacked)
     _write_or_stdout(args.output, lambda fp: formats.save_values(fp, values))
     return 0
 

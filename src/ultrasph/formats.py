@@ -22,12 +22,14 @@ inputs produce byte-identical files.
 """
 
 import json
+import math
 import re
 
 import numpy as np
 
 from .geometry import UltrasphericalPoint, CartesianPoint, to_ultraspherical
 from .harmonics import MultiIndex, enumerate_indices, eval_harmonic
+from .quadrature import grid_shape
 from .solver import BoundaryProblem, HarmonicExpansion
 
 __all__ = [
@@ -140,6 +142,8 @@ def load_config(path):
             raise FormatError(
                 f"{path}: each boundary entry needs exactly one of 'data' or 'samples-file'"
             )
+        if not isinstance(entry.get("samples-file", ""), str):
+            raise FormatError(f"{path}: 'samples-file' must be a path string")
     if sorted(seen) != sorted(radii):
         raise FormatError(f"{path}: boundary entries must cover every radius once")
     return {"d": d, "kind": kind, "radii": radii, "lmax": lmax, "boundary": boundary}
@@ -160,7 +164,7 @@ def _data_for_entry(entry, d, lmax, where):
     if not isinstance(samples, dict) or "values" not in samples:
         raise FormatError(f"{entry['samples-file']}: expected an object with 'values'")
     values = _parse_complex_list(samples["values"], entry["samples-file"])
-    expected = (lmax + 2) ** (d - 2) * (2 * lmax + 2)
+    expected = math.prod(grid_shape(d, lmax))
     if values.size != expected:
         raise FormatError(
             f"{entry['samples-file']}: expected {expected} samples for "
@@ -187,7 +191,24 @@ def _parse_complex_list(raw, where):
         raise FormatError(f"{where}: values must be [re, im] pairs") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise FormatError(f"{where}: values must be [re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{where}: values must be finite")
     return arr[:, 0] + 1j * arr[:, 1]
+
+
+def _finite_pair(rec, key, where):
+    """The [re, im] pair under ``key`` as a complex; rejects bools and non-finite."""
+    pair = _require(rec, key, list, where)
+    try:
+        ok = len(pair) == 2 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in pair
+        )
+    except OverflowError:  # an integer literal too large for a float
+        ok = False
+    if not ok:
+        raise FormatError(f"{where}: {key} must be a [re, im] pair of finite numbers")
+    return complex(pair[0], pair[1])
 
 
 def _pair(z):
@@ -225,15 +246,15 @@ def load_coefficients(path):
             raise FormatError(
                 f"{path}: index {index} must have {d - 1} entries for d={d}"
             )
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in index):
+            raise FormatError(f"{path}: index {index} entries must be integers")
         try:
-            idx = MultiIndex(d, int(index[0]), tuple(int(v) for v in index[1:]))
+            idx = MultiIndex(d, index[0], tuple(index[1:]))
         except ValueError as exc:
             raise FormatError(f"{path}: invalid index {index}: {exc}") from exc
-        a = _require(rec, "A", list, path)
-        b = _require(rec, "B", list, path)
-        if len(a) != 2 or len(b) != 2:
-            raise FormatError(f"{path}: A and B must be [re, im] pairs")
-        coeffs[idx] = (complex(a[0], a[1]), complex(b[0], b[1]))
+        if idx in coeffs:
+            raise FormatError(f"{path}: duplicate index {index}")
+        coeffs[idx] = (_finite_pair(rec, "A", path), _finite_pair(rec, "B", path))
     try:
         return HarmonicExpansion(d, lmax, coeffs)
     except ValueError as exc:

@@ -32,6 +32,7 @@ __all__ = [
     "MultiIndex",
     "addition_reduced",
     "addition_sum",
+    "axis_factors",
     "count",
     "enumerate_indices",
     "eval_harmonic",
@@ -136,6 +137,25 @@ def norm_coeff(idx):
     for k, degree, order in idx.axis_terms():
         out *= norm_factor(degree, order, k)
     return out
+
+
+def axis_factors(k, lmax, theta):
+    """Table T[deg, ord] = norm_factor(deg, ord, k) assoc(deg, ord, k, theta).
+
+    These are the normalized per-axis factors of the chain product for the
+    polar angle theta_k, for all 0 <= ord <= deg <= lmax; entries with
+    ord > deg are zero.  The result has shape (lmax+1, lmax+1) + shape of
+    theta.  Y_idx is (2 pi)^(-1/2) e^(i m_1 phi) times the product of
+    T_k[deg, ord] over idx.axis_terms().
+    """
+    theta = np.asarray(theta, dtype=float)
+    table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
+    for deg in range(lmax + 1):
+        for order in range(deg + 1):
+            table[deg, order] = norm_factor(deg, order, k) * np.asarray(
+                assoc(deg, order, k, theta)
+            )
+    return table
 
 
 def eval_harmonic(idx, angles):

@@ -28,6 +28,7 @@ from .geometry import UltrasphericalPoint
 __all__ = [
     "SphereGrid",
     "ThetaRule",
+    "grid_shape",
     "inner_product",
     "sphere_grid",
     "theta_rule",
@@ -182,11 +183,13 @@ class SphereGrid:
         return len(self.phi_nodes)
 
     @property
+    def shape(self):
+        """Node tensor shape (n_d, ..., n_3, n_phi); see :func:`grid_shape`."""
+        return grid_shape(self.d, self.lmax)
+
+    @property
     def size(self):
-        out = self.n_phi
-        for rule in self.theta_rules:
-            out *= len(rule.nodes)
-        return out
+        return math.prod(self.shape)
 
     @cached_property
     def points(self):
@@ -223,15 +226,25 @@ class SphereGrid:
         return float(np.sum(self.weights))
 
 
-def sphere_grid(d, lmax):
-    """Build the product grid for dimension d and harmonic band limit lmax."""
+def grid_shape(d, lmax):
+    """Node counts (n_d, ..., n_3, n_phi) of the product grid sphere_grid(d, lmax).
+
+    Each polar axis has lmax+2 Gauss nodes and phi has 2*lmax+2 uniform
+    nodes; samples in canonical grid order are this tensor, row-major.
+    """
     if not isinstance(d, (int, np.integer)) or d < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
     if not isinstance(lmax, (int, np.integer)) or lmax < 0:
         raise ValueError(f"lmax must be a nonnegative integer, got {lmax!r}")
+    return (int(lmax) + 2,) * (int(d) - 2) + (2 * int(lmax) + 2,)
+
+
+def sphere_grid(d, lmax):
+    """Build the product grid for dimension d and harmonic band limit lmax."""
+    shape = grid_shape(d, lmax)
     d, lmax = int(d), int(lmax)
-    rules = [theta_rule(j - 2, lmax + 2) for j in range(d, 2, -1)]
-    n_phi = 2 * lmax + 2
+    rules = [theta_rule(j - 2, n) for j, n in zip(range(d, 2, -1), shape[:-1])]
+    n_phi = shape[-1]
     phi_nodes = 2.0 * math.pi * np.arange(n_phi) / n_phi
     return SphereGrid(d, lmax, rules, phi_nodes, 2.0 * math.pi / n_phi)
 

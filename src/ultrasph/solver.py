@@ -9,8 +9,26 @@ where the two radial branches solve the Euler equation with eigenvalue
 -l(l+d-2).  Interior problems keep only the A branch (regular at the
 origin), exterior problems only the B branch (decaying at infinity), and
 annulus problems determine both from a 2x2 system per index.
+
+Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
+times one normalized factor T_k[deg, ord](theta_k) per polar axis
+(harmonics.axis_factors), each table built once per call.
+
+* Forward (project_boundary) is a staged contraction on the product grid.
+  The samples, as the node tensor (n_d, ..., n_3, n_phi), are contracted
+  first over phi against e^(-i m_1 phi) w_phi / sqrt(2 pi), then over
+  theta_3, theta_4, ..., theta_d against T_k w_k.  Each stage swaps one
+  node axis for a degree axis indexed by (degree, order of the axis
+  below), so no intermediate is larger than the grid, and the last one
+  holds c_idx at (l, m_{d-2}, ..., m_2, m_1).
+* Inverse (eval_expansion) accumulates radial_eval(A, B, l; r) times the
+  product of table entries index by index over the whole point array, in
+  O(points) memory.  Scattered points share no grid structure, so staging
+  the inverse would carry a points x (lmax+1)^(d-3) x (2 lmax+1)
+  intermediate, far larger than the output.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -18,7 +36,7 @@ import numpy as np
 
 from .gegenbauer import poly
 from .geometry import cos_gamma, to_ultraspherical
-from .harmonics import MultiIndex, enumerate_indices, eval_harmonic
+from .harmonics import MultiIndex, axis_factors, enumerate_indices
 from .quadrature import sphere_grid
 
 __all__ = [
@@ -105,16 +123,29 @@ def radial_eval(a, b, l, d, r):
 
 
 def eval_expansion(expansion, r, angles):
-    """Evaluate sum_idx radial(A, B, l; r) Y_idx(angles)."""
+    """Evaluate sum_idx radial(A, B, l; r) Y_idx(angles).
+
+    ``r`` and the angles may be arrays of any common broadcast shape; a
+    scalar evaluation returns a complex number.
+    """
     if angles.d != expansion.d:
         raise ValueError(
             f"dimension mismatch: expansion d={expansion.d}, point d={angles.d}"
         )
+    d = expansion.d
+    top = max((idx.l for idx in expansion.coeffs), default=0)
+    tables = [axis_factors(k, top, t) for k, t in zip(range(d, 2, -1), angles.theta)]
+    phi = np.asarray(angles.phi)
+    phases = {
+        m1: np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi)
+        for m1 in range(-top, top + 1)
+    }
     total = 0.0 + 0.0j
     for idx, (a, b) in expansion.coeffs.items():
-        total = total + radial_eval(a, b, idx.l, expansion.d, r) * eval_harmonic(
-            idx, angles
-        )
+        y = phases[idx.m[-1]]
+        for table, (_, degree, order) in zip(tables, idx.axis_terms()):
+            y = y * table[degree, order]
+        total = total + radial_eval(a, b, idx.l, d, r) * y
     return complex(total) if np.ndim(total) == 0 else total
 
 
@@ -128,17 +159,31 @@ def project_boundary(data, grid, lmax):
     if lmax > grid.lmax:
         raise ValueError(f"grid supports lmax <= {grid.lmax}, requested {lmax}")
     values = np.asarray(data(grid.points)) if callable(data) else np.asarray(data)
-    values = values.reshape(-1)
     if values.size != grid.size:
         raise ValueError(
             f"expected {grid.size} boundary samples in grid order, got {values.size}"
         )
-    w = grid.weights
+    m1 = np.arange(-lmax, lmax + 1)
+    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
+    phase *= grid.phi_weight / math.sqrt(2.0 * math.pi)
+    coef = values.reshape(grid.shape) @ phase
+    d = grid.d
+    for k, rule in zip(range(3, d + 1), reversed(grid.theta_rules)):
+        table = axis_factors(k, lmax, rule.nodes) * rule.weights
+        if k == 3:
+            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
+        # coef axes are n_d, ..., n_k, then the orders m_{k-2}, ..., m_1 of
+        # the axes below; n_k becomes the degree on theta_k (l when k = d)
+        shape, i = coef.shape, d - k
+        coef = np.einsum(
+            "pnbr,abn->pabr",
+            coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
+            table,
+        ).reshape(shape[:i] + (lmax + 1,) + shape[i + 1 :])
     out = {}
     for l in range(lmax + 1):
-        for idx in enumerate_indices(grid.d, l):
-            yv = np.asarray(eval_harmonic(idx, grid.points))
-            out[idx] = complex(np.sum(w * values * np.conj(yv)))
+        for idx in enumerate_indices(d, l):
+            out[idx] = complex(coef[(l,) + idx.m[:-1] + (idx.m[-1] + lmax,)])
     return out
 
 

@@ -349,6 +349,12 @@ def _count_residual(d, lmax):
 
 def run_verification(d_values, lmax, tol):
     """Run every check for each dimension; returns a VerifyReport."""
+    unsupported = [d for d in d_values if d not in _LEVEL_CAP]
+    if unsupported:
+        raise ValueError(
+            f"verify supports d = {min(_LEVEL_CAP)}..{max(_LEVEL_CAP)}, "
+            f"got {unsupported}"
+        )
     report = VerifyReport()
     report.add("solid_angle_closed_form_and_recursion", {"d": "2..12"},
                _solid_angle_residual(), tol)

@@ -7,9 +7,10 @@ import pytest
 from ultrasph import formats
 from ultrasph.cli import main
 from ultrasph.geometry import solid_angle
-from ultrasph.harmonics import MultiIndex
+from ultrasph.harmonics import MultiIndex, enumerate_indices
 from ultrasph.quadrature import sphere_grid
 from ultrasph.solver import HarmonicExpansion, eval_expansion
+from ultrasph.verify import run_verification
 
 
 def write_json(path, obj):
@@ -57,6 +58,11 @@ class TestVerifyCommand:
         doc = json.loads(report.read_text())
         assert doc["passed"] is True
         assert all(c["max_residual"] <= c["tolerance"] for c in doc["checks"])
+
+    def test_unsupported_dimension_rejected_up_front(self):
+        for d_values in ([9], [3, 9]):
+            with pytest.raises(ValueError, match=r"d = 3\.\.8"):
+                run_verification(d_values, 4, 1e-8)
 
 
 class TestTabulateCommand:
@@ -256,6 +262,38 @@ class TestEvalCommand:
             want = eval_harmonic(target, p)
             assert abs(complex(re, im) - want) <= 1e-8
 
+    def test_batched_eval_matches_per_point(self, tmp_path, capsys):
+        rng = np.random.default_rng(56)
+        d, lmax = 5, 3
+        truth = HarmonicExpansion(d, lmax, {
+            idx: (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
+            for l in range(lmax + 1) for idx in enumerate_indices(d, l)
+        })
+        coeffs = tmp_path / "coeffs.json"
+        with open(coeffs, "w") as fp:
+            formats.save_coefficients(fp, truth)
+        entries = []
+        for i in range(50):
+            if i % 2:
+                entries.append({"cartesian": list(rng.uniform(-1.5, 1.5, d))})
+            else:
+                entries.append({"ultraspherical": {
+                    "r": rng.uniform(0.5, 2.0),
+                    "theta": list(rng.uniform(0.0, math.pi, d - 2)),
+                    "phi": rng.uniform(0.0, 2.0 * math.pi),
+                }})
+        points = write_json(tmp_path / "points.json", {"points": entries})
+        out_path = tmp_path / "values.json"
+        assert main(["eval", str(coeffs), points, "-o", str(out_path)]) == 0
+        capsys.readouterr()
+        values = json.loads(out_path.read_text())["values"]
+        _, loaded = formats.load_points(points)
+        expansion = formats.load_coefficients(str(coeffs))
+        assert len(values) == 50
+        for p, (re, im) in zip(loaded, values):
+            want = eval_expansion(expansion, p.r, p)
+            assert abs(complex(re, im) - want) <= 1e-14 * max(1.0, abs(want))
+
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
         coeffs = self._solve_constant(tmp_path, capsys)
         points = write_json(
@@ -320,3 +358,65 @@ class TestFormats:
         }
         with pytest.raises(formats.FormatError):
             formats.load_config(write_json(tmp_path / "cfg.json", config))
+
+
+_GOOD_RECORD = {"index": [1, 0], "A": [1.0, 0.0], "B": [0.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [dict(_GOOD_RECORD, A=["1", "0"])],
+        [dict(_GOOD_RECORD, index=[None, 0])],
+        [dict(_GOOD_RECORD, index=[1.7, 0])],
+        [dict(_GOOD_RECORD, index=[True, 0])],
+        [_GOOD_RECORD, dict(_GOOD_RECORD, A=[2.0, 0.0])],
+        [dict(_GOOD_RECORD, A=[float("nan"), 0.0])],
+        [dict(_GOOD_RECORD, B=[0.0, float("inf")])],
+        [dict(_GOOD_RECORD, A=[True, 0])],
+        [dict(_GOOD_RECORD, A=[10**400, 0])],
+    ],
+    ids=["string-A", "null-index", "float-index", "bool-index", "duplicate-index",
+         "nan-A", "inf-B", "bool-A", "huge-int-A"],
+)
+def test_malformed_coefficient_records_exit_2(tmp_path, capsys, records):
+    coeffs = write_json(
+        tmp_path / "c.json",
+        {"format": "ultrasph-coefficients", "d": 3, "lmax": 1, "coefficients": records},
+    )
+    points = write_json(tmp_path / "p.json", {"points": [{"cartesian": [0.1, 0.2, 0.3]}]})
+    with pytest.raises(formats.FormatError):
+        formats.load_coefficients(coeffs)
+    rc = main(["eval", coeffs, points])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def _samples_config(tmp_path, samples_file):
+    return write_json(tmp_path / "cfg.json", {
+        "d": 3, "kind": "interior", "radii": [1.0], "lmax": 1,
+        "boundary": [{"radius": 1.0, "samples-file": samples_file}],
+    })
+
+
+@pytest.mark.parametrize("samples_file", [5, 0, None, ["s.json"]])
+def test_samples_file_must_be_a_string(tmp_path, capsys, samples_file):
+    config = _samples_config(tmp_path, samples_file)
+    with pytest.raises(formats.FormatError, match="samples-file"):
+        formats.load_config(config)
+    assert main(["solve", config]) == 2
+    assert "samples-file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_samples_rejected(tmp_path, capsys, bad):
+    n = math.prod(sphere_grid(3, 1).shape)
+    values = [[1.0, 0.0]] * n
+    values[n // 2] = [0.5, bad]
+    samples = write_json(tmp_path / "s.json", {"values": values})
+    config = _samples_config(tmp_path, samples)
+    with pytest.raises(formats.FormatError, match="finite"):
+        formats.build_problem(formats.load_config(config))
+    assert main(["solve", config]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -148,6 +148,77 @@ class TestProjectBoundary:
         assert abs(coeffs[target] - 1.0) <= 1e-12
 
 
+class TestSumFactorizedTransforms:
+    """The staged and batched transforms against per-index reference sums."""
+
+    @pytest.mark.parametrize("d, lmax", [(3, 8), (4, 8), (5, 6), (6, 4), (7, 3)])
+    def test_projection_matches_brute_force(self, d, lmax):
+        rng = np.random.default_rng(90 + d)
+        grid = sphere_grid(d, lmax)
+        samples = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
+        got = project_boundary(samples, grid, lmax)
+        want_order = [idx for l in range(lmax + 1) for idx in enumerate_indices(d, l)]
+        assert list(got) == want_order
+        for idx, c in got.items():
+            brute = np.sum(grid.weights * samples * np.conj(eval_harmonic(idx, grid.points)))
+            assert abs(c - brute) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_eval_on_point_arrays_matches_term_sum(self, d):
+        rng = np.random.default_rng(95 + d)
+        exp = manufactured(rng, d, 3 if d <= 5 else 2, "annulus")
+        n = 25
+        r = rng.uniform(0.5, 2.0, n)
+        p = UltrasphericalPoint(
+            d, r, tuple(rng.uniform(0.0, math.pi, n) for _ in range(d - 2)),
+            rng.uniform(0.0, 2.0 * math.pi, n),
+        )
+        got = eval_expansion(exp, r, p)
+        brute = sum(
+            radial_eval(a, b, k.l, d, r) * eval_harmonic(k, p)
+            for k, (a, b) in exp.coeffs.items()
+        )
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - brute)) <= 1e-12 * max(1.0, np.max(np.abs(brute)))
+
+    def test_eval_array_radius_scalar_angles(self):
+        rng = np.random.default_rng(101)
+        d = 5
+        exp = manufactured(rng, d, 3, "annulus")
+        p = random_angles(rng, d)
+        r = np.array([0.5, 0.9, 1.7])
+        got = eval_expansion(exp, r, p)
+        assert got.shape == (3,)
+        for ri, gi in zip(r, got):
+            brute = sum(
+                radial_eval(a, b, k.l, d, ri) * eval_harmonic(k, p)
+                for k, (a, b) in exp.coeffs.items()
+            )
+            assert abs(gi - brute) <= 1e-12 * max(1.0, abs(brute))
+
+    def test_eval_at_origin(self):
+        rng = np.random.default_rng(102)
+        d = 4
+        exp = manufactured(rng, d, 2, "interior")
+        n = 6
+        p = UltrasphericalPoint(
+            d, np.zeros(n), tuple(rng.uniform(0.0, math.pi, n) for _ in range(d - 2)),
+            rng.uniform(0.0, 2.0 * math.pi, n),
+        )
+        zero = MultiIndex(d, 0, (0, 0))
+        want = exp.coeffs[zero][0] / math.sqrt(solid_angle(d))
+        assert_allclose(eval_expansion(exp, p.r, p), np.full(n, want), rtol=1e-13)
+        # a single nonzero B anywhere makes r = 0 singular
+        last = list(exp.coeffs)[-1]
+        exp.coeffs[last] = (exp.coeffs[last][0], 1e-3 + 0j)
+        with pytest.raises(ValueError, match="r = 0"):
+            eval_expansion(exp, p.r, p)
+        r = np.array([0.5, 0.0, 1.0])
+        q = UltrasphericalPoint(d, r, (0.3, 1.1), 2.0)
+        with pytest.raises(ValueError, match="r = 0"):
+            eval_expansion(exp, r, q)
+
+
 class TestFits:
     def test_interior_unit_radius_identity(self):
         d, lmax = 4, 2
