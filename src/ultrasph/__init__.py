@@ -18,7 +18,6 @@ from .geometry import (
     to_ultraspherical,
 )
 from .gegenbauer import (
-    PolyParams,
     alpha_factor,
     assoc,
     deriv_at_one,
@@ -37,6 +36,7 @@ from .harmonics import (
     enumerate_indices,
     eval_harmonic,
     eval_psi,
+    harmonic_values,
     harmonicity_residual,
     norm_coeff,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "CartesianPoint",
     "HarmonicExpansion",
     "MultiIndex",
-    "PolyParams",
     "SphereGrid",
     "ThetaRule",
     "UltrasphericalPoint",
@@ -90,6 +89,7 @@ __all__ = [
     "fit_interior",
     "green_expansion",
     "grid_shape",
+    "harmonic_values",
     "harmonicity_residual",
     "inner_product",
     "norm_coeff",

@@ -113,8 +113,8 @@ def load_config(path):
     if not LMAX_RANGE[0] <= lmax <= LMAX_RANGE[1]:
         raise FormatError(f"{path}: lmax out of range, need {LMAX_RANGE[0]} <= lmax <= {LMAX_RANGE[1]}")
     radii = _require(obj, "radii", list, path)
-    if not all(isinstance(r, (int, float)) and not isinstance(r, bool) for r in radii):
-        raise FormatError(f"{path}: radii must be numbers")
+    if not all(_is_finite_number(r) for r in radii):
+        raise FormatError(f"{path}: radii must be finite numbers")
     radii = [float(r) for r in radii]
     want = 2 if kind == "annulus" else 1
     if len(radii) != want:
@@ -133,7 +133,7 @@ def load_config(path):
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: boundary entries must be objects")
         radius = _require(entry, "radius", (int, float), path)
-        if float(radius) not in radii:
+        if not _is_finite_number(radius) or float(radius) not in radii:
             raise FormatError(
                 f"{path}: boundary radius {radius} does not match radii {radii}"
             )
@@ -196,17 +196,20 @@ def _parse_complex_list(raw, where):
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _is_finite_number(v):
+    """True for an int or float (not bool) that is a finite double."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer literal too large for a float
+        return False
+
+
 def _finite_pair(rec, key, where):
     """The [re, im] pair under ``key`` as a complex; rejects bools and non-finite."""
     pair = _require(rec, key, list, where)
-    try:
-        ok = len(pair) == 2 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in pair
-        )
-    except OverflowError:  # an integer literal too large for a float
-        ok = False
-    if not ok:
+    if not (len(pair) == 2 and all(_is_finite_number(v) for v in pair)):
         raise FormatError(f"{where}: {key} must be a [re, im] pair of finite numbers")
     return complex(pair[0], pair[1])
 

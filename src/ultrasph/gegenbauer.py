@@ -30,7 +30,6 @@ x/theta argument.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +37,6 @@ import numpy as np
 from .geometry import solid_angle
 
 __all__ = [
-    "PolyParams",
     "alpha_factor",
     "assoc",
     "deriv_at_one",
@@ -66,28 +64,6 @@ def _check_order(m):
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"order must be a nonnegative integer, got {m!r}")
     return int(m)
-
-
-@dataclass(frozen=True)
-class PolyParams:
-    """Validated parameter triple (l, d, m) with 0 <= m <= l and d >= 3."""
-
-    l: int
-    d: int
-    m: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "l", _check_degree(self.l))
-        object.__setattr__(self, "d", _check_dim(self.d))
-        object.__setattr__(self, "m", _check_order(self.m))
-        if self.m > self.l:
-            raise ValueError(f"order m={self.m} exceeds degree l={self.l}")
-
-    def assoc(self, theta):
-        return assoc(self.l, self.m, self.d, theta)
-
-    def norm(self):
-        return norm_factor(self.l, self.m, self.d)
 
 
 def _maybe_scalar(values, scalar_in):
@@ -148,20 +124,13 @@ def poly_reference(l, d, x):
 
 
 def alpha_factor(m, d):
-    """The product (d-2) d (d+2) ... (d+2m-4); empty product 1 for m = 0."""
+    """The product (d-2) d (d+2) ... (d+2m-4); empty product 1 for m = 0.
+
+    alpha(m, d) is the constant m-th derivative of P_{m,d}, so it is
+    deriv_at_one(m, m, d), which holds the exact integer product.
+    """
     m = _check_order(m)
-    d = _check_dim(d)
-    out = 1
-    for i in range(m):
-        out *= d - 2 + 2 * i
-    return float(out)
-
-
-def _alpha_int(m, d):
-    out = 1
-    for i in range(m):
-        out *= d - 2 + 2 * i
-    return out
+    return deriv_at_one(m, m, d)
 
 
 def poly_deriv(l, m, d, x):
@@ -194,7 +163,7 @@ def deriv_at_one(l, n, d):
     d = _check_dim(d)
     if n > l:
         return 0.0
-    num = _alpha_int(n, d) * math.factorial(d + n + l - 3)
+    num = math.prod(range(d - 2, d + 2 * n - 2, 2)) * math.factorial(d + n + l - 3)
     den = math.factorial(l - n) * math.factorial(d + 2 * n - 3)
     return float(Fraction(num, den))
 

@@ -18,6 +18,15 @@ Y = norm_coeff * Psi is orthonormal against dOmega_d; the normalization
 carries an explicit (2 pi)^(-1/2) azimuthal factor so that the Gram matrix
 is exactly the identity (the chained 1-D factors alone leave a residual
 2 pi from the phi integral).
+
+All bulk evaluation takes one table path: Y_idx is (2 pi)^(-1/2)
+e^(i m_1 phi) times one normalized factor per polar axis, read from the
+per-axis tables of :func:`axis_factors`.  :func:`harmonic_values` (and
+through it :func:`addition_sum` and the verify Gram check) and
+``solver.eval_expansion`` share one chain-product loop over those tables;
+``solver.project_boundary`` contracts grid samples against the same
+tables.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by index)
+is the independent reference the tests compare the table path to.
 """
 
 import math
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import assoc, norm_factor, poly
+from .gegenbauer import alpha_factor, assoc, norm_factor, poly
 from .geometry import CartesianPoint, UltrasphericalPoint, solid_angle, to_cartesian, to_ultraspherical
 
 __all__ = [
@@ -37,6 +46,7 @@ __all__ = [
     "enumerate_indices",
     "eval_harmonic",
     "eval_psi",
+    "harmonic_values",
     "harmonicity_residual",
     "norm_coeff",
 ]
@@ -147,15 +157,67 @@ def axis_factors(k, lmax, theta):
     ord > deg are zero.  The result has shape (lmax+1, lmax+1) + shape of
     theta.  Y_idx is (2 pi)^(-1/2) e^(i m_1 phi) times the product of
     T_k[deg, ord] over idx.axis_terms().
+
+    Column ord is sin^ord(theta) alpha(ord, k) P_{deg-ord, k+2 ord}(cos theta),
+    so one degree recurrence per column fills it, with the operations of
+    :func:`~ultrasph.gegenbauer.assoc` in the same order: the table is
+    bitwise equal to the entry-by-entry product.
     """
     theta = np.asarray(theta, dtype=float)
     table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
-    for deg in range(lmax + 1):
-        for order in range(deg + 1):
-            table[deg, order] = norm_factor(deg, order, k) * np.asarray(
-                assoc(deg, order, k, theta)
-            )
+    x = np.cos(theta)
+    for order in range(lmax + 1):
+        scale = np.sin(theta) ** order
+        alpha = alpha_factor(order, k)
+        dim = k + 2 * order
+        p_prev, p = None, np.ones_like(x)
+        for j in range(lmax - order + 1):
+            if j == 1:
+                p_prev, p = p, (dim - 2) * x
+            elif j > 1:
+                p_prev, p = p, ((2 * j + dim - 4) * x * p - (j + dim - 4) * p_prev) / j
+            table[order + j, order] = norm_factor(order + j, order, k) * (scale * (alpha * p))
     return table
+
+
+def _chain_products(indices, angles):
+    """Yield Y_idx(angles) for each idx of ``indices``, in order.
+
+    The one chain-product loop behind :func:`harmonic_values` and
+    ``solver.eval_expansion``: the per-axis tables and the
+    e^(i m_1 phi) / sqrt(2 pi) rows are built once, up to the top level
+    of ``indices``, and each Y_idx is a product of their entries.
+    """
+    top = max((idx.l for idx in indices), default=0)
+    tables = [
+        axis_factors(k, top, t) for k, t in zip(range(angles.d, 2, -1), angles.theta)
+    ]
+    phi = np.asarray(angles.phi)
+    phases = {
+        m1: np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi)
+        for m1 in range(-top, top + 1)
+    }
+    for idx in indices:
+        y = phases[idx.m[-1]]
+        for table, (_, degree, order) in zip(tables, idx.axis_terms()):
+            y = y * table[degree, order]
+        yield y
+
+
+def harmonic_values(angles, lmax, lmin=0):
+    """Values of every Y_idx with lmin <= l <= lmax at ``angles``.
+
+    Rows follow enumerate_indices(d, lmin), ..., enumerate_indices(d, lmax);
+    the result has shape (rows,) + the broadcast shape of the angles, so a
+    scalar point gives a vector.  Equal to :func:`eval_harmonic` per index
+    up to roundoff, from one set of per-axis tables.
+    """
+    indices = [idx for l in range(lmin, lmax + 1) for idx in enumerate_indices(angles.d, l)]
+    shape = np.broadcast_shapes(*(np.shape(t) for t in angles.theta), np.shape(angles.phi))
+    out = np.empty((len(indices),) + shape, dtype=complex)
+    for i, y in enumerate(_chain_products(indices, angles)):
+        out[i] = y
+    return out
 
 
 def eval_harmonic(idx, angles):
@@ -176,11 +238,15 @@ def addition_sum(d, l, angles_a, angles_b):
 
     Computes (d-2) Omega_d / (2l+d-2) * sum_idx Y(idx, a) conj(Y(idx, b));
     the imaginary part cancels (conjugate m_1 pairs) and is dropped.
+    Array-valued points give one sum per broadcast element.
     """
-    total = 0.0 + 0.0j
-    for idx in enumerate_indices(d, l):
-        total += eval_harmonic(idx, angles_a) * np.conj(eval_harmonic(idx, angles_b))
-    return float(((d - 2) * solid_angle(d) / (2 * l + d - 2)) * total.real)
+    if angles_a.d != d or angles_b.d != d:
+        raise ValueError(f"dimension mismatch: d={d}, points d={angles_a.d}, {angles_b.d}")
+    ya = harmonic_values(angles_a, l, l)
+    yb = harmonic_values(angles_b, l, l)
+    total = np.sum(ya * np.conj(yb), axis=0).real
+    val = ((d - 2) * solid_angle(d) / (2 * l + d - 2)) * total
+    return float(val) if np.ndim(val) == 0 else val
 
 
 def addition_reduced(d, l, theta_a, theta_b, cos_gamma_lower):

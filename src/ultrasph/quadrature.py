@@ -9,14 +9,16 @@ sin^alpha(theta) on [0, pi], i.e. the Gegenbauer weight (1-x^2)^((alpha-1)/2)
 on x = cos(theta)) plus a uniform rule in phi, which is exact for
 e^(i k phi) with |k| < n_phi.
 
-Gauss nodes are the roots of the monic orthogonal polynomial of the
-weight, located by bisection-bracketed Newton iteration on the three-term
-recurrence (interlacing gives the brackets, so no deflation is needed);
-weights come from the standard h_{n-1} / (p_{n-1}(x) p_n'(x)) formula.
-Nodes and weights are mirrored around the midpoint by construction.
+Gauss nodes are the roots of the monic orthogonal polynomial p_n of the
+weight.  They are found as the eigenvalues of the symmetric tridiagonal
+Jacobi matrix of its three-term recurrence (Golub & Welsch 1969, Math.
+Comp. 23:221), then polished by one vectorized Newton step on that
+recurrence; weights come from the standard h_{n-1} / (p_{n-1}(x) p_n'(x))
+formula, evaluated for all nodes in one recurrence pass.  A rule costs
+one dense symmetric eigensolve and two recurrence passes over all nodes.
+Nodes and weights are mirrored around the midpoint exactly.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +36,6 @@ __all__ = [
     "theta_rule",
 ]
 
-_X_TOL = 1e-14
-
 
 def _recurrence_b(k, delta):
     """Monic recurrence coefficient b_k for the weight (1-x^2)^delta."""
@@ -49,69 +49,35 @@ def _weight_mass(delta):
     )
 
 
-def _eval_monic(n, delta, x):
-    """Value and x-derivative of the monic orthogonal polynomial p_n."""
-    p_prev, p = 1.0, x
-    dp_prev, dp = 0.0, 1.0
-    if n == 0:
-        return 1.0, 0.0
-    for k in range(1, n):
-        b = _recurrence_b(k, delta)
-        p_prev, p = p, x * p - b * p_prev
-        dp_prev, dp = dp, p_prev + x * dp - b * dp_prev
-    return p, dp
+def _monic(b, x):
+    """p_{n-1}(x), p_n(x) and p_n'(x) of the monic family, n = len(b) + 1."""
+    p_prev, p = np.ones_like(x), x
+    dp_prev, dp = np.zeros_like(x), np.ones_like(x)
+    for bk in b:
+        p_prev, p, dp_prev, dp = p, x * p - bk * p_prev, dp, p + x * dp - bk * dp_prev
+    return p_prev, p, dp
 
 
-def _root_in(n, delta, lo, hi):
-    """The single root of p_n inside (lo, hi), to 1e-14 in x."""
-    flo, _ = _eval_monic(n, delta, lo)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f, df = _eval_monic(n, delta, x)
-        if f == 0.0:
-            return x
-        if (f > 0.0) == (flo > 0.0):
-            lo = x
-        else:
-            hi = x
-        step = f / df if df != 0.0 else math.inf
-        x_new = x - step
-        if not (lo < x_new < hi):
-            x_new = 0.5 * (lo + hi)  # Newton left the bracket: bisect
-        if abs(x_new - x) <= _X_TOL:
-            return x_new
-        x = x_new
-    return x
+def _gauss_rule(n, delta):
+    """Golub-Welsch nodes and weights of the n-point rule for (1-x^2)^delta.
 
-
-def _gauss_nodes(n, delta):
-    """Interlacing build-up of the roots of p_1, p_2, ..., p_n."""
-    roots = [0.0]
-    for k in range(2, n + 1):
-        brackets = [-1.0] + roots + [1.0]
-        roots = [
-            _root_in(k, delta, brackets[i], brackets[i + 1]) for i in range(k)
-        ]
-    # enforce exact mirror symmetry of the computed roots
-    roots = np.sort(np.asarray(roots))
-    sym = 0.5 * (roots - roots[::-1])
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
+    matrix (zero diagonal, off-diagonal sqrt(b_k)), polished by one Newton
+    step on the monic recurrence and mirrored exactly about 0; the weights
+    are h_{n-1} / (p_{n-1}(x) p_n'(x)), mirror-averaged so paired weights
+    are bitwise equal.
+    """
+    b = _recurrence_b(np.arange(1, n), delta)
+    off = np.sqrt(b)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    _, p, dp = _monic(b, x)
+    x = x - p / dp
+    x = 0.5 * (x - x[::-1])
     if n % 2 == 1:
-        sym[n // 2] = 0.0
-    return sym
-
-
-def _gauss_weights(n, delta, nodes):
-    h = _weight_mass(delta)
-    for k in range(1, n):
-        h *= _recurrence_b(k, delta)
-    w = np.empty(n)
-    for i, x in enumerate(nodes):
-        pm1, _ = _eval_monic(n - 1, delta, x)
-        _, dpn = _eval_monic(n, delta, x)
-        w[i] = h / (pm1 * dpn)
-    # mirror-average so paired weights are bitwise equal
-    w = 0.5 * (w + w[::-1])
-    return w
+        x[n // 2] = 0.0
+    pm1, _, dp = _monic(b, x)
+    w = _weight_mass(delta) * np.prod(b) / (pm1 * dp)
+    return x, 0.5 * (w + w[::-1])
 
 
 @dataclass(frozen=True)
@@ -143,8 +109,7 @@ def theta_rule(alpha, n):
         raise ValueError(f"node count must be a positive integer, got {n!r}")
     alpha, n = int(alpha), int(n)
     delta = (alpha - 1) / 2.0
-    x = _gauss_nodes(n, delta)
-    w = _gauss_weights(n, delta, x)
+    x, w = _gauss_rule(n, delta)
     # map to theta = arccos(x), ascending; build the upper half as
     # pi - arccos(|x|) so node pairs mirror around pi/2 exactly
     half = x[x > 0.0][::-1]  # descending positive roots
@@ -167,8 +132,7 @@ class SphereGrid:
     <= lmax exactly up to roundoff.
 
     ``points``/``weights`` expose the flattened node tensor for vectorized
-    consumers (built lazily and cached); ``iter_nodes`` streams scalar
-    nodes with O(sum n_j) memory instead.
+    consumers (built lazily and cached).
     """
 
     def __init__(self, d, lmax, theta_rules, phi_nodes, phi_weight):
@@ -209,18 +173,6 @@ class SphereGrid:
         for a in axes[1:]:
             w = np.multiply.outer(w, a)
         return w.reshape(-1)
-
-    def iter_nodes(self):
-        """Yield (UltrasphericalPoint, weight) node by node."""
-        axes = [list(zip(r.nodes, r.weights)) for r in self.theta_rules]
-        axes.append([(p, self.phi_weight) for p in self.phi_nodes])
-        for combo in itertools.product(*axes):
-            thetas = tuple(c[0] for c in combo[:-1])
-            phi = combo[-1][0]
-            w = 1.0
-            for c in combo:
-                w *= c[1]
-            yield UltrasphericalPoint(self.d, 1.0, thetas, phi), w
 
     def total_weight(self):
         return float(np.sum(self.weights))

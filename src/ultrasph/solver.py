@@ -12,7 +12,8 @@ annulus problems determine both from a 2x2 system per index.
 
 Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
-(harmonics.axis_factors), each table built once per call.
+(harmonics.axis_factors), the one table path that harmonics.harmonic_values
+and verify also use; each table is built once per call.
 
 * Forward (project_boundary) is a staged contraction on the product grid.
   The samples, as the node tensor (n_d, ..., n_3, n_phi), are contracted
@@ -21,11 +22,14 @@ times one normalized factor T_k[deg, ord](theta_k) per polar axis
   node axis for a degree axis indexed by (degree, order of the axis
   below), so no intermediate is larger than the grid, and the last one
   holds c_idx at (l, m_{d-2}, ..., m_2, m_1).
+  fit_annulus contracts both spheres' samples as one stacked tensor, so
+  its d-2 tables serve both.
 * Inverse (eval_expansion) accumulates radial_eval(A, B, l; r) times the
   product of table entries index by index over the whole point array, in
-  O(points) memory.  Scattered points share no grid structure, so staging
-  the inverse would carry a points x (lmax+1)^(d-3) x (2 lmax+1)
-  intermediate, far larger than the output.
+  O(points) memory, through the chain-product loop it shares with
+  harmonics.harmonic_values.  Scattered points share no grid structure,
+  so staging the inverse would carry a points x (lmax+1)^(d-3) x
+  (2 lmax+1) intermediate, far larger than the output.
 """
 
 import math
@@ -36,7 +40,7 @@ import numpy as np
 
 from .gegenbauer import poly
 from .geometry import cos_gamma, to_ultraspherical
-from .harmonics import MultiIndex, axis_factors, enumerate_indices
+from .harmonics import MultiIndex, _chain_products, axis_factors, enumerate_indices
 from .quadrature import sphere_grid
 
 __all__ = [
@@ -132,21 +136,49 @@ def eval_expansion(expansion, r, angles):
         raise ValueError(
             f"dimension mismatch: expansion d={expansion.d}, point d={angles.d}"
         )
-    d = expansion.d
-    top = max((idx.l for idx in expansion.coeffs), default=0)
-    tables = [axis_factors(k, top, t) for k, t in zip(range(d, 2, -1), angles.theta)]
-    phi = np.asarray(angles.phi)
-    phases = {
-        m1: np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi)
-        for m1 in range(-top, top + 1)
-    }
     total = 0.0 + 0.0j
-    for idx, (a, b) in expansion.coeffs.items():
-        y = phases[idx.m[-1]]
-        for table, (_, degree, order) in zip(tables, idx.axis_terms()):
-            y = y * table[degree, order]
-        total = total + radial_eval(a, b, idx.l, d, r) * y
+    for (idx, (a, b)), y in zip(
+        expansion.coeffs.items(), _chain_products(expansion.coeffs, angles)
+    ):
+        total = total + radial_eval(a, b, idx.l, expansion.d, r) * y
     return complex(total) if np.ndim(total) == 0 else total
+
+
+def _project(datasets, grid, lmax):
+    """One coefficient dict per data set, all contracted against one set of tables."""
+    if lmax > grid.lmax:
+        raise ValueError(f"grid supports lmax <= {grid.lmax}, requested {lmax}")
+    samples = []
+    for data in datasets:
+        values = np.asarray(data(grid.points)) if callable(data) else np.asarray(data)
+        if values.size != grid.size:
+            raise ValueError(
+                f"expected {grid.size} boundary samples in grid order, got {values.size}"
+            )
+        samples.append(values.reshape(grid.shape))
+    m1 = np.arange(-lmax, lmax + 1)
+    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
+    phase *= grid.phi_weight / math.sqrt(2.0 * math.pi)
+    coef = np.stack(samples) @ phase
+    d = grid.d
+    for k, rule in zip(range(3, d + 1), reversed(grid.theta_rules)):
+        table = axis_factors(k, lmax, rule.nodes) * rule.weights
+        if k == 3:
+            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
+        # coef axes are the data set, n_d, ..., n_k, then the orders
+        # m_{k-2}, ..., m_1 of the axes below; n_k becomes the degree on
+        # theta_k (l when k = d)
+        shape, i = coef.shape, d - k + 1
+        coef = np.einsum(
+            "pnbr,abn->pabr",
+            coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
+            table,
+        ).reshape(shape[:i] + (lmax + 1,) + shape[i + 1 :])
+    indices = [idx for l in range(lmax + 1) for idx in enumerate_indices(d, l)]
+    return [
+        {idx: complex(c[(idx.l,) + idx.m[:-1] + (idx.m[-1] + lmax,)]) for idx in indices}
+        for c in coef
+    ]
 
 
 def project_boundary(data, grid, lmax):
@@ -156,35 +188,7 @@ def project_boundary(data, grid, lmax):
     samples at the grid nodes.  Data beyond the grid's exactness band is
     aliased; callers control the band limit through the grid.
     """
-    if lmax > grid.lmax:
-        raise ValueError(f"grid supports lmax <= {grid.lmax}, requested {lmax}")
-    values = np.asarray(data(grid.points)) if callable(data) else np.asarray(data)
-    if values.size != grid.size:
-        raise ValueError(
-            f"expected {grid.size} boundary samples in grid order, got {values.size}"
-        )
-    m1 = np.arange(-lmax, lmax + 1)
-    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
-    phase *= grid.phi_weight / math.sqrt(2.0 * math.pi)
-    coef = values.reshape(grid.shape) @ phase
-    d = grid.d
-    for k, rule in zip(range(3, d + 1), reversed(grid.theta_rules)):
-        table = axis_factors(k, lmax, rule.nodes) * rule.weights
-        if k == 3:
-            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
-        # coef axes are n_d, ..., n_k, then the orders m_{k-2}, ..., m_1 of
-        # the axes below; n_k becomes the degree on theta_k (l when k = d)
-        shape, i = coef.shape, d - k
-        coef = np.einsum(
-            "pnbr,abn->pabr",
-            coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
-            table,
-        ).reshape(shape[:i] + (lmax + 1,) + shape[i + 1 :])
-    out = {}
-    for l in range(lmax + 1):
-        for idx in enumerate_indices(d, l):
-            out[idx] = complex(coef[(l,) + idx.m[:-1] + (idx.m[-1] + lmax,)])
-    return out
+    return _project((data,), grid, lmax)[0]
 
 
 def fit_interior(problem):
@@ -228,8 +232,7 @@ def fit_annulus(problem):
         raise ValueError(f"expected an annulus problem, got {problem.kind!r}")
     r1, r2 = problem.radii
     grid = sphere_grid(problem.d, problem.lmax)
-    inner = project_boundary(problem.data[0], grid, problem.lmax)
-    outer = project_boundary(problem.data[1], grid, problem.lmax)
+    inner, outer = _project(problem.data, grid, problem.lmax)
     coeffs = {}
     for idx in inner:
         s = idx.l + problem.d - 2

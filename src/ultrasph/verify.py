@@ -200,22 +200,18 @@ def _quadrature_residual(d):
     return worst
 
 
-def _level_indices(d, lcap):
-    out = []
-    for l in range(lcap + 1):
-        out.extend(hr.enumerate_indices(d, l))
-    return out
-
-
 def _gram_residual(d, lmax):
     lcap = min(lmax, _LEVEL_CAP[d])
     grid = qd.sphere_grid(d, lcap)
-    indices = _level_indices(d, lcap)
-    values = np.vstack(
-        [np.asarray(hr.eval_harmonic(idx, grid.points)) for idx in indices]
-    )
-    gram = (values * grid.weights) @ values.conj().T
-    return float(np.max(np.abs(gram - np.eye(len(indices)))))
+    # the open mesh of the node axes broadcasts to the grid in grid order,
+    # so the per-axis tables hold only each axis's own nodes
+    axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
+    values = hr.harmonic_values(geo.UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]), lcap)
+    values = values.reshape(len(values), -1)
+    values *= np.sqrt(grid.weights)  # the weights are positive
+    # V V^H by column blocks, so only one block's conjugate is held at a time
+    gram = sum(b @ b.conj().T for b in np.array_split(values, 8, axis=1))
+    return float(np.max(np.abs(gram - np.eye(len(values)))))
 
 
 def _random_angles(rng, d):
@@ -223,15 +219,24 @@ def _random_angles(rng, d):
     return geo.UltrasphericalPoint(d, 1.0, thetas, rng.uniform(0.0, 2.0 * math.pi))
 
 
+def _random_pairs(rng, d, n):
+    """n pairs drawn as alternating _random_angles calls, stacked into two array points."""
+    draws = [_random_angles(rng, d) for _ in range(2 * n)]
+
+    def stack(points):
+        thetas = tuple(np.array(t) for t in zip(*(p.theta for p in points)))
+        return geo.UltrasphericalPoint(d, 1.0, thetas, np.array([p.phi for p in points]))
+
+    return stack(draws[0::2]), stack(draws[1::2])
+
+
 def _addition_residual(d, lmax):
     rng = np.random.default_rng(1234 + d)
     worst = 0.0
     for l in range(min(lmax, 4) + 1):
-        for _ in range(10):
-            a = _random_angles(rng, d)
-            b = _random_angles(rng, d)
-            direct = gb.poly(l, d, geo.cos_gamma(a, b))
-            worst = max(worst, abs(hr.addition_sum(d, l, a, b) - direct))
+        a, b = _random_pairs(rng, d, 10)
+        direct = gb.poly(l, d, geo.cos_gamma(a, b))
+        worst = max(worst, float(np.max(np.abs(hr.addition_sum(d, l, a, b) - direct))))
     return worst
 
 

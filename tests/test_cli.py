@@ -59,6 +59,12 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         assert all(c["max_residual"] <= c["tolerance"] for c in doc["checks"])
 
+    def test_benchmark_case_passes_every_check(self, capsys):
+        rc = main(["verify", "--d", "3-8", "--lmax", "8"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "OVERALL PASS (84/84 checks)" in out
+
     def test_unsupported_dimension_rejected_up_front(self):
         for d_values in ([9], [3, 9]):
             with pytest.raises(ValueError, match=r"d = 3\.\.8"):
@@ -420,3 +426,19 @@ def test_non_finite_samples_rejected(tmp_path, capsys, bad):
         formats.build_problem(formats.load_config(config))
     assert main(["solve", config]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["1e999", "-1e999", "1" + "0" * 399],
+                         ids=["inf", "-inf", "400-digit-int"])
+def test_non_finite_radius_rejected(tmp_path, capsys, radius):
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        '{"d": 3, "kind": "interior", "radii": [%s], "lmax": 1, '
+        '"boundary": [{"radius": %s, "data": "harmonic:(1;0)"}]}' % (radius, radius)
+    )
+    with pytest.raises(formats.FormatError, match="radii must be finite numbers"):
+        formats.load_config(str(config))
+    assert main(["solve", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "radii must be finite numbers" in err
+    assert "Traceback" not in err

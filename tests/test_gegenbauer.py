@@ -7,7 +7,6 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from ultrasph.gegenbauer import (
-    PolyParams,
     alpha_factor,
     assoc,
     deriv_at_one,
@@ -212,21 +211,6 @@ class TestNormFactor:
                     math.pi,
                 )
                 assert abs(norm_factor(l, n, d) ** 2 * val - 1.0) <= 1e-9
-
-
-class TestPolyParams:
-    def test_valid_triple(self):
-        p = PolyParams(3, 5, 2)
-        assert_allclose(p.assoc(1.1), assoc(3, 2, 5, 1.1), atol=0)
-        assert p.norm() == norm_factor(3, 2, 5)
-
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            PolyParams(2, 5, 3)  # m > l
-        with pytest.raises(ValueError):
-            PolyParams(2, 2)  # d < 3
-        with pytest.raises(ValueError):
-            PolyParams(-1, 4)
 
 
 class TestOdeResidual:

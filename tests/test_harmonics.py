@@ -5,16 +5,18 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from ultrasph.gegenbauer import assoc, poly
+from ultrasph.gegenbauer import assoc, norm_factor, poly
 from ultrasph.geometry import UltrasphericalPoint, cos_gamma, solid_angle
 from ultrasph.harmonics import (
     MultiIndex,
     addition_reduced,
     addition_sum,
+    axis_factors,
     count,
     enumerate_indices,
     eval_harmonic,
     eval_psi,
+    harmonic_values,
     harmonicity_residual,
     norm_coeff,
 )
@@ -191,6 +193,72 @@ class TestEvalHarmonic:
                     assert abs(ip) > 1e-3
 
 
+def axis_factors_reference(k, lmax, theta):
+    """The table entry by entry, as norm_factor * assoc."""
+    theta = np.asarray(theta, dtype=float)
+    table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
+    for deg in range(lmax + 1):
+        for order in range(deg + 1):
+            table[deg, order] = norm_factor(deg, order, k) * np.asarray(
+                assoc(deg, order, k, theta)
+            )
+    return table
+
+
+def random_point_array(rng, d, shape):
+    return UltrasphericalPoint(
+        d,
+        1.0,
+        tuple(rng.uniform(0.0, math.pi, shape) for _ in range(d - 2)),
+        rng.uniform(0.0, 2.0 * math.pi, shape),
+    )
+
+
+class TestAxisFactors:
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_one_pass_table_is_bitwise_the_entry_products(self, k):
+        rng = np.random.default_rng(40 + k)
+        thetas = (0.0, math.pi, 0.7, rng.uniform(0.0, math.pi, 13),
+                  rng.uniform(0.0, math.pi, (3, 4)))
+        for lmax in range(11):
+            for theta in thetas:
+                got = axis_factors(k, lmax, theta)
+                want = axis_factors_reference(k, lmax, theta)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
+# levels per dimension for the harmonic_values comparison
+_VALUE_LMAX = {3: 8, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3}
+
+
+class TestHarmonicValues:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_matches_eval_harmonic(self, d):
+        rng = np.random.default_rng(50 + d)
+        lmax = _VALUE_LMAX[d]
+        indices = [i for l in range(lmax + 1) for i in enumerate_indices(d, l)]
+        for point in (random_angles(rng, d), random_point_array(rng, d, (2, 5))):
+            got = harmonic_values(point, lmax)
+            want = np.array([eval_harmonic(i, point) for i in indices])
+            assert got.shape == want.shape
+            assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_single_level_is_a_slice_of_all_levels(self):
+        rng = np.random.default_rng(57)
+        point = random_point_array(rng, 5, (7,))
+        full = harmonic_values(point, 4)
+        start = sum(count(5, l) for l in range(3))
+        assert np.array_equal(harmonic_values(point, 3, 3), full[start:start + count(5, 3)])
+
+    def test_open_mesh_broadcasts_to_the_full_grid(self):
+        grid = sphere_grid(4, 3)
+        axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
+        mesh = UltrasphericalPoint(4, 1.0, axes[:-1], axes[-1])
+        got = harmonic_values(mesh, 3).reshape(-1, grid.size)
+        assert_allclose(got, harmonic_values(grid.points, 3), rtol=1e-15, atol=0)
+
+
 class TestAdditionSum:
     def test_level_zero_is_one(self):
         rng = np.random.default_rng(21)
@@ -214,6 +282,25 @@ class TestAdditionSum:
                 a, b = random_angles(rng, d), random_angles(rng, d)
                 direct = poly(l, d, cos_gamma(a, b))
                 assert abs(addition_sum(d, l, a, b) - direct) <= 1e-8
+
+    def test_array_points_give_one_sum_per_pair(self):
+        rng = np.random.default_rng(25)
+        for d in (3, 5, 7):
+            a, b = random_point_array(rng, d, (6,)), random_point_array(rng, d, (6,))
+            for l in range(4):
+                got = addition_sum(d, l, a, b)
+                assert isinstance(got, np.ndarray) and got.shape == (6,)
+                for j in range(6):
+                    aj = UltrasphericalPoint(d, 1.0, tuple(t[j] for t in a.theta), a.phi[j])
+                    bj = UltrasphericalPoint(d, 1.0, tuple(t[j] for t in b.theta), b.phi[j])
+                    one = addition_sum(d, l, aj, bj)
+                    assert isinstance(one, float)
+                    assert abs(got[j] - one) <= 1e-14 * max(1.0, abs(one))
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(26)
+        with pytest.raises(ValueError):
+            addition_sum(4, 1, random_angles(rng, 4), random_angles(rng, 5))
 
     def test_trace_identity(self):
         # sum over one level of |Y|^2 is direction independent

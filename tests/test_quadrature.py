@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from ultrasph.geometry import solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices, eval_harmonic, eval_psi
 from ultrasph.quadrature import inner_product, sphere_grid, theta_rule, weight_total
+from ultrasph.verify import _moment
 
 
 def sin_power_moment(k, alpha):
@@ -65,6 +66,40 @@ class TestThetaRule:
         assert_allclose(np.cos(rule.nodes)[::-1], x_ref, atol=1e-13)
         assert_allclose(rule.weights[::-1], w_ref, rtol=1e-11)
 
+    @pytest.mark.parametrize("alpha", (1, 2))
+    def test_matches_closed_forms(self, alpha):
+        # alpha = 1 is Gauss-Legendre in x = cos(theta); alpha = 2 is
+        # Gauss-Chebyshev of the second kind, theta_j = j pi / (n+1).
+        # Node errors scale like n eps, weight errors like n^2 eps.
+        eps = np.finfo(float).eps
+        for n in range(1, 101):
+            if alpha == 1:
+                x, w = np.polynomial.legendre.leggauss(n)
+                nodes, weights = np.arccos(x[::-1]), w[::-1]
+            else:
+                nodes = np.arange(1, n + 1) * math.pi / (n + 1)
+                weights = math.pi / (n + 1) * np.sin(nodes) ** 2
+            rule = theta_rule(alpha, n)
+            assert_allclose(rule.nodes, nodes, rtol=0, atol=4 * n * eps)
+            assert_allclose(rule.weights, weights, rtol=32 * n * n * eps)
+
+    @pytest.mark.parametrize("alpha", range(1, 8))
+    def test_pair_mirror_symmetry_is_exact(self, alpha):
+        for n in range(1, 41):
+            rule = theta_rule(alpha, n)
+            low = rule.nodes[: n // 2]
+            assert np.array_equal(rule.nodes[::-1][: n // 2], math.pi - low)
+            assert np.array_equal(rule.weights, rule.weights[::-1])
+            if n % 2 == 1:
+                assert rule.nodes[n // 2] == math.pi / 2
+
+    def test_large_rule_integrates_all_its_monomials(self):
+        rule = theta_rule(5, 200)
+        cos_t = np.cos(rule.nodes)
+        for k in range(400):
+            exact = _moment(k, 5)
+            assert abs(rule.integrate(cos_t**k) - exact) <= 1e-13 * max(1.0, abs(exact))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             theta_rule(0, 4)
@@ -96,17 +131,6 @@ class TestSphereGrid:
                     lambda p: eval_harmonic(idx, p), ones, grid
                 )
                 assert abs(val) <= 1e-10
-
-    def test_iter_nodes_matches_flat_arrays(self):
-        grid = sphere_grid(4, 1)
-        flat_w = grid.weights
-        pts = grid.points
-        for i, (node, w) in enumerate(grid.iter_nodes()):
-            assert w == flat_w[i]
-            assert node.theta[0] == pts.theta[0][i]
-            assert node.theta[1] == pts.theta[1][i]
-            assert node.phi == pts.phi[i]
-        assert i == grid.size - 1
 
 
 class TestInnerProduct:

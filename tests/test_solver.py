@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ultrasph.geometry import CartesianPoint, UltrasphericalPoint, solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices, eval_harmonic
+from ultrasph import solver
 from ultrasph.quadrature import sphere_grid
 from ultrasph.solver import (
     BoundaryProblem,
@@ -283,6 +284,35 @@ class TestFits:
         for idx, (a, b) in truth.coeffs.items():
             ga, gb = fit.coeffs[idx]
             assert abs(ga - a) <= 1e-8 and abs(gb - b) <= 1e-8
+
+    @pytest.mark.parametrize("d,lmax", [(3, 6), (5, 3)])
+    def test_annulus_contracts_both_spheres_through_one_set_of_tables(
+        self, monkeypatch, d, lmax
+    ):
+        rng = np.random.default_rng(73 + d)
+        grid = sphere_grid(d, lmax)
+        inner, outer = (rng.normal(size=(grid.size, 2)) @ [1.0, 1j] for _ in range(2))
+        c1 = project_boundary(inner, grid, lmax)
+        c2 = project_boundary(outer, grid, lmax)
+        calls = []
+        build = solver.axis_factors
+        monkeypatch.setattr(
+            solver, "axis_factors", lambda *args: calls.append(args) or build(*args)
+        )
+        fit = fit_annulus(BoundaryProblem(d, "annulus", (0.5, 2.0), lmax, (inner, outer)))
+        assert len(calls) == d - 2
+        # the 2x2 Cramer solve of fit_annulus, from the two separate projections
+        want = {}
+        for idx in c1:
+            s = idx.l + d - 2
+            t11, t12, t21, t22 = 0.5**idx.l, 0.5 ** (-s), 2.0**idx.l, 2.0 ** (-s)
+            det = t11 * t22 - t21 * t12
+            want[idx] = ((c1[idx] * t22 - c2[idx] * t12) / det,
+                         (t11 * c2[idx] - t21 * c1[idx]) / det)
+        assert list(fit.coeffs) == list(want)
+        got, ref = np.array(list(fit.coeffs.values())), np.array(list(want.values()))
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(np.abs(got - ref) <= 1e-15 * scale)
 
     def test_annulus_zero_inner_data(self):
         d, lmax = 4, 2
