@@ -15,11 +15,9 @@ from . import formats
 from .gegenbauer import assoc, norm_factor, poly
 from .geometry import UltrasphericalPoint
 from .harmonics import count
+from .quadrature import _D_LIMITS, _LMAX_LIMITS
 from .solver import eval_expansion, fit_annulus, fit_exterior, fit_interior
 from .verify import HARMONICITY_FLOOR, run_verification
-
-D_MIN, D_MAX = 3, 8
-LMAX_MAX = 8
 
 
 def _fmt(value):
@@ -66,9 +64,9 @@ def _build_parser():
     )
     p_verify.add_argument("--d", type=_parse_d_range, default=[4],
                           help="dimension or inclusive range, e.g. 4 or 3-6 "
-                          f"(each in {D_MIN}..{D_MAX})")
+                          f"(each in {_D_LIMITS[0]}..{_D_LIMITS[1]})")
     p_verify.add_argument("--lmax", type=int, default=4,
-                          help=f"harmonic band limit, 0..{LMAX_MAX} "
+                          help=f"harmonic band limit, {_LMAX_LIMITS[0]}..{_LMAX_LIMITS[1]} "
                           "(grid-based checks cap levels per dimension)")
     p_verify.add_argument("--tol", type=float, default=1e-8,
                           help="tolerance for algebraic checks")
@@ -116,11 +114,13 @@ def _build_parser():
 
 
 def _cmd_verify(args, parser):
+    lo, hi = _D_LIMITS
     for d in args.d:
-        if not D_MIN <= d <= D_MAX:
-            parser.error(f"dimension {d} out of range {D_MIN}..{D_MAX}")
-    if not 0 <= args.lmax <= LMAX_MAX:
-        parser.error(f"lmax {args.lmax} out of range 0..{LMAX_MAX}")
+        if not lo <= d <= hi:
+            parser.error(f"dimension {d} out of range {lo}..{hi}")
+    lo, hi = _LMAX_LIMITS
+    if not lo <= args.lmax <= hi:
+        parser.error(f"lmax {args.lmax} out of range {lo}..{hi}")
     if not args.tol > 0:
         parser.error("tolerance must be positive")
     report = run_verification(args.d, args.lmax, args.tol)
@@ -182,7 +182,7 @@ def _cmd_solve(args):
     problem = formats.build_problem(config)
     fit = {"interior": fit_interior, "exterior": fit_exterior,
            "annulus": fit_annulus}[problem.kind]
-    expansion = formats.expansion_in_canonical_order(fit(problem))
+    expansion = fit(problem)
     _write_or_stdout(args.output, lambda fp: formats.save_coefficients(fp, expansion))
     return 0
 

@@ -28,8 +28,8 @@ import re
 import numpy as np
 
 from .geometry import UltrasphericalPoint, CartesianPoint, to_ultraspherical
-from .harmonics import MultiIndex, enumerate_indices, eval_harmonic
-from .quadrature import grid_shape
+from .harmonics import MultiIndex, eval_harmonic
+from .quadrature import _D_LIMITS, _LMAX_LIMITS, grid_shape
 from .solver import BoundaryProblem, HarmonicExpansion
 
 __all__ = [
@@ -42,9 +42,6 @@ __all__ = [
     "save_coefficients",
     "save_values",
 ]
-
-D_RANGE = (3, 8)
-LMAX_RANGE = (0, 8)
 
 _HARMONIC_RE = re.compile(r"^harmonic:\(([0-9, +-]*);(\s*-?\d+\s*)\)$")
 
@@ -99,35 +96,29 @@ def parse_harmonic_spec(spec, d):
 
 
 def load_config(path):
-    """Read and validate a boundary-problem config; returns a dict."""
+    """Read a boundary-problem config and check it against the schema; returns a dict.
+
+    Only the file's syntax is checked here, plus the supported size limits;
+    the rules of a problem (kind, radius count and order) are
+    BoundaryProblem's, applied by :func:`build_problem`.
+    """
     obj = _load_json(path)
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     d = _require(obj, "d", int, path)
-    if not D_RANGE[0] <= d <= D_RANGE[1]:
-        raise FormatError(f"{path}: dimension out of range, need {D_RANGE[0]} <= d <= {D_RANGE[1]}")
+    lo, hi = _D_LIMITS
+    if not lo <= d <= hi:
+        raise FormatError(f"{path}: dimension out of range, need {lo} <= d <= {hi}")
     kind = _require(obj, "kind", str, path)
-    if kind not in ("interior", "exterior", "annulus"):
-        raise FormatError(f"{path}: unknown kind {kind!r}")
     lmax = _require(obj, "lmax", int, path)
-    if not LMAX_RANGE[0] <= lmax <= LMAX_RANGE[1]:
-        raise FormatError(f"{path}: lmax out of range, need {LMAX_RANGE[0]} <= lmax <= {LMAX_RANGE[1]}")
+    lo, hi = _LMAX_LIMITS
+    if not lo <= lmax <= hi:
+        raise FormatError(f"{path}: lmax out of range, need {lo} <= lmax <= {hi}")
     radii = _require(obj, "radii", list, path)
     if not all(_is_finite_number(r) for r in radii):
         raise FormatError(f"{path}: radii must be finite numbers")
     radii = [float(r) for r in radii]
-    want = 2 if kind == "annulus" else 1
-    if len(radii) != want:
-        raise FormatError(f"{path}: {kind} problem needs {want} radii, got {len(radii)}")
-    if any(r <= 0 for r in radii):
-        raise FormatError(f"{path}: radii must be positive")
-    if kind == "annulus" and not radii[0] < radii[1]:
-        raise FormatError(f"{path}: annulus requires R_inner < R_outer strictly")
     boundary = _require(obj, "boundary", list, path)
-    if len(boundary) != want:
-        raise FormatError(
-            f"{path}: expected {want} boundary entries, got {len(boundary)}"
-        )
     seen = []
     for entry in boundary:
         if not isinstance(entry, dict):
@@ -146,7 +137,8 @@ def load_config(path):
             raise FormatError(f"{path}: 'samples-file' must be a path string")
     if sorted(seen) != sorted(radii):
         raise FormatError(f"{path}: boundary entries must cover every radius once")
-    return {"d": d, "kind": kind, "radii": radii, "lmax": lmax, "boundary": boundary}
+    return {"d": d, "kind": kind, "radii": radii, "lmax": lmax, "boundary": boundary,
+            "path": path}
 
 
 def _data_for_entry(entry, d, lmax, where):
@@ -174,14 +166,21 @@ def _data_for_entry(entry, d, lmax, where):
 
 
 def build_problem(config):
-    """Turn a validated config dict into a BoundaryProblem."""
+    """Turn a config dict from :func:`load_config` into a BoundaryProblem.
+
+    A config that breaks a rule of BoundaryProblem raises FormatError
+    naming the config file.
+    """
     d, kind, lmax = config["d"], config["kind"], config["lmax"]
     radii = config["radii"]
     by_radius = {float(e["radius"]): e for e in config["boundary"]}
     data = tuple(
         _data_for_entry(by_radius[r], d, lmax, f"boundary r={r}") for r in radii
     )
-    return BoundaryProblem(d, kind, tuple(radii), lmax, data)
+    try:
+        return BoundaryProblem(d, kind, tuple(radii), lmax, data)
+    except ValueError as exc:
+        raise FormatError(f"{config['path']}: {exc}") from exc
 
 
 def _parse_complex_list(raw, where):
@@ -204,6 +203,13 @@ def _is_finite_number(v):
         return math.isfinite(v)
     except OverflowError:  # an integer literal too large for a float
         return False
+
+
+def _finite_numbers(values):
+    """A JSON list of coordinates as floats; rejects strings, bools and non-finite."""
+    if not (isinstance(values, list) and all(_is_finite_number(v) for v in values)):
+        raise ValueError("coordinates must be finite numbers")
+    return [float(v) for v in values]
 
 
 def _finite_pair(rec, key, where):
@@ -245,14 +251,9 @@ def load_coefficients(path):
         if not isinstance(rec, dict):
             raise FormatError(f"{path}: coefficient records must be objects")
         index = _require(rec, "index", list, path)
-        if len(index) != d - 1:
-            raise FormatError(
-                f"{path}: index {index} must have {d - 1} entries for d={d}"
-            )
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in index):
-            raise FormatError(f"{path}: index {index} entries must be integers")
         try:
-            idx = MultiIndex(d, index[0], tuple(index[1:]))
+            l, *m = index
+            idx = MultiIndex(d, l, tuple(m))
         except ValueError as exc:
             raise FormatError(f"{path}: invalid index {index}: {exc}") from exc
         if idx in coeffs:
@@ -262,15 +263,6 @@ def load_coefficients(path):
         return HarmonicExpansion(d, lmax, coeffs)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-
-
-def expansion_in_canonical_order(expansion):
-    """The same expansion with coefficients in enumeration order."""
-    ordered = {}
-    for l in range(expansion.lmax + 1):
-        for idx in enumerate_indices(expansion.d, l):
-            ordered[idx] = expansion.coeffs.get(idx, (0j, 0j))
-    return HarmonicExpansion(expansion.d, expansion.lmax, ordered)
 
 
 def load_points(path):
@@ -293,14 +285,13 @@ def load_points(path):
             )
         try:
             if "cartesian" in entry:
-                xs = [float(v) for v in entry["cartesian"]]
+                xs = _finite_numbers(entry["cartesian"])
                 point = to_ultraspherical(CartesianPoint(len(xs), np.asarray(xs)))
             else:
                 rec = entry["ultraspherical"]
-                theta = tuple(float(t) for t in rec["theta"])
-                point = UltrasphericalPoint(
-                    len(theta) + 2, float(rec["r"]), theta, float(rec["phi"])
-                )
+                r, phi = _finite_numbers([rec["r"], rec["phi"]])
+                theta = tuple(_finite_numbers(rec["theta"]))
+                point = UltrasphericalPoint(len(theta) + 2, r, theta, phi)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from exc
         if d is None:

@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import solid_angle
+from .geometry import _check_int, solid_angle
 
 __all__ = [
     "alpha_factor",
@@ -48,32 +48,14 @@ __all__ = [
 ]
 
 
-def _check_degree(l):
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {l!r}")
-    return int(l)
-
-
-def _check_dim(d):
-    if not isinstance(d, (int, np.integer)) or d < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
-    return int(d)
-
-
-def _check_order(m):
-    if not isinstance(m, (int, np.integer)) or m < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {m!r}")
-    return int(m)
-
-
 def _maybe_scalar(values, scalar_in):
     return float(values) if scalar_in else values
 
 
 def poly(l, d, x):
     """Ultraspherical polynomial P_{l,d}(x) by three-term recurrence."""
-    l = _check_degree(l)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    d = _check_int(d, "dimension", 3)
     xa = np.asarray(x, dtype=float)
     scalar_in = xa.ndim == 0
     if l == 0:
@@ -114,8 +96,8 @@ def poly_reference(l, d, x):
     rational arithmetic (a double is a rational) and rounds once at the
     end; the result is the correctly rounded coefficient.
     """
-    l = _check_degree(l)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    d = _check_int(d, "dimension", 3)
     xa = np.asarray(x, dtype=float)
     flat = [_poly_reference_exact(l, d, float(v)) for v in np.atleast_1d(xa).ravel()]
     if xa.ndim == 0:
@@ -129,7 +111,7 @@ def alpha_factor(m, d):
     alpha(m, d) is the constant m-th derivative of P_{m,d}, so it is
     deriv_at_one(m, m, d), which holds the exact integer product.
     """
-    m = _check_order(m)
+    m = _check_int(m, "order", 0)
     return deriv_at_one(m, m, d)
 
 
@@ -138,9 +120,9 @@ def poly_deriv(l, m, d, x):
 
     d^m P_{l,d} / dx^m = alpha(m,d) P_{l-m, d+2m}(x); zero when m > l.
     """
-    l = _check_degree(l)
-    m = _check_order(m)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    m = _check_int(m, "order", 0)
+    d = _check_int(d, "dimension", 3)
     xa = np.asarray(x, dtype=float)
     scalar_in = xa.ndim == 0
     if m > l:
@@ -158,9 +140,9 @@ def deriv_at_one(l, n, d):
     Python integers do not overflow, so the exact path covers all sizes
     and the nearest double is returned.
     """
-    l = _check_degree(l)
-    n = _check_order(n)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    n = _check_int(n, "order", 0)
+    d = _check_int(d, "dimension", 3)
     if n > l:
         return 0.0
     num = math.prod(range(d - 2, d + 2 * n - 2, 2)) * math.factorial(d + n + l - 3)
@@ -174,9 +156,9 @@ def assoc(l, m, d, theta):
     Reduces to the (phase-free) associated Legendre function for d = 3;
     identically zero when m > l.
     """
-    l = _check_degree(l)
-    m = _check_order(m)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    m = _check_int(m, "order", 0)
+    d = _check_int(d, "dimension", 3)
     ta = np.asarray(theta, dtype=float)
     scalar_in = ta.ndim == 0
     if m > l:
@@ -191,9 +173,9 @@ def norm_factor(l, n, d):
     N = sqrt( (2l+d-2)/(d-2) * Omega_{d-1}/Omega_d
               * (d-3)! (l-n)! / (d+l+n-3)! ).
     """
-    l = _check_degree(l)
-    n = _check_order(n)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    n = _check_int(n, "order", 0)
+    d = _check_int(d, "dimension", 3)
     if n > l:
         raise ValueError(f"order n={n} exceeds degree l={l}")
     ratio = Fraction(2 * l + d - 2, d - 2) * Fraction(
@@ -214,9 +196,9 @@ def ode_residual(l, m, d, theta):
     which vanishes identically in exact arithmetic.  theta must stay at
     least 1e-3 away from the endpoint singularities.
     """
-    l = _check_degree(l)
-    m = _check_order(m)
-    d = _check_dim(d)
+    l = _check_int(l, "degree", 0)
+    m = _check_int(m, "order", 0)
+    d = _check_int(d, "dimension", 3)
     if m > l:
         raise ValueError(f"order m={m} exceeds degree l={l}")
     ta = np.asarray(theta, dtype=float)

@@ -41,10 +41,15 @@ def _as_field(value):
     return arr
 
 
-def _check_dimension(d):
-    if not isinstance(d, (int, np.integer)) or d < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
-    return int(d)
+def _check_int(value, name, minimum):
+    """``value`` as an int; a bool, a non-integer or a value below ``minimum`` raises.
+
+    The one integer check behind every dimension, degree, order, level and
+    node count the package accepts.
+    """
+    if not (type(value) is int or isinstance(value, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ class UltrasphericalPoint:
     phi: object
 
     def __post_init__(self):
-        d = _check_dimension(self.d)
+        d = _check_int(self.d, "dimension", 3)
         object.__setattr__(self, "d", d)
         if len(self.theta) != d - 2:
             raise ValueError(
@@ -92,7 +97,7 @@ class CartesianPoint:
     x: object
 
     def __post_init__(self):
-        d = _check_dimension(self.d)
+        d = _check_int(self.d, "dimension", 3)
         object.__setattr__(self, "d", d)
         x = np.asarray(self.x, dtype=float)
         if x.shape[0] != d:
@@ -147,8 +152,7 @@ def to_ultraspherical(c):
 
 def solid_angle(d):
     """Surface measure of the unit (d-1)-sphere: 2 pi^(d/2) / Gamma(d/2)."""
-    if not isinstance(d, (int, np.integer)) or d < 2:
-        raise ValueError(f"solid angle requires integer d >= 2, got {d!r}")
+    d = _check_int(d, "dimension", 2)
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 

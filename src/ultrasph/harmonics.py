@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gegenbauer import alpha_factor, assoc, norm_factor, poly
-from .geometry import CartesianPoint, UltrasphericalPoint, solid_angle, to_cartesian, to_ultraspherical
+from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, solid_angle, to_cartesian, to_ultraspherical
 
 __all__ = [
     "MultiIndex",
@@ -65,24 +65,21 @@ class MultiIndex:
     m: tuple
 
     def __post_init__(self):
-        if not isinstance(self.d, (int, np.integer)) or self.d < 3:
-            raise ValueError(f"dimension must be an integer >= 3, got {self.d!r}")
-        if not isinstance(self.l, (int, np.integer)) or self.l < 0:
-            raise ValueError(f"level must be a nonnegative integer, got {self.l!r}")
-        m = tuple(int(v) for v in self.m)
-        if len(m) != self.d - 2:
-            raise ValueError(
-                f"expected {self.d - 2} chain entries for d={self.d}, got {len(m)}"
-            )
-        bound = int(self.l)
+        d = _check_int(self.d, "dimension", 3)
+        l = _check_int(self.l, "level", 0)
+        # no entry of a chain is below -l, whatever its place
+        m = tuple(_check_int(v, "chain entry", -l) for v in self.m)
+        if len(m) != d - 2:
+            raise ValueError(f"expected {d - 2} chain entries for d={d}, got {len(m)}")
+        bound = l
         for v in m[:-1]:
             if not 0 <= v <= bound:
                 raise ValueError(f"chain violation in {m}: {v} not in [0, {bound}]")
             bound = v
         if abs(m[-1]) > bound:
             raise ValueError(f"chain violation in {m}: |{m[-1]}| > {bound}")
-        object.__setattr__(self, "d", int(self.d))
-        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
 
     def axis_terms(self):
@@ -100,10 +97,8 @@ class MultiIndex:
 
 def count(d, l):
     """Number of independent harmonics at level l: (d+2l-2)(d+l-3)!/((d-2)! l!)."""
-    if not isinstance(d, (int, np.integer)) or d < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
-    if not isinstance(l, (int, np.integer)) or l < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {l!r}")
+    d = _check_int(d, "dimension", 3)
+    l = _check_int(l, "level", 0)
     num = (d + 2 * l - 2) * math.factorial(d + l - 3)
     den = math.factorial(d - 2) * math.factorial(l)
     assert num % den == 0
@@ -256,8 +251,7 @@ def addition_reduced(d, l, theta_a, theta_b, cos_gamma_lower):
     P^m_{l,d}(cos theta_b) P_{m,d-1}(cos gamma_{d-1}), which again equals
     P_{l,d}(cos gamma_d).  Undefined at d = 3, where K divides by d-3.
     """
-    if not isinstance(d, (int, np.integer)) or d < 4:
-        raise ValueError(f"addition_reduced requires d >= 4, got {d!r}")
+    d = _check_int(d, "addition_reduced dimension", 4)
     k_factor = (
         solid_angle(d) / solid_angle(d - 1) * (d - 2) / ((2 * l + d - 2) * (d - 3))
     )

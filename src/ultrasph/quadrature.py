@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import UltrasphericalPoint
+from .geometry import UltrasphericalPoint, _check_int
 
 __all__ = [
     "SphereGrid",
@@ -103,11 +103,8 @@ class ThetaRule:
 
 def theta_rule(alpha, n):
     """Construct the n-point rule for weight sin^alpha(theta), alpha >= 1."""
-    if not isinstance(alpha, (int, np.integer)) or alpha < 1:
-        raise ValueError(f"weight exponent alpha must be an integer >= 1, got {alpha!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"node count must be a positive integer, got {n!r}")
-    alpha, n = int(alpha), int(n)
+    alpha = _check_int(alpha, "weight exponent alpha", 1)
+    n = _check_int(n, "node count", 1)
     delta = (alpha - 1) / 2.0
     x, w = _gauss_rule(n, delta)
     # map to theta = arccos(x), ascending; build the upper half as
@@ -178,17 +175,22 @@ class SphereGrid:
         return float(np.sum(self.weights))
 
 
+# The supported problem sizes, (lowest, highest) inclusive: the dimensions
+# and band limits the command line accepts and verify covers.  The grid
+# has (lmax+2)^(d-2) (2 lmax+2) nodes: 18 million at d = 8, lmax = 8.
+_D_LIMITS = (3, 8)
+_LMAX_LIMITS = (0, 8)
+
+
 def grid_shape(d, lmax):
     """Node counts (n_d, ..., n_3, n_phi) of the product grid sphere_grid(d, lmax).
 
     Each polar axis has lmax+2 Gauss nodes and phi has 2*lmax+2 uniform
     nodes; samples in canonical grid order are this tensor, row-major.
     """
-    if not isinstance(d, (int, np.integer)) or d < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {d!r}")
-    if not isinstance(lmax, (int, np.integer)) or lmax < 0:
-        raise ValueError(f"lmax must be a nonnegative integer, got {lmax!r}")
-    return (int(lmax) + 2,) * (int(d) - 2) + (2 * int(lmax) + 2,)
+    d = _check_int(d, "dimension", 3)
+    lmax = _check_int(lmax, "lmax", 0)
+    return (lmax + 2,) * (d - 2) + (2 * lmax + 2,)
 
 
 def sphere_grid(d, lmax):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gegenbauer import poly
-from .geometry import cos_gamma, to_ultraspherical
+from .geometry import _check_int, cos_gamma, to_ultraspherical
 from .harmonics import MultiIndex, _chain_products, axis_factors, enumerate_indices
 from .quadrature import sphere_grid
 
@@ -69,6 +69,8 @@ class HarmonicExpansion:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.d = _check_int(self.d, "dimension", 3)
+        self.lmax = _check_int(self.lmax, "lmax", 0)
         for idx, (a, b) in self.coeffs.items():
             if not isinstance(idx, MultiIndex) or idx.d != self.d:
                 raise ValueError(f"bad coefficient key {idx!r} for d={self.d}")
@@ -95,17 +97,19 @@ class BoundaryProblem:
     data: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "d", _check_int(self.d, "dimension", 3))
+        object.__setattr__(self, "lmax", _check_int(self.lmax, "lmax", 0))
         if self.kind not in ("interior", "exterior", "annulus"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
         radii = tuple(float(r) for r in self.radii)
-        if any(r <= 0 for r in radii):
-            raise ValueError("all radii must be positive")
         want = 2 if self.kind == "annulus" else 1
         if len(radii) != want or len(self.data) != want:
             raise ValueError(
                 f"{self.kind} problem needs {want} radius/data entries, "
                 f"got {len(radii)}/{len(self.data)}"
             )
+        if not all(0.0 < r < math.inf for r in radii):
+            raise ValueError(f"radii must be positive and finite, got {radii}")
         if self.kind == "annulus" and not radii[0] < radii[1]:
             raise ValueError("annulus requires R_inner < R_outer strictly")
         object.__setattr__(self, "radii", radii)

@@ -30,7 +30,7 @@ __all__ = ["CheckResult", "VerifyReport", "run_verification"]
 
 HARMONICITY_FLOOR = 1e-4
 _FD_STEP = 3e-4
-# level caps for grid-based checks, by dimension
+# level caps for grid-based checks, one per dimension in quadrature._D_LIMITS
 _LEVEL_CAP = {3: 4, 4: 4, 5: 4, 6: 3, 7: 2, 8: 2}
 
 
@@ -220,14 +220,18 @@ def _random_angles(rng, d):
 
 
 def _random_pairs(rng, d, n):
-    """n pairs drawn as alternating _random_angles calls, stacked into two array points."""
-    draws = [_random_angles(rng, d) for _ in range(2 * n)]
+    """n pairs of directions as two array points a, b.
 
-    def stack(points):
-        thetas = tuple(np.array(t) for t in zip(*(p.theta for p in points)))
-        return geo.UltrasphericalPoint(d, 1.0, thetas, np.array([p.phi for p in points]))
-
-    return stack(draws[0::2]), stack(draws[1::2])
+    The angles are the draws of 2n alternating _random_angles calls (a, b,
+    a, ...), bit for bit, taken by one array draw in the same order.
+    """
+    low = [0.3] * (d - 2) + [0.0]
+    high = [math.pi - 0.3] * (d - 2) + [2.0 * math.pi]
+    draws = rng.uniform(low, high, size=(n, 2, d - 1))
+    return tuple(
+        geo.UltrasphericalPoint(d, 1.0, tuple(draws[:, j, :-1].T), draws[:, j, -1])
+        for j in (0, 1)
+    )
 
 
 def _addition_residual(d, lmax):
@@ -244,16 +248,14 @@ def _addition_reduced_residual(d, lmax):
     rng = np.random.default_rng(4321 + d)
     worst = 0.0
     for l in range(min(lmax, 4) + 1):
-        for _ in range(10):
-            a = _random_angles(rng, d)
-            b = _random_angles(rng, d)
-            lower_a = geo.UltrasphericalPoint(d - 1, 1.0, a.theta[1:], a.phi)
-            lower_b = geo.UltrasphericalPoint(d - 1, 1.0, b.theta[1:], b.phi)
-            got = hr.addition_reduced(
-                d, l, a.theta[0], b.theta[0], geo.cos_gamma(lower_a, lower_b)
-            )
-            direct = gb.poly(l, d, geo.cos_gamma(a, b))
-            worst = max(worst, abs(got - direct))
+        a, b = _random_pairs(rng, d, 10)
+        lower_a = geo.UltrasphericalPoint(d - 1, 1.0, a.theta[1:], a.phi)
+        lower_b = geo.UltrasphericalPoint(d - 1, 1.0, b.theta[1:], b.phi)
+        got = hr.addition_reduced(
+            d, l, a.theta[0], b.theta[0], geo.cos_gamma(lower_a, lower_b)
+        )
+        direct = gb.poly(l, d, geo.cos_gamma(a, b))
+        worst = max(worst, float(np.max(np.abs(got - direct))))
     return worst
 
 
@@ -354,12 +356,10 @@ def _count_residual(d, lmax):
 
 def run_verification(d_values, lmax, tol):
     """Run every check for each dimension; returns a VerifyReport."""
-    unsupported = [d for d in d_values if d not in _LEVEL_CAP]
+    lo, hi = qd._D_LIMITS
+    unsupported = [d for d in d_values if d not in range(lo, hi + 1)]
     if unsupported:
-        raise ValueError(
-            f"verify supports d = {min(_LEVEL_CAP)}..{max(_LEVEL_CAP)}, "
-            f"got {unsupported}"
-        )
+        raise ValueError(f"verify supports d = {lo}..{hi}, got {unsupported}")
     report = VerifyReport()
     report.add("solid_angle_closed_form_and_recursion", {"d": "2..12"},
                _solid_angle_residual(), tol)

@@ -442,3 +442,77 @@ def test_non_finite_radius_rejected(tmp_path, capsys, radius):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "radii must be finite numbers" in err
     assert "Traceback" not in err
+
+
+def _config_doc(**changes):
+    doc = {"d": 4, "kind": "interior", "radii": [1.0], "lmax": 2,
+           "boundary": [{"radius": 1.0, "data": "harmonic:(1,0;0)"}]}
+    doc.update(changes)
+    doc["boundary"] = [dict(doc["boundary"][0], radius=r) for r in doc["radii"]]
+    return doc
+
+
+def _points_doc(entry):
+    return {"points": [{"cartesian": [0.1, 0.2, -0.3, 0.4]}, entry]}
+
+
+def _coefficients_doc(index):
+    return {"format": "ultrasph-coefficients", "d": 4, "lmax": 2,
+            "coefficients": [{"index": index, "A": [1.0, 0.0], "B": [0.0, 0.0]}]}
+
+
+_US = {"r": 0.5, "theta": [0.5, 1.2], "phi": 4.0}
+# "INF" stands for the JSON number 1e999, which reads as a float infinity
+_MALFORMED = {
+    "config-d-2": ("config", _config_doc(d=2), "dimension out of range"),
+    "config-lmax-negative": ("config", _config_doc(lmax=-1), "lmax out of range"),
+    "config-lmax-float": ("config", _config_doc(lmax=1.5), "'lmax' has wrong type"),
+    "config-kind": ("config", _config_doc(kind="ball"), "unknown problem kind"),
+    "config-inf-radius": ("config", _config_doc(radii=["INF"]),
+                          "radii must be finite numbers"),
+    "config-negative-radius": ("config", _config_doc(radii=[-1.0]),
+                               "radii must be positive"),
+    "config-reversed-annulus": ("config", _config_doc(kind="annulus", radii=[2.0, 0.5]),
+                                "R_inner < R_outer"),
+    "config-radius-count": ("config", _config_doc(radii=[0.5, 2.0]),
+                            "needs 1 radius/data entries"),
+    "points-string": ("points", _points_doc({"cartesian": [0.1, "0.2", 0.3, 0.4]}),
+                      "coordinates must be finite numbers"),
+    "points-bool": ("points", _points_doc({"cartesian": [0.1, True, 0.3, 0.4]}),
+                    "coordinates must be finite numbers"),
+    "points-inf-cartesian": ("points", _points_doc({"cartesian": [0.1, "INF", 0.3, 0.4]}),
+                             "coordinates must be finite numbers"),
+    "points-inf-r": ("points", _points_doc({"ultraspherical": dict(_US, r="INF")}),
+                     "coordinates must be finite numbers"),
+    "points-string-theta": ("points",
+                            _points_doc({"ultraspherical": dict(_US, theta=["0.5", 1.2])}),
+                            "coordinates must be finite numbers"),
+    "points-huge-int-phi": ("points",
+                            _points_doc({"ultraspherical": dict(_US, phi=10**400)}),
+                            "coordinates must be finite numbers"),
+    "coefficients-empty-index": ("coefficients", _coefficients_doc([]), "invalid index []"),
+    "coefficients-float-entry": ("coefficients", _coefficients_doc([1, 0.7, 0]),
+                                 "must be an integer"),
+}
+
+
+@pytest.mark.parametrize("kind,doc,message", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_exit_2(tmp_path, capsys, kind, doc, message):
+    files = {
+        "config": _config_doc(),
+        "points": _points_doc({"ultraspherical": _US}),
+        "coefficients": _coefficients_doc([1, 0, 0]),
+    }
+    files[kind] = doc
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj).replace('"INF"', "1e999"))
+    if kind == "config":
+        argv = ["solve", str(paths["config"])]
+    else:
+        argv = ["eval", str(paths["coefficients"]), str(paths["points"])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(paths[kind]) in err and message in err

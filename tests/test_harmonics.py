@@ -47,6 +47,15 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex(4, 2, (-1, 0))  # upper entries must be nonnegative
 
+    def test_entries_must_be_integers(self):
+        for d, l, m in ((3, 1, (0.7,)), (3, True, (0,)), (3, 1, (True,)),
+                        (4, 2, (1.0, 0)), (3.0, 1, (0,))):
+            with pytest.raises(ValueError, match="must be an integer"):
+                MultiIndex(d, l, m)
+        idx = MultiIndex(np.int64(4), np.int64(2), (np.int64(1), np.int64(-1)))
+        assert idx == MultiIndex(4, 2, (1, -1))
+        assert all(type(v) is int for v in (idx.d, idx.l) + idx.m)
+
     def test_length_must_match_dimension(self):
         with pytest.raises(ValueError):
             MultiIndex(5, 2, (1, 0))
@@ -63,6 +72,11 @@ class TestCount:
     def test_level_zero(self):
         for d in range(3, 9):
             assert count(d, 0) == 1
+
+    def test_non_integer_arguments_rejected(self):
+        for d, l in ((3, True), (True, 1), (3, 1.0), (2, 1), (3, -1)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                count(d, l)
 
     def test_d4_squares(self):
         for l in range(7):

@@ -250,6 +250,8 @@ class TestFits:
             (lambda p: eval_expansion(truth, radius, p),),
         )
         fit = fit_interior(problem) if kind == "interior" else fit_exterior(problem)
+        # saved as fitted, so the file order is enumerate_indices order
+        assert list(fit.coeffs) == list(truth.coeffs)
         for idx, (a, b) in truth.coeffs.items():
             ga, gb = fit.coeffs[idx]
             assert abs(ga - a) <= 1e-8 and abs(gb - b) <= 1e-8
@@ -281,6 +283,7 @@ class TestFits:
             ),
         )
         fit = fit_annulus(problem)
+        assert list(fit.coeffs) == list(truth.coeffs)
         for idx, (a, b) in truth.coeffs.items():
             ga, gb = fit.coeffs[idx]
             assert abs(ga - a) <= 1e-8 and abs(gb - b) <= 1e-8
@@ -386,6 +389,23 @@ class TestFits:
             BoundaryProblem(4, "interior", (-1.0,), 2, (None,))
         with pytest.raises(ValueError):
             BoundaryProblem(4, "ball", (1.0,), 2, (None,))
+        for radius in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                BoundaryProblem(3, "interior", (radius,), 2, (None,))
+        with pytest.raises(ValueError, match="dimension"):
+            BoundaryProblem(2, "interior", (1.0,), 2, (None,))
+        with pytest.raises(ValueError, match="lmax"):
+            BoundaryProblem(4, "interior", (1.0,), -1, (None,))
+        with pytest.raises(ValueError, match="lmax"):
+            BoundaryProblem(4, "interior", (1.0,), True, (None,))
+
+    def test_expansion_validation_errors(self):
+        with pytest.raises(ValueError, match="dimension"):
+            HarmonicExpansion(2, 1, {})
+        with pytest.raises(ValueError, match="lmax"):
+            HarmonicExpansion(3, -1, {})
+        exp = HarmonicExpansion(np.int64(3), np.int64(1), {})
+        assert type(exp.d) is int and type(exp.lmax) is int
 
 
 class TestGreenExpansion:
