@@ -9,11 +9,8 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import formats
 from .gegenbauer import assoc, norm_factor, poly
-from .geometry import UltrasphericalPoint
 from .harmonics import count
 from .quadrature import _D_LIMITS, _LMAX_LIMITS
 from .solver import eval_expansion, fit_annulus, fit_exterior, fit_interior
@@ -195,13 +192,7 @@ def _cmd_eval(args):
             f"dimension mismatch: coefficients have d={expansion.d}, "
             f"points have d={d}"
         )
-    stacked = UltrasphericalPoint(
-        d,
-        np.array([p.r for p in points]),
-        tuple(np.array([p.theta for p in points]).T),
-        np.array([p.phi for p in points]),
-    )
-    values = eval_expansion(expansion, stacked.r, stacked)
+    values = eval_expansion(expansion, points.r, points)
     _write_or_stdout(args.output, lambda fp: formats.save_values(fp, values))
     return 0
 

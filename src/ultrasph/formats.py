@@ -27,7 +27,7 @@ import re
 
 import numpy as np
 
-from .geometry import UltrasphericalPoint, CartesianPoint, to_ultraspherical
+from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, to_ultraspherical
 from .harmonics import MultiIndex, eval_harmonic
 from .quadrature import _D_LIMITS, _LMAX_LIMITS, grid_shape
 from .solver import BoundaryProblem, HarmonicExpansion
@@ -168,16 +168,16 @@ def _data_for_entry(entry, d, lmax, where):
 def build_problem(config):
     """Turn a config dict from :func:`load_config` into a BoundaryProblem.
 
-    A config that breaks a rule of BoundaryProblem raises FormatError
-    naming the config file.
+    A boundary entry or config that breaks a rule of BoundaryProblem
+    raises FormatError naming the config file.
     """
     d, kind, lmax = config["d"], config["kind"], config["lmax"]
     radii = config["radii"]
     by_radius = {float(e["radius"]): e for e in config["boundary"]}
-    data = tuple(
-        _data_for_entry(by_radius[r], d, lmax, f"boundary r={r}") for r in radii
-    )
     try:
+        data = tuple(
+            _data_for_entry(by_radius[r], d, lmax, f"boundary r={r}") for r in radii
+        )
         return BoundaryProblem(d, kind, tuple(radii), lmax, data)
     except ValueError as exc:
         raise FormatError(f"{config['path']}: {exc}") from exc
@@ -266,15 +266,19 @@ def load_coefficients(path):
 
 
 def load_points(path):
-    """Read a points file; returns (d, [UltrasphericalPoint, ...])."""
+    """Read a points file; returns (d, one UltrasphericalPoint holding every point).
+
+    The point's fields are arrays with one entry per point, in file order;
+    all Cartesian entries are converted by one to_ultraspherical call.
+    """
     obj = _load_json(path)
     if not isinstance(obj, dict) or "points" not in obj:
         raise FormatError(f"{path}: expected an object with a 'points' list")
     entries = obj["points"]
     if not isinstance(entries, list) or not entries:
         raise FormatError(f"{path}: 'points' must be a nonempty list")
-    points = []
-    d = None
+    rows = []  # the d numbers of each entry: (r, theta_d, ..., theta_3, phi) or x
+    cartesian = []  # positions of the Cartesian entries
     for i, entry in enumerate(entries):
         where = f"{path} point #{i}"
         if not isinstance(entry, dict):
@@ -285,21 +289,36 @@ def load_points(path):
             )
         try:
             if "cartesian" in entry:
-                xs = _finite_numbers(entry["cartesian"])
-                point = to_ultraspherical(CartesianPoint(len(xs), np.asarray(xs)))
+                row = _finite_numbers(entry["cartesian"])
+                cartesian.append(i)
             else:
                 rec = entry["ultraspherical"]
                 r, phi = _finite_numbers([rec["r"], rec["phi"]])
-                theta = tuple(_finite_numbers(rec["theta"]))
-                point = UltrasphericalPoint(len(theta) + 2, r, theta, phi)
+                row = [r, *_finite_numbers(rec["theta"]), phi]
+            _check_int(len(row), "dimension", 3)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from exc
-        if d is None:
-            d = point.d
-        elif point.d != d:
-            raise FormatError(f"{where}: dimension {point.d} differs from {d}")
-        points.append(point)
-    return d, points
+        if rows and len(row) != len(rows[0]):
+            raise FormatError(f"{where}: dimension {len(row)} differs from {len(rows[0])}")
+        rows.append(row)
+    d, coords = len(rows[0]), np.array(rows).T
+    if cartesian:
+        converted = to_ultraspherical(CartesianPoint(d, coords[:, cartesian]))
+        coords[:, cartesian] = [converted.r, *converted.theta, converted.phi]
+
+    def point(c):  # the columns c of coords as one point
+        return UltrasphericalPoint(d, c[0], tuple(c[1:-1]), c[-1])
+
+    try:
+        return d, point(coords)
+    except ValueError:
+        # the same rules entry by entry, to name the first point that breaks one
+        for i in range(len(rows)):
+            try:
+                point(coords[:, i])
+            except ValueError as exc:
+                raise FormatError(f"{path} point #{i}: {exc}") from exc
+        raise
 
 
 def save_values(fp, values):

@@ -52,19 +52,25 @@ def _maybe_scalar(values, scalar_in):
     return float(values) if scalar_in else values
 
 
+def _recurrence(lmax, d, x):
+    """Yield P_{0,d}(x), ..., P_{lmax,d}(x) for an array x; the one copy of the recurrence."""
+    p_prev, p = None, np.ones_like(x)
+    for k in range(lmax + 1):
+        if k == 1:
+            p_prev, p = p, (d - 2) * x
+        elif k > 1:
+            p_prev, p = p, ((2 * k + d - 4) * x * p - (k + d - 4) * p_prev) / k
+        yield p
+
+
 def poly(l, d, x):
     """Ultraspherical polynomial P_{l,d}(x) by three-term recurrence."""
     l = _check_int(l, "degree", 0)
     d = _check_int(d, "dimension", 3)
     xa = np.asarray(x, dtype=float)
-    scalar_in = xa.ndim == 0
-    if l == 0:
-        return _maybe_scalar(np.ones_like(xa), scalar_in)
-    p_prev = np.ones_like(xa)
-    p = (d - 2) * xa
-    for k in range(2, l + 1):
-        p_prev, p = p, ((2 * k + d - 4) * xa * p - (k + d - 4) * p_prev) / k
-    return _maybe_scalar(p, scalar_in)
+    for p in _recurrence(l, d, xa):
+        pass
+    return _maybe_scalar(p, xa.ndim == 0)
 
 
 def _poly_reference_exact(l, d, x):

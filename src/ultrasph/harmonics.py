@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import alpha_factor, assoc, norm_factor, poly
+from .gegenbauer import _recurrence, alpha_factor, assoc, norm_factor, poly
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, solid_angle, to_cartesian, to_ultraspherical
 
 __all__ = [
@@ -154,9 +154,9 @@ def axis_factors(k, lmax, theta):
     T_k[deg, ord] over idx.axis_terms().
 
     Column ord is sin^ord(theta) alpha(ord, k) P_{deg-ord, k+2 ord}(cos theta),
-    so one degree recurrence per column fills it, with the operations of
-    :func:`~ultrasph.gegenbauer.assoc` in the same order: the table is
-    bitwise equal to the entry-by-entry product.
+    so one walk of gegenbauer's degree recurrence per column fills it, with
+    the operations of :func:`~ultrasph.gegenbauer.assoc` in the same order:
+    the table is bitwise equal to the entry-by-entry product.
     """
     theta = np.asarray(theta, dtype=float)
     table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
@@ -164,13 +164,7 @@ def axis_factors(k, lmax, theta):
     for order in range(lmax + 1):
         scale = np.sin(theta) ** order
         alpha = alpha_factor(order, k)
-        dim = k + 2 * order
-        p_prev, p = None, np.ones_like(x)
-        for j in range(lmax - order + 1):
-            if j == 1:
-                p_prev, p = p, (dim - 2) * x
-            elif j > 1:
-                p_prev, p = p, ((2 * j + dim - 4) * x * p - (j + dim - 4) * p_prev) / j
+        for j, p in enumerate(_recurrence(lmax - order, k + 2 * order, x)):
             table[order + j, order] = norm_factor(order + j, order, k) * (scale * (alpha * p))
     return table
 

@@ -8,7 +8,8 @@ A scalar Laplace solution with purely radial boundary conditions is
 where the two radial branches solve the Euler equation with eigenvalue
 -l(l+d-2).  Interior problems keep only the A branch (regular at the
 origin), exterior problems only the B branch (decaying at infinity), and
-annulus problems determine both from a 2x2 system per index.
+annulus problems determine both, by one radial solve per level applied to
+the level's whole coefficient slice (_solve_level, _BRANCHES).
 
 Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
@@ -21,9 +22,9 @@ and verify also use; each table is built once per call.
   theta_3, theta_4, ..., theta_d against T_k w_k.  Each stage swaps one
   node axis for a degree axis indexed by (degree, order of the axis
   below), so no intermediate is larger than the grid, and the last one
-  holds c_idx at (l, m_{d-2}, ..., m_2, m_1).
-  fit_annulus contracts both spheres' samples as one stacked tensor, so
-  its d-2 tables serve both.
+  holds c_idx at (l, m_{d-2}, ..., m_2, m_1).  A fit contracts all its
+  spheres' samples as one stacked tensor, through one set of d-2 tables;
+  _read_off turns tensors into {idx: ...} dicts by one gather.
 * Inverse (eval_expansion) accumulates radial_eval(A, B, l; r) times the
   product of table entries index by index over the whole point array, in
   O(points) memory, through the chain-product loop it shares with
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gegenbauer import poly
+from .gegenbauer import _recurrence
 from .geometry import _check_int, cos_gamma, to_ultraspherical
 from .harmonics import MultiIndex, _chain_products, axis_factors, enumerate_indices
 from .quadrature import sphere_grid
@@ -116,18 +117,25 @@ class BoundaryProblem:
         object.__setattr__(self, "data", tuple(self.data))
 
 
+def _radial_pair(l, d, r):
+    """(r^l, r^-(l+d-2)) for an array r; the second is inf where it overflows or r = 0."""
+    with np.errstate(divide="ignore", over="ignore"):
+        decay = r ** -(l + d - 2)
+    return r**l, decay
+
+
 def radial_eval(a, b, l, d, r):
-    """A r^l + B r^-(l+d-2); r = 0 is allowed only when B = 0."""
+    """A r^l + B r^-(l+d-2); B != 0 needs r^-(l+d-2) finite, so r > 0."""
     ra = np.asarray(r, dtype=float)
-    scalar_in = ra.ndim == 0
     a, b = complex(a), complex(b)
+    grow, decay = _radial_pair(l, d, ra)
     if b == 0:
-        val = a * ra**l + 0j
+        val = a * grow + 0j
+    elif np.isfinite(decay).all():
+        val = a * grow + b * decay
     else:
-        if np.any(ra == 0.0):
-            raise ValueError("singular evaluation: r = 0 with B != 0")
-        val = a * ra**l + b * ra ** (-(l + d - 2))
-    return complex(val) if scalar_in else val
+        raise ValueError("singular evaluation: B != 0 at r = 0 or where r^-(l+d-2) overflows")
+    return complex(val) if ra.ndim == 0 else val
 
 
 def eval_expansion(expansion, r, angles):
@@ -149,7 +157,10 @@ def eval_expansion(expansion, r, angles):
 
 
 def _project(datasets, grid, lmax):
-    """One coefficient dict per data set, all contracted against one set of tables."""
+    """Coefficients of the data sets, contracted against one set of tables.
+
+    The tensor's axes are (data set, l, m_{d-2}, ..., m_2, m_1 + lmax).
+    """
     if lmax > grid.lmax:
         raise ValueError(f"grid supports lmax <= {grid.lmax}, requested {lmax}")
     samples = []
@@ -178,11 +189,20 @@ def _project(datasets, grid, lmax):
             coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
             table,
         ).reshape(shape[:i] + (lmax + 1,) + shape[i + 1 :])
+    return coef
+
+
+def _read_off(tensor, d, lmax):
+    """{idx: entries} for every level <= lmax, in enumerate_indices order, by one gather.
+
+    ``tensor`` ends in the axes of _project after the data set; the entries
+    of idx are Python numbers, a list of them over any leading axes.
+    """
     indices = [idx for l in range(lmax + 1) for idx in enumerate_indices(d, l)]
-    return [
-        {idx: complex(c[(idx.l,) + idx.m[:-1] + (idx.m[-1] + lmax,)]) for idx in indices}
-        for c in coef
-    ]
+    positions = [(idx.l,) + idx.m[:-1] + (idx.m[-1] + lmax,) for idx in indices]
+    flat = np.ravel_multi_index(tuple(zip(*positions)), tensor.shape[1 - d :])
+    entries = tensor.reshape(tensor.shape[: 1 - d] + (-1,))[..., flat]
+    return dict(zip(indices, np.moveaxis(entries, -1, 0).tolist()))
 
 
 def project_boundary(data, grid, lmax):
@@ -192,69 +212,69 @@ def project_boundary(data, grid, lmax):
     samples at the grid nodes.  Data beyond the grid's exactness band is
     aliased; callers control the band limit through the grid.
     """
-    return _project((data,), grid, lmax)[0]
+    return _read_off(_project((data,), grid, lmax)[0], grid.d, lmax)
+
+
+# the columns of M_l each kind keeps: A r^l, regular at the origin, and
+# B r^-(l+d-2), decaying at infinity
+_BRANCHES = {"interior": [0], "exterior": [1], "annulus": [0, 1]}
+
+
+def _solve_level(l, d, radii, branches, rhs):
+    """Solve M_l x = rhs for a level's tensor slice, one row of rhs per sphere.
+
+    A zero or non-finite entry or determinant of M_l, or a non-finite
+    solution, raises ValueError; |det| below 1e-12 of its largest term warns.
+    """
+    where = f"radial system of level {l} for radii {tuple(radii.tolist())}"
+    with np.errstate(all="ignore"):
+        m = np.stack(_radial_pair(l, d, radii), axis=1)[:, branches]
+        # the terms of det M_l: one for a single sphere, two for the annulus
+        terms = np.array([m.diagonal().prod(), -m[::-1].diagonal().prod()])[: len(m)]
+        det = terms.sum()
+        if not (np.isfinite(m).all() and m.all() and np.isfinite(det) and det != 0):
+            raise ValueError(f"{where} leaves the double range")
+        x = np.linalg.solve(m, rhs.reshape(len(m), -1)).reshape(rhs.shape)
+    if not np.isfinite(x).all():
+        raise ValueError(f"{where} leaves the double range")
+    scale = np.abs(terms).max()
+    if abs(det) < 1e-12 * scale:
+        warnings.warn(f"{where} is nearly singular: |det| = {abs(det):.3e} against scale "
+                      f"{scale:.3e}", stacklevel=4)
+    return x
+
+
+def _fit(problem, kind):
+    """(A, B) for every index, by one radial solve per level."""
+    if problem.kind != kind:
+        raise ValueError(f"expected an {kind} problem, got {problem.kind!r}")
+    d, lmax = problem.d, problem.lmax
+    coef = _project(problem.data, sphere_grid(d, lmax), lmax)
+    branches, radii = _BRANCHES[kind], np.array(problem.radii)
+    solved = np.zeros((2,) + coef.shape[1:], dtype=complex)
+    for l in range(lmax + 1):
+        solved[branches, l] = _solve_level(l, d, radii, branches, coef[:, l])
+    return HarmonicExpansion(d, lmax, _read_off(solved, d, lmax))
 
 
 def fit_interior(problem):
     """Regular-at-origin fit: B = 0, A_idx = c_idx / R^l."""
-    if problem.kind != "interior":
-        raise ValueError(f"expected an interior problem, got {problem.kind!r}")
-    radius = problem.radii[0]
-    grid = sphere_grid(problem.d, problem.lmax)
-    coeffs = project_boundary(problem.data[0], grid, problem.lmax)
-    return HarmonicExpansion(
-        problem.d,
-        problem.lmax,
-        {idx: (c / radius**idx.l, 0.0j) for idx, c in coeffs.items()},
-    )
+    return _fit(problem, "interior")
 
 
 def fit_exterior(problem):
     """Decaying-at-infinity fit: A = 0, B_idx = c_idx R^(l+d-2)."""
-    if problem.kind != "exterior":
-        raise ValueError(f"expected an exterior problem, got {problem.kind!r}")
-    radius = problem.radii[0]
-    grid = sphere_grid(problem.d, problem.lmax)
-    coeffs = project_boundary(problem.data[0], grid, problem.lmax)
-    return HarmonicExpansion(
-        problem.d,
-        problem.lmax,
-        {
-            idx: (0.0j, c * radius ** (idx.l + problem.d - 2))
-            for idx, c in coeffs.items()
-        },
-    )
+    return _fit(problem, "exterior")
 
 
 def fit_annulus(problem):
-    """Two-branch fit from data on both spheres, solved per index by Cramer.
+    """Two-branch fit from data on both spheres, one 2x2 solve per level.
 
-    The 2x2 determinant R1^l R2^-(l+d-2) - R2^l R1^-(l+d-2) is nonzero for
-    R1 != R2; a warning is emitted if it is small against its terms.
+    The determinant R1^l R2^-(l+d-2) - R2^l R1^-(l+d-2) is nonzero for
+    R1 != R2; a warning is emitted once per level where it is small
+    against its terms.
     """
-    if problem.kind != "annulus":
-        raise ValueError(f"expected an annulus problem, got {problem.kind!r}")
-    r1, r2 = problem.radii
-    grid = sphere_grid(problem.d, problem.lmax)
-    inner, outer = _project(problem.data, grid, problem.lmax)
-    coeffs = {}
-    for idx in inner:
-        s = idx.l + problem.d - 2
-        t11, t12 = r1**idx.l, r1 ** (-s)
-        t21, t22 = r2**idx.l, r2 ** (-s)
-        det = t11 * t22 - t21 * t12
-        scale = max(abs(t11 * t22), abs(t21 * t12))
-        if abs(det) < 1e-12 * scale:
-            warnings.warn(
-                f"annulus system nearly singular at index {idx}: "
-                f"|det| = {abs(det):.3e} against scale {scale:.3e}",
-                stacklevel=2,
-            )
-        c1, c2 = inner[idx], outer[idx]
-        a = (c1 * t22 - c2 * t12) / det
-        b = (t11 * c2 - t21 * c1) / det
-        coeffs[idx] = (a, b)
-    return HarmonicExpansion(problem.d, problem.lmax, coeffs)
+    return _fit(problem, "annulus")
 
 
 def green_expansion(x_a, x_b, lmax):
@@ -275,6 +295,6 @@ def green_expansion(x_a, x_b, lmax):
         return r_hi ** (-(d - 2))
     cg = cos_gamma(to_ultraspherical(x_a), to_ultraspherical(x_b))
     total = 0.0
-    for l in range(lmax + 1):
-        total += r_lo**l / r_hi ** (l + d - 2) * poly(l, d, cg)
+    for l, p in enumerate(_recurrence(lmax, d, np.asarray(cg))):
+        total += r_lo**l / r_hi ** (l + d - 2) * float(p)
     return total

@@ -81,24 +81,14 @@ def _generating_function_residual(d):
     l^(d-3) 0.4^l), so the residual reflects roundoff only.
     """
     r = 0.4
-    worst = 0.0
-    for x in (-1.0, -0.5, 0.0, 0.5, 1.0):
-        closed = (1.0 + r * r - 2.0 * r * x) ** (-(d - 2) / 2.0)
-        total = 0.0
-        p_prev, p = 1.0, (d - 2) * x
-        rl = 1.0
-        for l in range(0, 201):
-            if l == 0:
-                term = 1.0
-            elif l == 1:
-                term = p
-            else:
-                p_prev, p = p, ((2 * l + d - 4) * x * p - (l + d - 4) * p_prev) / l
-                term = p
-            total += rl * term
-            rl *= r
-        worst = max(worst, abs(total - closed))
-    return worst
+    xs = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    closed = np.array([(1.0 + r * r - 2.0 * r * x) ** (-(d - 2) / 2.0) for x in xs])
+    total = np.zeros(len(xs))
+    rl = 1.0
+    for p in gb._recurrence(200, d, np.array(xs)):
+        total += rl * p
+        rl *= r
+    return float(np.max(np.abs(total - closed)))
 
 
 def _oracle_equivalence_residual(d):
@@ -293,41 +283,18 @@ def _solver_residual(d, lmax):
     lcap = min(lmax, _LEVEL_CAP[d])
     rng = np.random.default_rng(7 + d)
     worst = 0.0
+    fits = {"interior": ((1.0,), sv.fit_interior), "exterior": ((1.0,), sv.fit_exterior),
+            "annulus": ((0.5, 2.0), sv.fit_annulus)}
+    for kind, (radii, fit_kind) in fits.items():
+        truth = _manufactured(d, lcap, rng, kind)
+        data = tuple(lambda pts, e=truth, r=r: sv.eval_expansion(e, r, pts) for r in radii)
+        fit = fit_kind(sv.BoundaryProblem(d, kind, radii, lcap, data))
+        for idx, pair in truth.coeffs.items():
+            worst = max(worst, *(abs(got - want) for got, want in zip(fit.coeffs[idx], pair)))
+
+    # re-evaluated boundary data of the annulus fit
     grid = qd.sphere_grid(d, lcap)
-
-    interior_truth = _manufactured(d, lcap, rng, "interior")
-    problem = sv.BoundaryProblem(
-        d, "interior", (1.0,), lcap,
-        (lambda pts, e=interior_truth: sv.eval_expansion(e, 1.0, pts),),
-    )
-    fit = sv.fit_interior(problem)
-    for idx, (a, _) in interior_truth.coeffs.items():
-        worst = max(worst, abs(fit.coeffs[idx][0] - a), abs(fit.coeffs[idx][1]))
-
-    exterior_truth = _manufactured(d, lcap, rng, "exterior")
-    problem = sv.BoundaryProblem(
-        d, "exterior", (1.0,), lcap,
-        (lambda pts, e=exterior_truth: sv.eval_expansion(e, 1.0, pts),),
-    )
-    fit = sv.fit_exterior(problem)
-    for idx, (_, b) in exterior_truth.coeffs.items():
-        worst = max(worst, abs(fit.coeffs[idx][1] - b), abs(fit.coeffs[idx][0]))
-
-    annulus_truth = _manufactured(d, lcap, rng, "annulus")
-    problem = sv.BoundaryProblem(
-        d, "annulus", (0.5, 2.0), lcap,
-        (
-            lambda pts, e=annulus_truth: sv.eval_expansion(e, 0.5, pts),
-            lambda pts, e=annulus_truth: sv.eval_expansion(e, 2.0, pts),
-        ),
-    )
-    fit = sv.fit_annulus(problem)
-    for idx, (a, b) in annulus_truth.coeffs.items():
-        got_a, got_b = fit.coeffs[idx]
-        worst = max(worst, abs(got_a - a), abs(got_b - b))
-
-    # re-evaluated boundary data
-    samples = np.asarray(sv.eval_expansion(annulus_truth, 2.0, grid.points))
+    samples = np.asarray(sv.eval_expansion(truth, 2.0, grid.points))
     refit = np.asarray(sv.eval_expansion(fit, 2.0, grid.points))
     worst = max(worst, float(np.max(np.abs(samples - refit))))
     return worst

@@ -6,7 +6,7 @@ import pytest
 
 from ultrasph import formats
 from ultrasph.cli import main
-from ultrasph.geometry import solid_angle
+from ultrasph.geometry import UltrasphericalPoint, solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices
 from ultrasph.quadrature import sphere_grid
 from ultrasph.solver import HarmonicExpansion, eval_expansion
@@ -296,7 +296,10 @@ class TestEvalCommand:
         _, loaded = formats.load_points(points)
         expansion = formats.load_coefficients(str(coeffs))
         assert len(values) == 50
-        for p, (re, im) in zip(loaded, values):
+        for i, (re, im) in enumerate(values):
+            p = UltrasphericalPoint(
+                d, loaded.r[i], tuple(t[i] for t in loaded.theta), loaded.phi[i]
+            )
             want = eval_expansion(expansion, p.r, p)
             assert abs(complex(re, im) - want) <= 1e-14 * max(1.0, abs(want))
 
@@ -490,6 +493,12 @@ _MALFORMED = {
     "points-huge-int-phi": ("points",
                             _points_doc({"ultraspherical": dict(_US, phi=10**400)}),
                             "coordinates must be finite numbers"),
+    "config-harmonic-level": ("config",
+                              _config_doc(boundary=[{"data": "harmonic:(5,0;0)"}]),
+                              "harmonic level 5 exceeds the problem lmax 2"),
+    "points-theta-out-of-range": ("points",
+                                  _points_doc({"ultraspherical": dict(_US, theta=[0.5, 4.0])}),
+                                  "point #1: polar angles must lie in [0, pi]"),
     "coefficients-empty-index": ("coefficients", _coefficients_doc([]), "invalid index []"),
     "coefficients-float-entry": ("coefficients", _coefficients_doc([1, 0.7, 0]),
                                  "must be an integer"),
@@ -516,3 +525,25 @@ def test_malformed_input_exit_2(tmp_path, capsys, kind, doc, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert str(paths[kind]) in err and message in err
+
+
+# finite radii whose radial powers R^l or R^-(l+d-2), or the coefficients
+# solved from them, leave the double range
+_OUT_OF_RANGE = {
+    "interior-tiny": ("interior", [1e-300], "harmonic:(1;0)"),
+    "exterior-huge": ("exterior", [1e300], "harmonic:(1;0)"),
+    "annulus-wide": ("annulus", [1e-200, 1e200], "harmonic:(1;0)"),
+    "interior-coefficient-overflow": ("interior", [1e-160], "harmonic:(2;0)"),
+}
+
+
+@pytest.mark.parametrize("kind,radii,data", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys())
+def test_radii_outside_double_range_exit_2(tmp_path, capsys, kind, radii, data):
+    config = write_json(tmp_path / "cfg.json", {
+        "d": 3, "kind": kind, "radii": radii, "lmax": 2,
+        "boundary": [{"radius": r, "data": data} for r in radii],
+    })
+    assert main(["solve", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "radial system of level" in err and "double range" in err

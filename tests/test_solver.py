@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ultrasph.geometry import CartesianPoint, UltrasphericalPoint, solid_angle
+from ultrasph.gegenbauer import poly
+from ultrasph.geometry import (
+    CartesianPoint,
+    UltrasphericalPoint,
+    cos_gamma,
+    solid_angle,
+    to_ultraspherical,
+)
 from ultrasph.harmonics import MultiIndex, enumerate_indices, eval_harmonic
 from ultrasph import solver
 from ultrasph.quadrature import sphere_grid
@@ -58,6 +65,13 @@ class TestRadialEval:
     def test_singular_at_origin(self):
         with pytest.raises(ValueError):
             radial_eval(1.0, 1.0, 0, 4, 0.0)
+
+    def test_decaying_branch_beyond_double_range(self):
+        r = np.array([1.0, 1e-200])
+        with pytest.raises(ValueError, match="overflows"):
+            radial_eval(1.0, 1.0, 1, 3, r)
+        # without a B term the decaying branch is not formed into the value
+        assert_allclose(radial_eval(2.0, 0.0, 1, 3, r), 2.0 * r)
 
     def test_vectorized(self):
         r = np.array([0.5, 1.0, 2.0])
@@ -317,6 +331,19 @@ class TestFits:
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(got - ref) <= 1e-15 * scale)
 
+    def test_annulus_warns_once_per_nearly_singular_level(self):
+        d, lmax = 4, 3
+        n = sphere_grid(d, lmax).size
+        problem = BoundaryProblem(
+            d, "annulus", (1.0, 1.0 + 1e-14), lmax, (np.ones(n), np.ones(n))
+        )
+        with pytest.warns(UserWarning, match="nearly singular") as record:
+            fit_annulus(problem)
+        assert len(record) == lmax + 1
+        for l, w in enumerate(record):
+            assert f"level {l} " in str(w.message)
+            assert w.filename == __file__  # attributed to the caller of the fit
+
     def test_annulus_zero_inner_data(self):
         d, lmax = 4, 2
         target = MultiIndex(d, 1, (1, 1))
@@ -453,6 +480,18 @@ class TestGreenExpansion:
                 errs[lmax].append(abs(green_expansion(xa, xb, lmax) - direct))
         measured = np.mean(errs[20]) / np.mean(errs[10])
         assert ratio**10 / 5 <= measured <= ratio**10 * 5
+
+    def test_matches_the_per_level_sum(self):
+        rng = np.random.default_rng(91)
+        for d in (3, 5, 8):
+            xa = CartesianPoint(d, 0.4 * rng.normal(size=d))
+            xb = CartesianPoint(d, rng.normal(size=d))
+            r_lo, r_hi = sorted((xa.norm(), xb.norm()))
+            cg = cos_gamma(to_ultraspherical(xa), to_ultraspherical(xb))
+            want = 0.0
+            for l in range(31):
+                want += r_lo**l / r_hi ** (l + d - 2) * poly(l, d, cg)
+            assert green_expansion(xa, xb, 30) == want
 
     def test_equal_radii_rejected(self):
         d = 4
