@@ -192,7 +192,10 @@ def _cmd_eval(args):
             f"dimension mismatch: coefficients have d={expansion.d}, "
             f"points have d={d}"
         )
-    values = eval_expansion(expansion, points.r, points)
+    try:
+        values = eval_expansion(expansion, points.r, points)
+    except ValueError as exc:  # a radius where a radial power leaves the double range
+        raise formats.FormatError(f"{args.points}: {exc}") from exc
     _write_or_stdout(args.output, lambda fp: formats.save_values(fp, values))
     return 0
 

@@ -28,9 +28,9 @@ import re
 import numpy as np
 
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, to_ultraspherical
-from .harmonics import MultiIndex, eval_harmonic
-from .quadrature import _D_LIMITS, _LMAX_LIMITS, grid_shape
-from .solver import BoundaryProblem, HarmonicExpansion
+from .harmonics import MultiIndex
+from .quadrature import _D_LIMITS, _LMAX_LIMITS, grid_shape, sphere_grid
+from .solver import BoundaryProblem, HarmonicExpansion, _synthesize
 
 __all__ = [
     "FormatError",
@@ -151,7 +151,8 @@ def _data_for_entry(entry, d, lmax, where):
             raise FormatError(
                 f"{where}: harmonic level {idx.l} exceeds the problem lmax {lmax}"
             )
-        return lambda pts, i=idx: eval_harmonic(i, pts)
+        # the samples of Y_idx in grid order, synthesized without the node mesh
+        return _synthesize(HarmonicExpansion(d, lmax, {idx: (1, 0)}), 1.0, sphere_grid(d, lmax))
     samples = _load_json(entry["samples-file"])
     if not isinstance(samples, dict) or "values" not in samples:
         raise FormatError(f"{entry['samples-file']}: expected an object with 'values'")

@@ -35,10 +35,22 @@ TWO_PI = 2.0 * math.pi
 
 def _as_field(value):
     """Coerce a coordinate field to float or float ndarray."""
+    if isinstance(value, (int, float)):  # bool and numpy float64 included
+        return float(value)
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return float(arr)
     return arr
+
+
+def _within(field, low, high, closed=True):
+    """True if every entry of a field lies in [low, high] (or [low, high)); NaN lies nowhere.
+
+    A float field is checked by plain comparisons, an array field by numpy.
+    """
+    if type(field) is float:
+        return low <= field and (field <= high if closed else field < high)
+    return bool(np.all(field >= low) and np.all(field <= high if closed else field < high))
 
 
 def _check_int(value, name, minimum):
@@ -75,14 +87,11 @@ class UltrasphericalPoint:
         r = _as_field(self.r)
         theta = tuple(_as_field(t) for t in self.theta)
         phi = _as_field(self.phi)
-        if not np.all(np.asarray(r) >= 0):
+        if not _within(r, 0.0, math.inf):
             raise ValueError("radius must be nonnegative")
-        for t in theta:
-            ta = np.asarray(t)
-            if not (np.all(ta >= 0.0) and np.all(ta <= math.pi)):
-                raise ValueError("polar angles must lie in [0, pi]")
-        pa = np.asarray(phi)
-        if not (np.all(pa >= 0.0) and np.all(pa < TWO_PI)):
+        if not all(_within(t, 0.0, math.pi) for t in theta):
+            raise ValueError("polar angles must lie in [0, pi]")
+        if not _within(phi, 0.0, TWO_PI, closed=False):
             raise ValueError("azimuth must lie in [0, 2*pi)")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "theta", theta)

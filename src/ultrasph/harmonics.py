@@ -65,6 +65,9 @@ class MultiIndex:
     m: tuple
 
     def __post_init__(self):
+        if _plain_chain(self.d, self.l, self.m):
+            return
+        # the full checks, with their messages, on any other input
         d = _check_int(self.d, "dimension", 3)
         l = _check_int(self.l, "level", 0)
         # no entry of a chain is below -l, whatever its place
@@ -93,6 +96,22 @@ class MultiIndex:
     def conjugate(self):
         """The label with m_1 negated."""
         return MultiIndex(self.d, self.l, self.m[:-1] + (-self.m[-1],))
+
+
+def _plain_chain(d, l, m):
+    """True if (d, l, m) is already a valid label of Python ints and a tuple.
+
+    The common case of MultiIndex, checked by plain comparisons; anything
+    else goes through the full checks.
+    """
+    if not (type(d) is int and type(l) is int and type(m) is tuple and len(m) == d - 2 > 0):
+        return False
+    bound = l
+    for v in m[:-1]:
+        if type(v) is not int or not 0 <= v <= bound:
+            return False
+        bound = v
+    return type(m[-1]) is int and -bound <= m[-1] <= bound
 
 
 def count(d, l):

@@ -25,12 +25,26 @@ and verify also use; each table is built once per call.
   holds c_idx at (l, m_{d-2}, ..., m_2, m_1).  A fit contracts all its
   spheres' samples as one stacked tensor, through one set of d-2 tables;
   _read_off turns tensors into {idx: ...} dicts by one gather.
-* Inverse (eval_expansion) accumulates radial_eval(A, B, l; r) times the
-  product of table entries index by index over the whole point array, in
-  O(points) memory, through the chain-product loop it shares with
-  harmonics.harmonic_values.  Scattered points share no grid structure,
-  so staging the inverse would carry a points x (lmax+1)^(d-3) x
+* Inverse, two routes.  On a grid, _synthesize is the staged adjoint of
+  the forward contraction without the weights: A and B are combined per
+  level with the radial pair, scattered into the coefficient tensor, and
+  contracted over theta_d, ..., theta_3 against T_k, then over m_1
+  against e^(i m_1 phi) / sqrt(2 pi); each stage swaps a degree axis for
+  a node axis, so again no intermediate is larger than the grid.  At
+  scattered points, eval_expansion accumulates A r^l + B r^-(l+d-2)
+  times the product of table entries index by index over the whole point
+  array, in O(points) memory, through the chain-product loop it shares
+  with harmonics.harmonic_values.  Scattered points share no grid
+  structure, so staging there would carry a points x (lmax+1)^(d-3) x
   (2 lmax+1) intermediate, far larger than the output.
+
+Both inverse routes and radial_eval form the radial powers once per
+level by one rule (_radial_powers): a nonzero A needs r^l finite and a
+nonzero B needs r^-(l+d-2) finite, else the call raises ValueError; a
+power no coefficient of the level needs is replaced by 0, so 0 * inf
+never appears.  The index -> tensor-position formula is written once
+(_positions), for _read_off's gather and _synthesize's scatter, and the
+tables of both contractions come from one helper (_tables).
 """
 
 import math
@@ -118,23 +132,32 @@ class BoundaryProblem:
 
 
 def _radial_pair(l, d, r):
-    """(r^l, r^-(l+d-2)) for an array r; the second is inf where it overflows or r = 0."""
+    """(r^l, r^-(l+d-2)) for an array r; inf where a power overflows (the second also at r = 0)."""
     with np.errstate(divide="ignore", over="ignore"):
-        decay = r ** -(l + d - 2)
-    return r**l, decay
+        return r**l, r ** -(l + d - 2)
+
+
+def _radial_powers(l, d, r, need_a, need_b):
+    """The powers (r^l, r^-(l+d-2)) a level's coefficients need, by one finiteness rule.
+
+    Some A != 0 (``need_a``) needs r^l finite and some B != 0
+    (``need_b``) needs r^-(l+d-2) finite, so r > 0; else ValueError.  A
+    power no coefficient needs is returned as 0, so 0 * inf never appears.
+    """
+    grow, decay = _radial_pair(l, d, r)
+    for need, power, where in ((need_a, grow, "A != 0 where r^l"),
+                               (need_b, decay, "B != 0 at r = 0 or where r^-(l+d-2)")):
+        if need and not np.isfinite(power).all():
+            raise ValueError(f"singular evaluation: {where} overflows (level {l})")
+    return (grow if need_a else 0.0), (decay if need_b else 0.0)
 
 
 def radial_eval(a, b, l, d, r):
-    """A r^l + B r^-(l+d-2); B != 0 needs r^-(l+d-2) finite, so r > 0."""
+    """A r^l + B r^-(l+d-2); a nonzero coefficient needs its power of r finite."""
     ra = np.asarray(r, dtype=float)
     a, b = complex(a), complex(b)
-    grow, decay = _radial_pair(l, d, ra)
-    if b == 0:
-        val = a * grow + 0j
-    elif np.isfinite(decay).all():
-        val = a * grow + b * decay
-    else:
-        raise ValueError("singular evaluation: B != 0 at r = 0 or where r^-(l+d-2) overflows")
+    grow, decay = _radial_powers(l, d, ra, a != 0, b != 0)
+    val = a * grow + b * decay
     return complex(val) if ra.ndim == 0 else val
 
 
@@ -142,18 +165,62 @@ def eval_expansion(expansion, r, angles):
     """Evaluate sum_idx radial(A, B, l; r) Y_idx(angles).
 
     ``r`` and the angles may be arrays of any common broadcast shape; a
-    scalar evaluation returns a complex number.
+    scalar evaluation returns a complex number.  The radial powers are
+    formed once per level, as the level's coefficients need them.
     """
     if angles.d != expansion.d:
         raise ValueError(
             f"dimension mismatch: expansion d={expansion.d}, point d={angles.d}"
         )
+    r = np.asarray(r, dtype=float)
+    need = {}  # level -> (some A != 0, some B != 0)
+    for idx, (a, b) in expansion.coeffs.items():
+        need_a, need_b = need.get(idx.l, (False, False))
+        need[idx.l] = (need_a or a != 0, need_b or b != 0)
+    powers = {l: _radial_powers(l, expansion.d, r, *flags) for l, flags in need.items()}
     total = 0.0 + 0.0j
     for (idx, (a, b)), y in zip(
         expansion.coeffs.items(), _chain_products(expansion.coeffs, angles)
     ):
-        total = total + radial_eval(a, b, idx.l, expansion.d, r) * y
+        grow, decay = powers[idx.l]
+        total = total + (a * grow + b * decay) * y
     return complex(total) if np.ndim(total) == 0 else total
+
+
+def _tensor_shape(d, lmax):
+    """Shape of the coefficient tensor of both transforms, axes (l, m_{d-2}, ..., m_2, m_1 + lmax)."""
+    return (lmax + 1,) * (d - 2) + (2 * lmax + 1,)
+
+
+def _positions(indices, d, lmax):
+    """Flat positions of ``indices`` in the coefficient tensor: idx at (l, *m[:-1], m_1 + lmax)."""
+    rows = [(idx.l,) + idx.m[:-1] + (idx.m[-1] + lmax,) for idx in indices]
+    return np.ravel_multi_index(
+        np.array(rows, dtype=int).reshape(-1, d - 1).T, _tensor_shape(d, lmax)
+    )
+
+
+def _tables(grid, lmax, weighted):
+    """The phase and per-axis tables of both transforms on ``grid``, up to lmax.
+
+    The phase is e^(-i m_1 phi) / sqrt(2 pi) as (n_phi, 2 lmax + 1), and
+    the tables are T_k as (degree, order, n_k) for k = 3, ..., d, the
+    orders at theta_3 gathered as |m_1| for m_1 = -lmax, ..., lmax.  With
+    ``weighted`` each carries its axis's quadrature weights (projection);
+    without, they are the plain factors of Y_idx (synthesis).
+    """
+    m1 = np.arange(-lmax, lmax + 1)
+    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
+    phase *= (grid.phi_weight if weighted else 1.0) / math.sqrt(2.0 * math.pi)
+    tables = []
+    for k, rule in zip(range(3, grid.d + 1), reversed(grid.theta_rules)):
+        table = axis_factors(k, lmax, rule.nodes)
+        if weighted:
+            table = table * rule.weights
+        if k == 3:
+            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
+        tables.append(table)
+    return phase, tables
 
 
 def _project(datasets, grid, lmax):
@@ -171,15 +238,10 @@ def _project(datasets, grid, lmax):
                 f"expected {grid.size} boundary samples in grid order, got {values.size}"
             )
         samples.append(values.reshape(grid.shape))
-    m1 = np.arange(-lmax, lmax + 1)
-    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
-    phase *= grid.phi_weight / math.sqrt(2.0 * math.pi)
+    phase, tables = _tables(grid, lmax, weighted=True)
     coef = np.stack(samples) @ phase
     d = grid.d
-    for k, rule in zip(range(3, d + 1), reversed(grid.theta_rules)):
-        table = axis_factors(k, lmax, rule.nodes) * rule.weights
-        if k == 3:
-            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
+    for k, table in zip(range(3, d + 1), tables):
         # coef axes are the data set, n_d, ..., n_k, then the orders
         # m_{k-2}, ..., m_1 of the axes below; n_k becomes the degree on
         # theta_k (l when k = d)
@@ -192,15 +254,48 @@ def _project(datasets, grid, lmax):
     return coef
 
 
+def _synthesize(expansion, r, grid):
+    """Values of ``expansion`` at radius r on the grid's nodes, in grid order.
+
+    The adjoint of _project without the weights: each level's A and B
+    are combined with the radial pair (_radial_powers) and scattered into the
+    coefficient tensor, which is contracted over theta_d, ..., theta_3
+    against T_k, each stage swapping a degree axis for a node axis, then
+    over m_1 against e^(i m_1 phi) / sqrt(2 pi).
+    """
+    d, lmax = expansion.d, expansion.lmax
+    if grid.d != d:
+        raise ValueError(f"dimension mismatch: expansion d={d}, grid d={grid.d}")
+    flat, shape = _positions(expansion.coeffs, d, lmax), _tensor_shape(d, lmax)
+    a, b = np.array(list(expansion.coeffs.values()), dtype=complex).reshape(-1, 2).T
+    levels = np.array([idx.l for idx in expansion.coeffs], dtype=int)
+    coef = np.zeros(math.prod(shape), dtype=complex)
+    for l in range(lmax + 1):
+        at = levels == l
+        grow, decay = _radial_powers(l, d, np.float64(r), a[at].any(), b[at].any())
+        coef[flat[at]] = a[at] * grow + b[at] * decay
+    coef = coef.reshape(shape)
+    phase, tables = _tables(grid, lmax, weighted=False)
+    for k, table in zip(range(d, 2, -1), reversed(tables)):
+        # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
+        # then the orders below it; the degree becomes the node n_k
+        shape, i = coef.shape, d - k
+        coef = np.einsum(
+            "pabr,abn->pnbr",
+            coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
+            table,
+        ).reshape(shape[:i] + (table.shape[-1],) + shape[i + 1 :])
+    return (coef @ phase.conj().T).reshape(-1)
+
+
 def _read_off(tensor, d, lmax):
     """{idx: entries} for every level <= lmax, in enumerate_indices order, by one gather.
 
-    ``tensor`` ends in the axes of _project after the data set; the entries
-    of idx are Python numbers, a list of them over any leading axes.
+    ``tensor`` ends in the axes of _tensor_shape; the entries of idx are
+    Python numbers, a list of them over any leading axes.
     """
     indices = [idx for l in range(lmax + 1) for idx in enumerate_indices(d, l)]
-    positions = [(idx.l,) + idx.m[:-1] + (idx.m[-1] + lmax,) for idx in indices]
-    flat = np.ravel_multi_index(tuple(zip(*positions)), tensor.shape[1 - d :])
+    flat = _positions(indices, d, lmax)
     entries = tensor.reshape(tensor.shape[: 1 - d] + (-1,))[..., flat]
     return dict(zip(indices, np.moveaxis(entries, -1, 0).tolist()))
 

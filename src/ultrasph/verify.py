@@ -5,7 +5,8 @@ independent route: generating-function coefficients against the
 recurrence, analytic derivatives against finite differences, closed-form
 normalizations against quadrature, addition theorems against brute-force
 index sums, solid harmonics against a finite-difference Laplacian, and
-boundary fits against manufactured solutions.
+boundary fits against manufactured solutions (whose boundary data the
+staged grid synthesis makes, itself held to the scattered evaluation).
 
 Each check reports its maximum residual and the tolerance it was held
 to.  Algebraic identities use the caller's tolerance directly; the
@@ -173,7 +174,8 @@ def _moment(k, alpha):
     return val
 
 
-def _quadrature_residual(d):
+def _theta_rule_residual():
+    """Monomial exactness of the 1-D rules, alpha = 1..6, n = 1..12 (independent of d)."""
     worst = 0.0
     for alpha in range(1, 7):
         for n in range(1, 13):
@@ -183,11 +185,15 @@ def _quadrature_residual(d):
                 exact = _moment(k, alpha)
                 got = rule.integrate(cos_t**k)
                 worst = max(worst, abs(got - exact) / max(1.0, abs(exact)))
-    grid = qd.sphere_grid(d, 4)
-    worst = max(
-        worst, abs(grid.total_weight() - geo.solid_angle(d)) / geo.solid_angle(d)
-    )
     return worst
+
+
+def _quadrature_residual(d, rule_residual):
+    """The 1-D rules' residual, from _theta_rule_residual, with the grid's total weight."""
+    grid = qd.sphere_grid(d, 4)
+    return max(
+        rule_residual, abs(grid.total_weight() - geo.solid_angle(d)) / geo.solid_angle(d)
+    )
 
 
 def _gram_residual(d, lmax):
@@ -280,23 +286,38 @@ def _manufactured(d, lmax, rng, kind):
 
 
 def _solver_residual(d, lmax):
+    """Manufactured fits of every kind, from boundary data synthesized on the grid.
+
+    Also re-synthesizes the annulus fit's outer boundary data, and holds
+    the staged synthesis to the scattered route, eval_expansion, at 16
+    grid nodes.
+    """
     lcap = min(lmax, _LEVEL_CAP[d])
     rng = np.random.default_rng(7 + d)
+    grid = qd.sphere_grid(d, lcap)
     worst = 0.0
     fits = {"interior": ((1.0,), sv.fit_interior), "exterior": ((1.0,), sv.fit_exterior),
             "annulus": ((0.5, 2.0), sv.fit_annulus)}
     for kind, (radii, fit_kind) in fits.items():
         truth = _manufactured(d, lcap, rng, kind)
-        data = tuple(lambda pts, e=truth, r=r: sv.eval_expansion(e, r, pts) for r in radii)
+        data = tuple(sv._synthesize(truth, r, grid) for r in radii)
         fit = fit_kind(sv.BoundaryProblem(d, kind, radii, lcap, data))
         for idx, pair in truth.coeffs.items():
             worst = max(worst, *(abs(got - want) for got, want in zip(fit.coeffs[idx], pair)))
 
-    # re-evaluated boundary data of the annulus fit
-    grid = qd.sphere_grid(d, lcap)
-    samples = np.asarray(sv.eval_expansion(truth, 2.0, grid.points))
-    refit = np.asarray(sv.eval_expansion(fit, 2.0, grid.points))
-    worst = max(worst, float(np.max(np.abs(samples - refit))))
+    # re-evaluated boundary data of the annulus fit, data[1] being its truth at r = 2
+    refit = sv._synthesize(fit, 2.0, grid)
+    worst = max(worst, float(np.max(np.abs(data[1] - refit))))
+
+    # the same values at a few nodes by the scattered route
+    nodes = np.linspace(0, grid.size - 1, 16).astype(int)
+    at = np.unravel_index(nodes, grid.shape)
+    angles = geo.UltrasphericalPoint(
+        d, 1.0, tuple(rule.nodes[i] for rule, i in zip(grid.theta_rules, at)),
+        grid.phi_nodes[at[-1]],
+    )
+    scattered = np.asarray(sv.eval_expansion(fit, 2.0, angles))
+    worst = max(worst, float(np.max(np.abs(scattered - refit[nodes]))))
     return worst
 
 
@@ -328,6 +349,7 @@ def run_verification(d_values, lmax, tol):
     if unsupported:
         raise ValueError(f"verify supports d = {lo}..{hi}, got {unsupported}")
     report = VerifyReport()
+    rule_residual = _theta_rule_residual()
     report.add("solid_angle_closed_form_and_recursion", {"d": "2..12"},
                _solid_angle_residual(), tol)
     for d in d_values:
@@ -344,7 +366,7 @@ def run_verification(d_values, lmax, tol):
         report.add("associated_normalization_integral", params,
                    _normalization_residual(d, lmax), tol)
         report.add("quadrature_monomial_exactness", params,
-                   _quadrature_residual(d), tol)
+                   _quadrature_residual(d, rule_residual), tol)
         report.add("level_count_vs_enumeration", params,
                    _count_residual(d, lmax), tol)
         report.add("gram_orthonormality", params, _gram_residual(d, lmax), tol)

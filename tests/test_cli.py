@@ -8,7 +8,7 @@ from ultrasph import formats
 from ultrasph.cli import main
 from ultrasph.geometry import UltrasphericalPoint, solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices
-from ultrasph.quadrature import sphere_grid
+from ultrasph.quadrature import SphereGrid, sphere_grid
 from ultrasph.solver import HarmonicExpansion, eval_expansion
 from ultrasph.verify import run_verification
 
@@ -547,3 +547,45 @@ def test_radii_outside_double_range_exit_2(tmp_path, capsys, kind, radii, data):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert "radial system of level" in err and "double range" in err
+
+
+# fits evaluated at a radius where a radial power with a nonzero
+# coefficient leaves the double range: r^2 for A, r^-(l+1) for B (d = 3)
+_SINGULAR_EVAL = {
+    "interior-growth-overflow": ("interior", 1e200),
+    "exterior-decay-overflow": ("exterior", 1e-200),
+}
+
+
+@pytest.mark.parametrize("kind,r", _SINGULAR_EVAL.values(), ids=_SINGULAR_EVAL.keys())
+def test_singular_eval_exit_2(tmp_path, capsys, kind, r):
+    config = write_json(tmp_path / "cfg.json", {
+        "d": 3, "kind": kind, "radii": [1.0], "lmax": 2,
+        "boundary": [{"radius": 1.0, "data": "harmonic:(2;0)"}],
+    })
+    coeffs = str(tmp_path / "coeffs.json")
+    assert main(["solve", config, "-o", coeffs]) == 0
+    points = write_json(tmp_path / "points.json", {"points": [
+        {"ultraspherical": {"r": 0.5, "theta": [0.5], "phi": 1.0}},
+        {"ultraspherical": {"r": r, "theta": [0.5], "phi": 1.0}},
+    ]})
+    capsys.readouterr()
+    assert main(["eval", coeffs, points]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    assert points in err and "overflows" in err
+
+
+def test_verify_and_harmonic_solve_build_no_node_mesh(tmp_path, monkeypatch, capsys):
+    # the staged synthesis serves both, so neither needs SphereGrid.points
+    def no_mesh(grid):
+        raise AssertionError(f"node mesh of sphere_grid({grid.d}, {grid.lmax}) built")
+
+    monkeypatch.setattr(SphereGrid, "points", property(no_mesh))
+    assert run_verification([3, 8], 8, 1e-8).passed
+    config = write_json(tmp_path / "cfg.json", {
+        "d": 5, "kind": "annulus", "radii": [0.5, 2.0], "lmax": 3,
+        "boundary": [{"radius": 0.5, "data": "harmonic:(3,2,1;-1)"},
+                     {"radius": 2.0, "data": "harmonic:(2,0,0;0)"}],
+    })
+    assert main(["solve", config, "-o", str(tmp_path / "coeffs.json")]) == 0

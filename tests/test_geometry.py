@@ -148,3 +148,49 @@ class TestCosGamma:
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError):
             cos_gamma(random_point(rng, 4), random_point(rng, 5))
+
+
+# each rule of UltrasphericalPoint, for scalar and array fields, NaN included:
+# (field, bad value, message)
+_POINT_RULES = [
+    ("r", -0.5, "radius must be nonnegative"),
+    ("r", math.nan, "radius must be nonnegative"),
+    ("theta", -0.1, "polar angles must lie in"),
+    ("theta", math.pi + 1e-9, "polar angles must lie in"),
+    ("theta", math.nan, "polar angles must lie in"),
+    ("phi", -1e-12, "azimuth must lie in"),
+    ("phi", 2.0 * math.pi, "azimuth must lie in"),
+    ("phi", math.nan, "azimuth must lie in"),
+]
+
+
+def _point_with(field, value, as_array):
+    fields = {"r": 1.0, "theta": 0.5, "phi": 1.0}
+    fields[field] = value
+    if as_array:  # the bad value as one entry among good ones
+        good = {"r": 1.0, "theta": 0.5, "phi": 1.0}[field]
+        fields[field] = np.array([good, fields[field], good])
+    return UltrasphericalPoint(4, fields["r"], (1.0, fields["theta"]), fields["phi"])
+
+
+class TestPointRules:
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    @pytest.mark.parametrize("field,value,message", _POINT_RULES)
+    def test_rejects(self, field, value, message, as_array):
+        with pytest.raises(ValueError, match=message):
+            _point_with(field, value, as_array)
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_accepts_closed_ends(self, as_array):
+        for field, value in (("r", 0.0), ("r", math.inf), ("theta", 0.0),
+                             ("theta", math.pi), ("phi", 0.0)):
+            _point_with(field, value, as_array)
+
+    def test_scalar_fields_become_floats(self):
+        p = UltrasphericalPoint(3, 1, (np.float64(0.5),), np.int64(2))
+        assert type(p.r) is float and type(p.theta[0]) is float and type(p.phi) is float
+        assert p == UltrasphericalPoint(3, 1.0, (0.5,), 2.0)
+
+    def test_array_fields_become_float_arrays(self):
+        p = UltrasphericalPoint(3, [1, 2], ([0.5, 1.0],), 0)
+        assert p.r.dtype == float and p.theta[0].dtype == float and p.phi == 0.0

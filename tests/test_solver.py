@@ -66,6 +66,13 @@ class TestRadialEval:
         with pytest.raises(ValueError):
             radial_eval(1.0, 1.0, 0, 4, 0.0)
 
+    def test_growing_branch_beyond_double_range(self):
+        r = np.array([1.0, 1e200])
+        with pytest.raises(ValueError, match="A != 0 where r\\^l overflows"):
+            radial_eval(1.0, 0.0, 2, 3, r)
+        # without an A term the growing branch is not formed into the value
+        assert_allclose(radial_eval(0.0, 2.0, 2, 3, r), 2.0 * r**-3.0)
+
     def test_decaying_branch_beyond_double_range(self):
         r = np.array([1.0, 1e-200])
         with pytest.raises(ValueError, match="overflows"):
@@ -232,6 +239,59 @@ class TestSumFactorizedTransforms:
         q = UltrasphericalPoint(d, r, (0.3, 1.1), 2.0)
         with pytest.raises(ValueError, match="r = 0"):
             eval_expansion(exp, r, q)
+
+
+class TestStagedSynthesis:
+    """_synthesize, the staged adjoint of _project, against the scattered route."""
+
+    CASES = [(3, 4), (4, 4), (5, 4), (6, 3), (7, 2), (8, 2)]
+
+    @pytest.mark.parametrize("kind", ["interior", "exterior", "annulus"])
+    @pytest.mark.parametrize("d, lmax", CASES)
+    def test_matches_eval_expansion_on_grid(self, d, lmax, kind):
+        rng = np.random.default_rng(110 + d)
+        exp = manufactured(rng, d, lmax, kind)
+        grid = sphere_grid(d, lmax)
+        got = solver._synthesize(exp, 1.7, grid)
+        want = eval_expansion(exp, 1.7, grid.points)
+        assert got.shape == (grid.size,)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d, lmax", CASES)
+    def test_projection_inverts_synthesis(self, d, lmax):
+        rng = np.random.default_rng(120 + d)
+        exp = manufactured(rng, d, lmax, "interior")
+        grid = sphere_grid(d, lmax)
+        samples = solver._synthesize(exp, 1.0, grid)
+        got = solver._read_off(solver._project((samples,), grid, lmax)[0], d, lmax)
+        assert list(got) == list(exp.coeffs)
+        assert max(abs(got[idx] - a) for idx, (a, _) in exp.coeffs.items()) <= 1e-13
+
+    def test_sparse_expansion_on_a_finer_grid(self):
+        d = 5
+        exp = HarmonicExpansion(d, 2, {MultiIndex(d, 2, (1, 1, -1)): (0.5j, 2.0),
+                                       MultiIndex(d, 0, (0, 0, 0)): (1.0, 0.0)})
+        grid = sphere_grid(d, 4)
+        got = solver._synthesize(exp, 0.8, grid)
+        assert_allclose(got, eval_expansion(exp, 0.8, grid.points), rtol=0, atol=1e-13)
+        empty = HarmonicExpansion(d, 2)
+        assert not solver._synthesize(empty, 0.8, grid).any()
+
+    def test_radial_powers_outside_the_double_range_raise(self):
+        grid = sphere_grid(3, 2)
+        idx = MultiIndex(3, 2, (1,))
+        with pytest.raises(ValueError, match="B != 0 .* overflows"):
+            solver._synthesize(HarmonicExpansion(3, 2, {idx: (0, 1)}), 1e-200, grid)
+        with pytest.raises(ValueError, match="A != 0 .* overflows"):
+            solver._synthesize(HarmonicExpansion(3, 2, {idx: (1, 0)}), 1e200, grid)
+        # the power of a zero coefficient is not formed into the values
+        for a, b, r in ((1, 0, 1e-200), (0, 1, 1e200)):
+            got = solver._synthesize(HarmonicExpansion(3, 2, {idx: (a, b)}), r, grid)
+            assert np.isfinite(got).all()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            solver._synthesize(HarmonicExpansion(4, 1), 1.0, sphere_grid(3, 1))
 
 
 class TestFits:
