@@ -65,13 +65,16 @@ class MultiIndex:
     m: tuple
 
     def __post_init__(self):
-        if _plain_chain(self.d, self.l, self.m):
-            return
-        # the full checks, with their messages, on any other input
-        d = _check_int(self.d, "dimension", 3)
-        l = _check_int(self.l, "level", 0)
+        # _check_int only where a value is not already a plain int in range
+        d, l = self.d, self.l
+        if type(d) is not int or d < 3:
+            d = _check_int(d, "dimension", 3)
+        if type(l) is not int or l < 0:
+            l = _check_int(l, "level", 0)
         # no entry of a chain is below -l, whatever its place
-        m = tuple(_check_int(v, "chain entry", -l) for v in self.m)
+        m = self.m
+        if type(m) is not tuple or not all([type(v) is int and v >= -l for v in m]):
+            m = tuple(_check_int(v, "chain entry", -l) for v in m)
         if len(m) != d - 2:
             raise ValueError(f"expected {d - 2} chain entries for d={d}, got {len(m)}")
         bound = l
@@ -81,9 +84,10 @@ class MultiIndex:
             bound = v
         if abs(m[-1]) > bound:
             raise ValueError(f"chain violation in {m}: |{m[-1]}| > {bound}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
+        if d is not self.d or l is not self.l or m is not self.m:
+            object.__setattr__(self, "d", d)
+            object.__setattr__(self, "l", l)
+            object.__setattr__(self, "m", m)
 
     def axis_terms(self):
         """Per-axis factors as (dimension k, degree, order), k = d, ..., 3."""
@@ -96,22 +100,6 @@ class MultiIndex:
     def conjugate(self):
         """The label with m_1 negated."""
         return MultiIndex(self.d, self.l, self.m[:-1] + (-self.m[-1],))
-
-
-def _plain_chain(d, l, m):
-    """True if (d, l, m) is already a valid label of Python ints and a tuple.
-
-    The common case of MultiIndex, checked by plain comparisons; anything
-    else goes through the full checks.
-    """
-    if not (type(d) is int and type(l) is int and type(m) is tuple and len(m) == d - 2 > 0):
-        return False
-    bound = l
-    for v in m[:-1]:
-        if type(v) is not int or not 0 <= v <= bound:
-            return False
-        bound = v
-    return type(m[-1]) is int and -bound <= m[-1] <= bound
 
 
 def count(d, l):

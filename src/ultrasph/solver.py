@@ -200,23 +200,19 @@ def _positions(indices, d, lmax):
     )
 
 
-def _tables(grid, lmax, weighted):
+def _tables(grid, lmax):
     """The phase and per-axis tables of both transforms on ``grid``, up to lmax.
 
-    The phase is e^(-i m_1 phi) / sqrt(2 pi) as (n_phi, 2 lmax + 1), and
-    the tables are T_k as (degree, order, n_k) for k = 3, ..., d, the
-    orders at theta_3 gathered as |m_1| for m_1 = -lmax, ..., lmax.  With
-    ``weighted`` each carries its axis's quadrature weights (projection);
-    without, they are the plain factors of Y_idx (synthesis).
+    The phase is e^(-i m_1 phi) as (n_phi, 2 lmax + 1), and the tables are
+    T_k as (degree, order, n_k) for k = 3, ..., d, the orders at theta_3
+    gathered as |m_1| for m_1 = -lmax, ..., lmax.  They carry neither the
+    (2 pi)^(-1/2) factor nor quadrature weights; the callers apply those.
     """
     m1 = np.arange(-lmax, lmax + 1)
     phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
-    phase *= (grid.phi_weight if weighted else 1.0) / math.sqrt(2.0 * math.pi)
     tables = []
     for k, rule in zip(range(3, grid.d + 1), reversed(grid.theta_rules)):
         table = axis_factors(k, lmax, rule.nodes)
-        if weighted:
-            table = table * rule.weights
         if k == 3:
             table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
         tables.append(table)
@@ -238,10 +234,11 @@ def _project(datasets, grid, lmax):
                 f"expected {grid.size} boundary samples in grid order, got {values.size}"
             )
         samples.append(values.reshape(grid.shape))
-    phase, tables = _tables(grid, lmax, weighted=True)
-    coef = np.stack(samples) @ phase
+    phase, tables = _tables(grid, lmax)
+    coef = np.stack(samples) @ (phase * (grid.phi_weight / math.sqrt(2.0 * math.pi)))
     d = grid.d
-    for k, table in zip(range(3, d + 1), tables):
+    for k, table, rule in zip(range(3, d + 1), tables, reversed(grid.theta_rules)):
+        table = table * rule.weights
         # coef axes are the data set, n_d, ..., n_k, then the orders
         # m_{k-2}, ..., m_1 of the axes below; n_k becomes the degree on
         # theta_k (l when k = d)
@@ -275,7 +272,8 @@ def _synthesize(expansion, r, grid):
         grow, decay = _radial_powers(l, d, np.float64(r), a[at].any(), b[at].any())
         coef[flat[at]] = a[at] * grow + b[at] * decay
     coef = coef.reshape(shape)
-    phase, tables = _tables(grid, lmax, weighted=False)
+    phase, tables = _tables(grid, lmax)
+    phase *= 1.0 / math.sqrt(2.0 * math.pi)
     for k, table in zip(range(d, 2, -1), reversed(tables)):
         # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
         # then the orders below it; the degree becomes the node n_k
