@@ -18,7 +18,7 @@ One self-describing JSON syntax covers all four file kinds:
 * values:        {"values": [[re, im], ...]}, order-preserving
 
 Floats serialize through Python's shortest round-trip repr, so identical
-inputs produce byte-identical files.
+inputs produce byte-identical files; a non-finite number is never written.
 """
 
 import json
@@ -221,24 +221,47 @@ def _finite_pair(rec, key, where):
     return complex(pair[0], pair[1])
 
 
-def _pair(z):
+def _number(v):
+    """A finite float as json writes it, its repr; inf or NaN raises ValueError."""
+    if not math.isfinite(v):
+        raise ValueError(f"cannot write the non-finite value {v!r}")
+    return repr(v)
+
+
+def _array(items, pad):
+    """A list of formatted items in json.dump's indent=2 layout, nested at ``pad``."""
+    if not items:
+        return "[]"
+    sep = ",\n" + pad + "  "
+    return "[\n" + pad + "  " + sep.join(items) + "\n" + pad + "]"
+
+
+def _object(fields, pad):
+    """An object of (key, formatted value) fields in the same layout; keys need no escapes."""
+    sep = ",\n" + pad + "  "
+    return "{\n" + pad + "  " + sep.join(f'"{k}": {v}' for k, v in fields) + "\n" + pad + "}"
+
+
+def _pair(z, pad):
     z = complex(z)
-    return [z.real, z.imag]
+    return _array([_number(z.real), _number(z.imag)], pad)
 
 
 def save_coefficients(fp, expansion):
-    """Write an expansion; coefficient order follows the expansion's dict."""
-    doc = {
-        "format": "ultrasph-coefficients",
-        "d": expansion.d,
-        "lmax": expansion.lmax,
-        "coefficients": [
-            {"index": [idx.l, *idx.m], "A": _pair(a), "B": _pair(b)}
-            for idx, (a, b) in expansion.coeffs.items()
-        ],
-    }
-    json.dump(doc, fp, indent=2)
-    fp.write("\n")
+    """Write an expansion; coefficient order follows the expansion's dict.
+
+    The bytes are those of json.dump(..., indent=2) plus a newline, built
+    as one string; a non-finite coefficient raises ValueError.
+    """
+    pad = " " * 6  # the nesting of a record's lists
+    records = [
+        _object((("index", _array([str(v) for v in (idx.l, *idx.m)], pad)),
+                 ("A", _pair(a, pad)), ("B", _pair(b, pad))), " " * 4)
+        for idx, (a, b) in expansion.coeffs.items()
+    ]
+    fp.write(_object((("format", '"ultrasph-coefficients"'), ("d", str(expansion.d)),
+                      ("lmax", str(expansion.lmax)),
+                      ("coefficients", _array(records, "  "))), "") + "\n")
 
 
 def load_coefficients(path):
@@ -323,5 +346,6 @@ def load_points(path):
 
 
 def save_values(fp, values):
-    json.dump({"values": [_pair(v) for v in values]}, fp, indent=2)
-    fp.write("\n")
+    """Write values in the layout of :func:`save_coefficients`; a non-finite value raises ValueError."""
+    fp.write(_object((("values", _array([_pair(v, " " * 4) for v in values], "  ")),), "")
+             + "\n")

@@ -11,7 +11,8 @@ recurrence
 
 with P_{0,d} = 1 and P_{1,d} = (d-2) x, which is what :func:`poly` runs;
 :func:`poly_reference` expands the generating function by generalized
-binomials instead and serves as an independent cross-check.
+binomials instead, exactly in integers and rounded once, and serves as an
+independent cross-check.
 
 Derivatives never differentiate symbolically: the m-th x-derivative of
 P_{l,d} equals alpha(m,d) P_{l-m,d+2m} with
@@ -73,20 +74,39 @@ def poly(l, d, x):
     return _maybe_scalar(p, xa.ndim == 0)
 
 
-def _poly_reference_exact(l, d, x):
-    """Exact-rational binomial expansion; x enters as the rational it is."""
+def _binomial_series(l, d):
+    """The generalized-binomial sum as integers (D, [a_0, ..., a_{l//2}]).
+
+    P_{l,d}(x) = (2x)^(l mod 2) sum_p (a_p / D) (2x)^(2p); the
+    coefficients are exact rationals, put over one common denominator D.
+    """
     lam = Fraction(d - 2, 2)
     k0 = (l + 1) // 2
     cb = Fraction(1)  # generalized binomial C(lambda+k-1, k)
     for i in range(1, k0 + 1):
         cb *= (lam + i - 1) / i
-    two_x = 2 * Fraction(x)
-    total = Fraction(0)
+    terms = []  # the coefficient of (2x)^(2k-l)
     for k in range(k0, l + 1):
         j = l - k
-        total += cb * math.comb(k, j) * two_x ** (2 * k - l) * (-1) ** j
+        terms.append(cb * math.comb(k, j) * (-1) ** j)
         cb *= (lam + k) / (k + 1)
-    return float(total)
+    den = math.lcm(*(t.denominator for t in terms))
+    return den, [t.numerator * (den // t.denominator) for t in terms]
+
+
+def _series_at(l, den, nums, x):
+    """The series at the double x = n/q by integer Horner in x^2, rounded once.
+
+    With u = (2n)^2 and w = q^2 the sum times D q^l is the integer
+    (2n)^(l mod 2) sum_p a_p u^p w^(l//2 - p).
+    """
+    n, q = x.as_integer_ratio()
+    u, w = (2 * n) ** 2, q * q
+    acc, wp = 0, 1
+    for a in reversed(nums):
+        acc = acc * u + a * wp
+        wp *= w
+    return (2 * n) ** (l % 2) * acc / (den * q**l)
 
 
 def poly_reference(l, d, x):
@@ -98,14 +118,18 @@ def poly_reference(l, d, x):
         P_{l,d}(x) = sum_{k=ceil(l/2)}^{l} C(lambda+k-1, k) C(k, l-k)
                      (2x)^(2k-l) (-1)^(l-k).
 
-    The sum cancels catastrophically for large l, so it runs in exact
-    rational arithmetic (a double is a rational) and rounds once at the
-    end; the result is the correctly rounded coefficient.
+    The sum cancels catastrophically for large l, so it runs exactly: the
+    coefficients are built once per call as rationals over one common
+    denominator, each x enters as the rational it is (a double is n/q),
+    the sum is evaluated in integers and rounded once by one correctly
+    rounded integer division; the result is the correctly rounded
+    coefficient.
     """
     l = _check_int(l, "degree", 0)
     d = _check_int(d, "dimension", 3)
     xa = np.asarray(x, dtype=float)
-    flat = [_poly_reference_exact(l, d, float(v)) for v in np.atleast_1d(xa).ravel()]
+    den, nums = _binomial_series(l, d)
+    flat = [_series_at(l, den, nums, float(v)) for v in np.atleast_1d(xa).ravel()]
     if xa.ndim == 0:
         return flat[0]
     return np.asarray(flat).reshape(xa.shape)
@@ -114,11 +138,12 @@ def poly_reference(l, d, x):
 def alpha_factor(m, d):
     """The product (d-2) d (d+2) ... (d+2m-4); empty product 1 for m = 0.
 
-    alpha(m, d) is the constant m-th derivative of P_{m,d}, so it is
-    deriv_at_one(m, m, d), which holds the exact integer product.
+    alpha(m, d) is the constant m-th derivative of P_{m,d}, so it equals
+    deriv_at_one(m, m, d); the exact integer product is rounded once.
     """
     m = _check_int(m, "order", 0)
-    return deriv_at_one(m, m, d)
+    d = _check_int(d, "dimension", 3)
+    return float(math.prod(range(d - 2, d + 2 * m - 2, 2)))
 
 
 def poly_deriv(l, m, d, x):
@@ -140,11 +165,12 @@ def poly_deriv(l, m, d, x):
 
 
 def deriv_at_one(l, n, d):
-    """n-th derivative of P_{l,d} at x = 1, evaluated as an exact rational.
+    """n-th derivative of P_{l,d} at x = 1, exactly, rounded once.
 
     Equals alpha(n,d) (d+n+l-3)! / ((l-n)! (d+2n-3)!); returns 0 for n > l.
-    Python integers do not overflow, so the exact path covers all sizes
-    and the nearest double is returned.
+    Python integers do not overflow, and the quotient of two of them is
+    correctly rounded, so one integer division returns the nearest double
+    at every size (OverflowError past the double range).
     """
     l = _check_int(l, "degree", 0)
     n = _check_int(n, "order", 0)
@@ -153,7 +179,7 @@ def deriv_at_one(l, n, d):
         return 0.0
     num = math.prod(range(d - 2, d + 2 * n - 2, 2)) * math.factorial(d + n + l - 3)
     den = math.factorial(l - n) * math.factorial(d + 2 * n - 3)
-    return float(Fraction(num, den))
+    return num / den
 
 
 def assoc(l, m, d, theta):
@@ -178,16 +204,19 @@ def norm_factor(l, n, d):
 
     N = sqrt( (2l+d-2)/(d-2) * Omega_{d-1}/Omega_d
               * (d-3)! (l-n)! / (d+l+n-3)! ).
+
+    The rational part is one correctly rounded integer division, the
+    nearest double to its exact value (0.0 once it underflows).
     """
     l = _check_int(l, "degree", 0)
     n = _check_int(n, "order", 0)
     d = _check_int(d, "dimension", 3)
     if n > l:
         raise ValueError(f"order n={n} exceeds degree l={l}")
-    ratio = Fraction(2 * l + d - 2, d - 2) * Fraction(
-        math.factorial(d - 3) * math.factorial(l - n), math.factorial(d + l + n - 3)
+    ratio = (2 * l + d - 2) * math.factorial(d - 3) * math.factorial(l - n) / (
+        (d - 2) * math.factorial(d + l + n - 3)
     )
-    return math.sqrt(float(ratio) * solid_angle(d - 1) / solid_angle(d))
+    return math.sqrt(ratio * solid_angle(d - 1) / solid_angle(d))
 
 
 def ode_residual(l, m, d, theta):

@@ -42,9 +42,11 @@ Both inverse routes and radial_eval form the radial powers once per
 level by one rule (_radial_powers): a nonzero A needs r^l finite and a
 nonzero B needs r^-(l+d-2) finite, else the call raises ValueError; a
 power no coefficient of the level needs is replaced by 0, so 0 * inf
-never appears.  The index -> tensor-position formula is written once
-(_positions), for _read_off's gather and _synthesize's scatter, and the
-tables of both contractions come from one helper (_tables).
+never appears.  A sum that overflows although its powers are finite
+raises ValueError too (_check_finite), so no route returns inf or NaN.
+The index -> tensor-position formula is written once (_positions), for
+_read_off's gather and _synthesize's scatter, and the tables of both
+contractions come from one helper (_tables).
 """
 
 import math
@@ -179,12 +181,20 @@ def eval_expansion(expansion, r, angles):
         need[idx.l] = (need_a or a != 0, need_b or b != 0)
     powers = {l: _radial_powers(l, expansion.d, r, *flags) for l, flags in need.items()}
     total = 0.0 + 0.0j
-    for (idx, (a, b)), y in zip(
-        expansion.coeffs.items(), _chain_products(expansion.coeffs, angles)
-    ):
-        grow, decay = powers[idx.l]
-        total = total + (a * grow + b * decay) * y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (idx, (a, b)), y in zip(
+            expansion.coeffs.items(), _chain_products(expansion.coeffs, angles)
+        ):
+            grow, decay = powers[idx.l]
+            total = total + (a * grow + b * decay) * y
+    _check_finite(total)
     return complex(total) if np.ndim(total) == 0 else total
+
+
+def _check_finite(values):
+    """Raise ValueError where a sum of finite terms overflowed to inf or NaN."""
+    if not np.isfinite(values).all():
+        raise ValueError("singular evaluation: the expansion's value overflows")
 
 
 def _tensor_shape(d, lmax):
@@ -267,23 +277,26 @@ def _synthesize(expansion, r, grid):
     a, b = np.array(list(expansion.coeffs.values()), dtype=complex).reshape(-1, 2).T
     levels = np.array([idx.l for idx in expansion.coeffs], dtype=int)
     coef = np.zeros(math.prod(shape), dtype=complex)
-    for l in range(lmax + 1):
-        at = levels == l
-        grow, decay = _radial_powers(l, d, np.float64(r), a[at].any(), b[at].any())
-        coef[flat[at]] = a[at] * grow + b[at] * decay
-    coef = coef.reshape(shape)
     phase, tables = _tables(grid, lmax)
     phase *= 1.0 / math.sqrt(2.0 * math.pi)
-    for k, table in zip(range(d, 2, -1), reversed(tables)):
-        # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
-        # then the orders below it; the degree becomes the node n_k
-        shape, i = coef.shape, d - k
-        coef = np.einsum(
-            "pabr,abn->pnbr",
-            coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
-            table,
-        ).reshape(shape[:i] + (table.shape[-1],) + shape[i + 1 :])
-    return (coef @ phase.conj().T).reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(lmax + 1):
+            at = levels == l
+            grow, decay = _radial_powers(l, d, np.float64(r), a[at].any(), b[at].any())
+            coef[flat[at]] = a[at] * grow + b[at] * decay
+        coef = coef.reshape(shape)
+        for k, table in zip(range(d, 2, -1), reversed(tables)):
+            # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
+            # then the orders below it; the degree becomes the node n_k
+            shape, i = coef.shape, d - k
+            coef = np.einsum(
+                "pabr,abn->pnbr",
+                coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
+                table,
+            ).reshape(shape[:i] + (table.shape[-1],) + shape[i + 1 :])
+        values = (coef @ phase.conj().T).reshape(-1)
+    _check_finite(values)
+    return values
 
 
 def _read_off(tensor, d, lmax):

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -9,7 +10,7 @@ from ultrasph.cli import main
 from ultrasph.geometry import UltrasphericalPoint, solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices
 from ultrasph.quadrature import SphereGrid, sphere_grid
-from ultrasph.solver import HarmonicExpansion, eval_expansion
+from ultrasph.solver import HarmonicExpansion, _synthesize, eval_expansion
 from ultrasph.verify import run_verification
 
 
@@ -574,6 +575,65 @@ def test_singular_eval_exit_2(tmp_path, capsys, kind, r):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and "Traceback" not in err
     assert points in err and "overflows" in err
+
+
+def test_overflowing_sum_at_finite_powers_exit_2(tmp_path, capsys):
+    # r^1 = 1e300 is finite, but A r^l = 1e310 is not: no inf or NaN is written
+    coeffs = write_json(tmp_path / "coeffs.json", {
+        "format": "ultrasph-coefficients", "d": 4, "lmax": 1,
+        "coefficients": [{"index": [1, 0, 0], "A": [1e10, 0.0], "B": [0.0, 0.0]}],
+    })
+    points = write_json(tmp_path / "points.json", {"points": [
+        {"ultraspherical": {"r": 1e300, "theta": [0.5, 1.2], "phi": 4.0}},
+    ]})
+    assert main(["eval", coeffs, points]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "Traceback" not in err
+    assert points in err and "overflows" in err
+
+
+def test_synthesis_overflow_raises():
+    expansion = HarmonicExpansion(4, 1, {MultiIndex(4, 1, (0, 0)): (1e10, 0.0)})
+    with pytest.raises(ValueError, match="overflows"):
+        _synthesize(expansion, 1e300, sphere_grid(4, 1))
+
+
+@pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
+def test_writers_refuse_non_finite_numbers(bad):
+    expansion = HarmonicExpansion(3, 0, {MultiIndex(3, 0, (0,)): (complex(bad, 0.0), 0j)})
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.save_coefficients(out, expansion)
+    with pytest.raises(ValueError, match="non-finite"):
+        formats.save_values(out, [1.0, complex(0.0, bad)])
+    assert out.getvalue() == ""
+
+
+def test_writers_match_json_dump_indent_2(tmp_path):
+    rng = np.random.default_rng(8)
+    for d, lmax in ((3, 0), (4, 2), (6, 3)):
+        indices = [i for l in range(lmax + 1) for i in enumerate_indices(d, l)]
+        parts = rng.standard_normal((len(indices), 4)) * 10.0 ** rng.integers(-300, 300, 4)
+        parts[::3, 1] = -0.0
+        coeffs = {i: (complex(p[0], p[1]), complex(p[2], p[3])) for i, p in zip(indices, parts)}
+        expansion = HarmonicExpansion(d, lmax, coeffs)
+        doc = {"format": "ultrasph-coefficients", "d": d, "lmax": lmax, "coefficients": [
+            {"index": [i.l, *i.m], "A": [a.real, a.imag], "B": [b.real, b.imag]}
+            for i, (a, b) in coeffs.items()]}
+        out = io.StringIO()
+        formats.save_coefficients(out, expansion)
+        assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+        values = parts[:, 0] + 1j * parts[:, 3]
+        out = io.StringIO()
+        formats.save_values(out, values)
+        want = {"values": [[float(v.real), float(v.imag)] for v in values]}
+        assert out.getvalue() == json.dumps(want, indent=2) + "\n"
+    out = io.StringIO()
+    formats.save_coefficients(out, HarmonicExpansion(5, 2, {}))
+    formats.save_values(out, [])
+    empty = {"format": "ultrasph-coefficients", "d": 5, "lmax": 2, "coefficients": []}
+    assert out.getvalue() == (json.dumps(empty, indent=2) + "\n"
+                              + json.dumps({"values": []}, indent=2) + "\n")
 
 
 def test_verify_and_harmonic_solve_build_no_node_mesh(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,6 @@
+import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,8 @@ import scipy.integrate
 import scipy.special
 from numpy.testing import assert_allclose
 
+import ultrasph.gegenbauer
+from ultrasph.cli import main
 from ultrasph.gegenbauer import (
     alpha_factor,
     assoc,
@@ -16,6 +20,8 @@ from ultrasph.gegenbauer import (
     poly_deriv,
     poly_reference,
 )
+from ultrasph.geometry import UltrasphericalPoint, _check_int, solid_angle
+from ultrasph.harmonics import axis_factors, harmonic_values
 from ultrasph.quadrature import theta_rule
 
 X_GRID = np.linspace(-1.0, 1.0, 21)
@@ -242,3 +248,183 @@ class TestOdeResidual:
             ode_residual(2, 1, 3, 1e-5)
         with pytest.raises(ValueError):
             ode_residual(2, 1, 3, math.pi)
+
+
+# The exact-rational routines these functions had when every constant
+# went through fractions.Fraction; the integer versions must return the
+# same doubles bit for bit and fail with the same exception types.
+
+
+def _poly_reference_exact_fraction(l, d, x):
+    lam = Fraction(d - 2, 2)
+    k0 = (l + 1) // 2
+    cb = Fraction(1)
+    for i in range(1, k0 + 1):
+        cb *= (lam + i - 1) / i
+    two_x = 2 * Fraction(x)
+    total = Fraction(0)
+    for k in range(k0, l + 1):
+        j = l - k
+        total += cb * math.comb(k, j) * two_x ** (2 * k - l) * (-1) ** j
+        cb *= (lam + k) / (k + 1)
+    return float(total)
+
+
+def poly_reference_fraction(l, d, x):
+    l = _check_int(l, "degree", 0)
+    d = _check_int(d, "dimension", 3)
+    xa = np.asarray(x, dtype=float)
+    flat = [_poly_reference_exact_fraction(l, d, float(v)) for v in np.atleast_1d(xa).ravel()]
+    if xa.ndim == 0:
+        return flat[0]
+    return np.asarray(flat).reshape(xa.shape)
+
+
+def deriv_at_one_fraction(l, n, d):
+    l = _check_int(l, "degree", 0)
+    n = _check_int(n, "order", 0)
+    d = _check_int(d, "dimension", 3)
+    if n > l:
+        return 0.0
+    num = math.prod(range(d - 2, d + 2 * n - 2, 2)) * math.factorial(d + n + l - 3)
+    den = math.factorial(l - n) * math.factorial(d + 2 * n - 3)
+    return float(Fraction(num, den))
+
+
+def alpha_factor_fraction(m, d):
+    m = _check_int(m, "order", 0)
+    return deriv_at_one_fraction(m, m, d)
+
+
+def norm_factor_fraction(l, n, d):
+    l = _check_int(l, "degree", 0)
+    n = _check_int(n, "order", 0)
+    d = _check_int(d, "dimension", 3)
+    if n > l:
+        raise ValueError(f"order n={n} exceeds degree l={l}")
+    ratio = Fraction(2 * l + d - 2, d - 2) * Fraction(
+        math.factorial(d - 3) * math.factorial(l - n), math.factorial(d + l + n - 3)
+    )
+    return math.sqrt(float(ratio) * solid_angle(d - 1) / solid_angle(d))
+
+
+def _outcome(f, *args):
+    """("value", bit pattern) of a result, or ("raises", exception type)."""
+    try:
+        value = f(*args)
+    except (ValueError, OverflowError) as exc:
+        return "raises", type(exc)
+    if isinstance(value, np.ndarray):
+        return "value", (value.dtype, value.shape, value.tobytes())
+    return "value", (type(value), float(value).hex())
+
+
+def _orders(l):
+    """Orders 0, 1, l/3, l/2, l-1, l and l+1 (past the degree) for degree l."""
+    return sorted({0, min(1, l), l // 3, l // 2, max(l - 1, 0), l, l + 1})
+
+
+class TestExactIntegerArithmetic:
+    X_SPECIAL = np.array([1.0, -1.0, 0.0, -0.0, 5e-324, 1e-300, 0.5])
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_poly_reference_bitwise(self, d):
+        rng = np.random.default_rng(700 + d)
+        xs = np.concatenate([self.X_SPECIAL, rng.uniform(-1.0, 1.0, 30)])
+        for l in range(41):
+            assert _outcome(poly_reference, l, d, xs) == \
+                _outcome(poly_reference_fraction, l, d, xs)
+            for x in (0.5, -0.0):  # a scalar x gives a Python float
+                assert _outcome(poly_reference, l, d, x) == \
+                    _outcome(poly_reference_fraction, l, d, x)
+
+    def test_poly_reference_out_of_range_x(self):
+        for x in (np.inf, -np.inf, np.nan, 1e300, -3.5):
+            for l in (0, 1, 7, 40):
+                assert _outcome(poly_reference, l, 5, x) == \
+                    _outcome(poly_reference_fraction, l, 5, x)
+
+    @pytest.mark.parametrize("d", range(3, 21))
+    def test_norm_factor_and_deriv_at_one_bitwise(self, d):
+        for l in range(181):
+            for n in _orders(l):
+                assert _outcome(norm_factor, l, n, d) == _outcome(norm_factor_fraction, l, n, d)
+                assert _outcome(deriv_at_one, l, n, d) == \
+                    _outcome(deriv_at_one_fraction, l, n, d)
+
+    def test_large_arguments_overflow_and_underflow_as_before(self):
+        # deriv_at_one leaves the double range, norm_factor underflows to 0.0
+        assert _outcome(deriv_at_one, 180, 180, 20) == ("raises", OverflowError)
+        assert norm_factor(180, 180, 20) == norm_factor_fraction(180, 180, 20) == 0.0
+
+    @pytest.mark.parametrize("d", range(3, 21))
+    def test_alpha_factor_is_deriv_at_one(self, d):
+        for m in range(181):
+            want = _outcome(deriv_at_one_fraction, m, m, d)
+            assert _outcome(alpha_factor, m, d) == want
+            assert _outcome(alpha_factor_fraction, m, d) == want
+
+    @pytest.mark.parametrize("arg", (2.0, True, np.int64(2), np.int32(3), -1, "2"))
+    def test_argument_types_accepted_or_rejected_as_before(self, arg):
+        cases = [
+            (poly_reference, poly_reference_fraction, [(arg, 4, 0.3), (2, arg, 0.3)]),
+            (norm_factor, norm_factor_fraction, [(arg, 1, 4), (3, arg, 4), (3, 1, arg)]),
+            (deriv_at_one, deriv_at_one_fraction, [(arg, 1, 4), (3, arg, 4), (3, 1, arg)]),
+            (alpha_factor, alpha_factor_fraction, [(arg, 4), (2, arg)]),
+        ]
+        for new, old, arg_lists in cases:
+            for args in arg_lists:
+                assert _outcome(new, *args) == _outcome(old, *args)
+                if _outcome(old, *args)[0] == "raises":
+                    with pytest.raises(ValueError) as err_new:
+                        new(*args)
+                    with pytest.raises(ValueError) as err_old:
+                        old(*args)
+                    assert str(err_new.value) == str(err_old.value)
+
+
+def _no_fraction(*args, **kwargs):
+    raise AssertionError("fractions.Fraction used on a per-call path")
+
+
+class TestNoFractionOnHotPaths:
+    def test_constants_and_tables(self, monkeypatch):
+        monkeypatch.setattr(ultrasph.gegenbauer, "Fraction", _no_fraction)
+        assert norm_factor(5, 2, 6) == norm_factor_fraction(5, 2, 6)
+        assert alpha_factor(4, 5) == alpha_factor_fraction(4, 5)
+        assert deriv_at_one(7, 3, 4) == deriv_at_one_fraction(7, 3, 4)
+        assert axis_factors(5, 6, np.linspace(0.0, math.pi, 9)).shape == (7, 7, 9)
+        point = UltrasphericalPoint(5, 1.0, (0.4, 1.1, 2.0), 0.3)
+        assert harmonic_values(point, 4).shape == (105,)
+
+    def test_solve_and_eval(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(ultrasph.gegenbauer, "Fraction", _no_fraction)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "d": 5, "kind": "annulus", "radii": [0.5, 2.0], "lmax": 3,
+            "boundary": [{"radius": 0.5, "data": "harmonic:(3,2,1;-1)"},
+                         {"radius": 2.0, "data": "harmonic:(2,0,0;0)"}],
+        }))
+        points = tmp_path / "points.json"
+        points.write_text(json.dumps({"points": [
+            {"cartesian": [0.3, -0.2, 0.5, 0.1, 0.6]},
+            {"ultraspherical": {"r": 1.2, "theta": [0.5, 1.2, 2.0], "phi": 4.0}},
+        ]}))
+        coeffs = str(tmp_path / "coeffs.json")
+        assert main(["solve", str(config), "-o", coeffs]) == 0
+        assert main(["eval", coeffs, str(points)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["values"]) == 2
+
+    def test_poly_reference_builds_its_series_once_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return Fraction(*args)
+
+        monkeypatch.setattr(ultrasph.gegenbauer, "Fraction", counting)
+        poly_reference(12, 6, 0.3)
+        once = len(calls)
+        calls.clear()
+        poly_reference(12, 6, X_GRID)
+        assert 0 < once == len(calls)
