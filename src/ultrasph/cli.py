@@ -211,7 +211,7 @@ def main(argv=None):
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_eval(args)
-    except (formats.FormatError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ Floats serialize through Python's shortest round-trip repr, so identical
 inputs produce byte-identical files; a non-finite number is never written.
 """
 
+import itertools
 import json
 import math
 import re
@@ -185,14 +186,19 @@ def build_problem(config):
 
 
 def _parse_complex_list(raw, where):
+    """The [re, im] pairs of ``raw`` as a complex array; rejects strings, bools and non-finite."""
     try:
+        # one pass over the entries: only JSON numbers, not bools or strings numpy would convert
+        numbers = set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{where}: values must be [re, im] pairs") from exc
+    except OverflowError as exc:  # an integer literal too large for a float
+        raise FormatError(f"{where}: values must be finite numbers") from exc
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise FormatError(f"{where}: values must be [re, im] pairs")
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{where}: values must be finite")
+    if not (numbers and np.isfinite(arr).all()):
+        raise FormatError(f"{where}: values must be finite numbers")
     return arr[:, 0] + 1j * arr[:, 1]
 
 

@@ -23,7 +23,9 @@ All bulk evaluation takes one table path: Y_idx is (2 pi)^(-1/2)
 e^(i m_1 phi) times one normalized factor per polar axis, read from the
 per-axis tables of :func:`axis_factors`.  :func:`harmonic_values` (and
 through it :func:`addition_sum` and the verify Gram check) and
-``solver.eval_expansion`` share one chain-product loop over those tables;
+``solver.eval_expansion`` share one block gather over those tables
+(_chain_blocks) on integer label rows (_labels); a block of about 2^16
+rows x points entries bounds the memory beyond the tables.
 ``solver.project_boundary`` contracts grid samples against the same
 tables.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by index)
 is the independent reference the tests compare the table path to.
@@ -176,28 +178,50 @@ def axis_factors(k, lmax, theta):
     return table
 
 
-def _chain_products(indices, angles):
-    """Yield Y_idx(angles) for each idx of ``indices``, in order.
+# rows x points entries of one block of the chain-product gather (1 MiB of complex)
+_BLOCK = 1 << 16
 
-    The one chain-product loop behind :func:`harmonic_values` and
-    ``solver.eval_expansion``: the per-axis tables and the
-    e^(i m_1 phi) / sqrt(2 pi) rows are built once, up to the top level
-    of ``indices``, and each Y_idx is a product of their entries.
+
+def _labels(d, chains):
+    """The (l, m) pairs of ``chains`` as one int array of rows (l, m_{d-2}, ..., m_1)."""
+    return np.array([(l, *m) for l, m in chains], dtype=int).reshape(-1, d - 1)
+
+
+def _point_shape(angles):
+    """The broadcast shape of the angles of ``angles``."""
+    return np.broadcast_shapes(*(np.shape(t) for t in angles.theta), np.shape(angles.phi))
+
+
+def _chain_blocks(labels, angles, shape):
+    """Yield (start, Y): Y_idx(angles) of the label rows from start on, as (rows,) + shape.
+
+    ``shape`` is one the angles broadcast to.  Each block starts as its
+    rows' e^(i m_1 phi) / sqrt(2 pi) and is multiplied in place by the
+    gathered T_k[deg_k, ord_k] for k = d, ..., 3, the order of the
+    per-index chain product, so each row is bitwise that product.
     """
-    top = max((idx.l for idx in indices), default=0)
+
+    def full(a):  # an angle array with the ndim of ``shape``, for gathers over rows
+        a = np.asarray(a, dtype=float)
+        return a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
+
+    top = int(labels[:, 0].max(initial=0))
     tables = [
-        axis_factors(k, top, t) for k, t in zip(range(angles.d, 2, -1), angles.theta)
+        axis_factors(k, top, full(t)) for k, t in zip(range(angles.d, 2, -1), angles.theta)
     ]
-    phi = np.asarray(angles.phi)
-    phases = {
-        m1: np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi)
-        for m1 in range(-top, top + 1)
-    }
-    for idx in indices:
-        y = phases[idx.m[-1]]
-        for table, (_, degree, order) in zip(tables, idx.axis_terms()):
-            y = y * table[degree, order]
-        yield y
+    phi = full(angles.phi)
+    phases = np.stack(
+        [np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi) for m1 in range(-top, top + 1)]
+    )
+    step = max(1, _BLOCK // max(1, math.prod(shape)))
+    for start in range(0, len(labels), step):
+        rows = labels[start : start + step]
+        y = np.empty((len(rows),) + shape, dtype=complex)
+        y[...] = phases[rows[:, -1] + top]
+        orders = np.abs(rows)  # only m_1 may be negative; its axis has order |m_1|
+        for i, table in enumerate(tables):
+            y *= table[orders[:, i], orders[:, i + 1]]
+        yield start, y
 
 
 def harmonic_values(angles, lmax, lmin=0):
@@ -208,11 +232,11 @@ def harmonic_values(angles, lmax, lmin=0):
     scalar point gives a vector.  Equal to :func:`eval_harmonic` per index
     up to roundoff, from one set of per-axis tables.
     """
-    indices = [idx for l in range(lmin, lmax + 1) for idx in enumerate_indices(angles.d, l)]
-    shape = np.broadcast_shapes(*(np.shape(t) for t in angles.theta), np.shape(angles.phi))
-    out = np.empty((len(indices),) + shape, dtype=complex)
-    for i, y in enumerate(_chain_products(indices, angles)):
-        out[i] = y
+    d, shape = angles.d, _point_shape(angles)
+    labels = _labels(d, ((l, m) for l in range(lmin, lmax + 1) for m in _chains(l, d - 2)))
+    out = np.empty((len(labels),) + shape, dtype=complex)
+    for start, y in _chain_blocks(labels, angles, shape):
+        out[start : start + len(y)] = y
     return out
 
 

@@ -31,12 +31,13 @@ and verify also use; each table is built once per call.
   contracted over theta_d, ..., theta_3 against T_k, then over m_1
   against e^(i m_1 phi) / sqrt(2 pi); each stage swaps a degree axis for
   a node axis, so again no intermediate is larger than the grid.  At
-  scattered points, eval_expansion accumulates A r^l + B r^-(l+d-2)
-  times the product of table entries index by index over the whole point
-  array, in O(points) memory, through the chain-product loop it shares
-  with harmonics.harmonic_values.  Scattered points share no grid
-  structure, so staging there would carry a points x (lmax+1)^(d-3) x
-  (2 lmax+1) intermediate, far larger than the output.
+  scattered points, eval_expansion weights the row blocks of the gather
+  it shares with harmonics.harmonic_values by A r^l + B r^-(l+d-2) and
+  adds each block's row sum, the running total first (in row order, so
+  bitwise the index-by-index sum at array points), in O(points) memory
+  beyond the tables.  Scattered points share no grid structure, so
+  staging there would carry a points x (lmax+1)^(d-3) x (2 lmax+1)
+  intermediate, far larger than the output.
 
 Both inverse routes and radial_eval form the radial powers once per
 level by one rule (_radial_powers): a nonzero A needs r^l finite and a
@@ -44,9 +45,9 @@ nonzero B needs r^-(l+d-2) finite, else the call raises ValueError; a
 power no coefficient of the level needs is replaced by 0, so 0 * inf
 never appears.  A sum that overflows although its powers are finite
 raises ValueError too (_check_finite), so no route returns inf or NaN.
-The index -> tensor-position formula is written once (_positions), for
-_read_off's gather and _synthesize's scatter, and the tables of both
-contractions come from one helper (_tables).
+The index -> tensor-position formula is written once (_positions, on
+harmonics._labels), for _read_off's gather and _synthesize's scatter,
+and the tables of both contractions come from one helper (_tables).
 """
 
 import math
@@ -57,7 +58,9 @@ import numpy as np
 
 from .gegenbauer import _recurrence
 from .geometry import _check_int, cos_gamma, to_ultraspherical
-from .harmonics import MultiIndex, _chain_products, axis_factors, enumerate_indices
+from .harmonics import (
+    MultiIndex, _chain_blocks, _labels, _point_shape, axis_factors, enumerate_indices,
+)
 from .quadrature import sphere_grid
 
 __all__ = [
@@ -167,26 +170,34 @@ def eval_expansion(expansion, r, angles):
     """Evaluate sum_idx radial(A, B, l; r) Y_idx(angles).
 
     ``r`` and the angles may be arrays of any common broadcast shape; a
-    scalar evaluation returns a complex number.  The radial powers are
-    formed once per level, as the level's coefficients need them.
+    scalar evaluation returns a complex number, and an expansion without
+    coefficients gives zeros of that shape.  The radial powers are formed
+    once per level, as the level's coefficients need them.
     """
     if angles.d != expansion.d:
         raise ValueError(
             f"dimension mismatch: expansion d={expansion.d}, point d={angles.d}"
         )
+    d, coeffs = expansion.d, expansion.coeffs
+    labels = _labels(d, ((idx.l, idx.m) for idx in coeffs))
     r = np.asarray(r, dtype=float)
-    need = {}  # level -> (some A != 0, some B != 0)
-    for idx, (a, b) in expansion.coeffs.items():
-        need_a, need_b = need.get(idx.l, (False, False))
-        need[idx.l] = (need_a or a != 0, need_b or b != 0)
-    powers = {l: _radial_powers(l, expansion.d, r, *flags) for l, flags in need.items()}
-    total = 0.0 + 0.0j
+    shape = np.broadcast_shapes(r.shape, _point_shape(angles))
+    # the coefficients as (rows, 1, ...) and the powers as (level, ...), to broadcast over shape
+    a, b = np.array(list(coeffs.values()), dtype=complex).reshape(-1, 2).T
+    a, b = (c.reshape((-1,) + (1,) * len(shape)) for c in (a, b))
+    levels = labels[:, 0]
+    grow, decay = np.zeros((2, levels.max(initial=0) + 1) + (1,) * (len(shape) - r.ndim) + r.shape)
+    for l in range(len(grow)):
+        at = levels == l
+        grow[l], decay[l] = _radial_powers(l, d, r, a[at].any(), b[at].any())
+    total = np.zeros(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for (idx, (a, b)), y in zip(
-            expansion.coeffs.items(), _chain_products(expansion.coeffs, angles)
-        ):
-            grow, decay = powers[idx.l]
-            total = total + (a * grow + b * decay) * y
+        for start, y in _chain_blocks(labels, angles, shape):
+            rows = slice(start, start + len(y))
+            weights = a[rows] * grow[levels[rows]] + b[rows] * decay[levels[rows]]
+            np.multiply(weights, y, out=y)  # weights first, as the per-index sum
+            y[0] += total  # the running total leads the block's row sum
+            total = np.sum(y, axis=0)
     _check_finite(total)
     return complex(total) if np.ndim(total) == 0 else total
 
@@ -204,10 +215,9 @@ def _tensor_shape(d, lmax):
 
 def _positions(indices, d, lmax):
     """Flat positions of ``indices`` in the coefficient tensor: idx at (l, *m[:-1], m_1 + lmax)."""
-    rows = [(idx.l,) + idx.m[:-1] + (idx.m[-1] + lmax,) for idx in indices]
-    return np.ravel_multi_index(
-        np.array(rows, dtype=int).reshape(-1, d - 1).T, _tensor_shape(d, lmax)
-    )
+    rows = _labels(d, ((idx.l, idx.m) for idx in indices))
+    rows[:, -1] += lmax
+    return np.ravel_multi_index(rows.T, _tensor_shape(d, lmax))
 
 
 def _tables(grid, lmax):

@@ -109,6 +109,14 @@ class TestTabulateCommand:
             main(["tabulate", "poly", "--d", "3"])
         assert err.value.code == 2
 
+    def test_overflow_is_an_input_error(self, capsys):
+        # alpha_factor(200, 8) leaves the double range; gegenbauer raises OverflowError
+        rc = main(["tabulate", "assoc", "--d", "8", "--l", "300", "--m", "200",
+                   "--theta", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestSolveCommand:
     def test_single_harmonic_interior(self, tmp_path, capsys):
@@ -209,6 +217,19 @@ class TestSolveCommand:
 
 
 class TestEvalCommand:
+    def test_empty_expansion_writes_zeros(self, tmp_path, capsys):
+        coeffs = write_json(tmp_path / "coeffs.json", {
+            "format": "ultrasph-coefficients", "d": 4, "lmax": 2, "coefficients": [],
+        })
+        points = write_json(tmp_path / "points.json", {"points": [
+            {"cartesian": [0.1, 0.2, -0.3, 0.4]},
+            {"ultraspherical": {"r": 0.77, "theta": [0.5, 1.2], "phi": 4.0}},
+        ]})
+        out_path = tmp_path / "values.json"
+        assert main(["eval", coeffs, points, "-o", str(out_path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(out_path.read_text()) == {"values": [[0.0, 0.0], [0.0, 0.0]]}
+
     def _solve_constant(self, tmp_path, capsys):
         config = interior_config(tmp_path, data="harmonic:(0,0;0)")
         coeffs = tmp_path / "coeffs.json"
@@ -419,11 +440,13 @@ def test_samples_file_must_be_a_string(tmp_path, capsys, samples_file):
     assert "samples-file" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
+                                 ["0.5", "0.25"], [True, False], [10**400, 0]],
+                         ids=["nan", "inf", "-inf", "strings", "bools", "401-digit-int"])
 def test_non_finite_samples_rejected(tmp_path, capsys, bad):
     n = math.prod(sphere_grid(3, 1).shape)
     values = [[1.0, 0.0]] * n
-    values[n // 2] = [0.5, bad]
+    values[n // 2] = bad if isinstance(bad, list) else [0.5, bad]
     samples = write_json(tmp_path / "s.json", {"values": values})
     config = _samples_config(tmp_path, samples)
     with pytest.raises(formats.FormatError, match="finite"):

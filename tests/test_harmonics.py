@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
+from ultrasph import harmonics
 from ultrasph.gegenbauer import assoc, norm_factor, poly
 from ultrasph.geometry import UltrasphericalPoint, cos_gamma, solid_angle
 from ultrasph.harmonics import (
@@ -21,6 +23,7 @@ from ultrasph.harmonics import (
     norm_coeff,
 )
 from ultrasph.quadrature import sphere_grid
+from ultrasph.solver import HarmonicExpansion, eval_expansion, radial_eval
 
 
 def random_angles(rng, d):
@@ -271,6 +274,126 @@ class TestHarmonicValues:
         mesh = UltrasphericalPoint(4, 1.0, axes[:-1], axes[-1])
         got = harmonic_values(mesh, 3).reshape(-1, grid.size)
         assert_allclose(got, harmonic_values(grid.points, 3), rtol=1e-15, atol=0)
+
+
+def chain_products_reference(indices, angles):
+    """Yield Y_idx(angles) for each idx of ``indices``, one chain product per index.
+
+    The per-index loop the block gather replaced: the tables and phase
+    rows are built once, then each Y_idx is its phase times one table
+    entry per axis, in the order phase, theta_d, ..., theta_3.
+    """
+    top = max((idx.l for idx in indices), default=0)
+    tables = [
+        axis_factors(k, top, t) for k, t in zip(range(angles.d, 2, -1), angles.theta)
+    ]
+    phi = np.asarray(angles.phi)
+    phases = {
+        m1: np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi)
+        for m1 in range(-top, top + 1)
+    }
+    for idx in indices:
+        y = phases[idx.m[-1]]
+        for table, (_, degree, order) in zip(tables, idx.axis_terms()):
+            y = y * table[degree, order]
+        yield y
+
+
+def eval_expansion_reference(expansion, r, angles):
+    """sum_idx (A r^l + B r^-(l+d-2)) Y_idx, added index by index in coefficient order."""
+    total = 0.0 + 0.0j
+    for (idx, (a, b)), y in zip(expansion.coeffs.items(),
+                                chain_products_reference(list(expansion.coeffs), angles)):
+        total = total + radial_eval(a, b, idx.l, expansion.d, r) * y
+    return total
+
+
+def shuffled_expansion(rng, d, lmax):
+    """Every index up to lmax with random A and B, in a random order."""
+    indices = [i for l in range(lmax + 1) for i in enumerate_indices(d, l)]
+    order = rng.permutation(len(indices))
+    pairs = rng.standard_normal((len(indices), 4))
+    return HarmonicExpansion(d, lmax, {
+        indices[j]: (complex(*pairs[j, :2]), complex(*pairs[j, 2:])) for j in order
+    })
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestBlockGather:
+    """harmonic_values and eval_expansion against the per-index chain product."""
+
+    # a point count at which every d's rows span several blocks
+    SPLIT = 2000
+
+    def points(self, rng, d):
+        grid = sphere_grid(d, 2)
+        axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
+        return {
+            "scalar": random_angles(rng, d),
+            "array": random_point_array(rng, d, (2, 5)),
+            "mesh": UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]),
+            "split": random_point_array(rng, d, (self.SPLIT,)),
+        }
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_harmonic_values_are_bitwise_the_chain_products(self, d):
+        rng = np.random.default_rng(60 + d)
+        lmax = _VALUE_LMAX[d]
+        indices = [i for l in range(lmax + 1) for i in enumerate_indices(d, l)]
+        assert len(indices) * self.SPLIT > 2 * harmonics._BLOCK
+        for point in self.points(rng, d).values():
+            want = np.array(list(chain_products_reference(indices, point)))
+            assert_bitwise(harmonic_values(point, lmax), want)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_eval_expansion_is_the_sequential_sum(self, d):
+        rng = np.random.default_rng(70 + d)
+        expansion = shuffled_expansion(rng, d, _VALUE_LMAX[d])
+        for name, point in self.points(rng, d).items():
+            shape = np.broadcast_shapes(*(np.shape(t) for t in point.theta), np.shape(point.phi))
+            r = rng.uniform(0.5, 2.0, shape)
+            got = eval_expansion(expansion, r, point)
+            want = eval_expansion_reference(expansion, r, point)
+            if name == "scalar":
+                # a vector's row sum is numpy's pairwise sum, not the sequential one
+                assert isinstance(got, complex)
+                assert abs(got - want) <= 1e-14 * abs(want)
+            else:
+                # rows are added in order, the running total first, in one block or several
+                assert_bitwise(got, want)
+
+    def test_empty_expansion_gives_zeros_of_the_point_shape(self):
+        rng = np.random.default_rng(80)
+        empty = HarmonicExpansion(4, 2, {})
+        point = random_point_array(rng, 4, (2,))
+        got = eval_expansion(empty, np.array([0.5, 2.0]), point)
+        assert got.shape == (2,) and got.dtype == complex and not got.any()
+        assert eval_expansion(empty, 1.5, random_angles(rng, 4)) == 0j
+        assert harmonic_values(point, 1, 2).shape == (0, 2)
+
+    def test_memory_stays_near_the_per_index_loop(self):
+        # d = 5, lmax = 6: 336 indices; one rows x points array would take 269 MB
+        rng = np.random.default_rng(81)
+        d, lmax, n = 5, 6, 50_000
+        expansion = shuffled_expansion(rng, d, lmax)
+        point = random_point_array(rng, d, (n,))
+        r = rng.uniform(0.5, 2.0, n)
+        peaks = []
+        for evaluate in (eval_expansion_reference, eval_expansion):
+            tracemalloc.start()
+            try:
+                evaluate(expansion, r, point)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        reference, blocked = peaks
+        assert blocked <= 1.25 * reference
+        assert blocked < 0.5 * len(expansion.coeffs) * n * 16
 
 
 class TestAdditionSum:
