@@ -7,7 +7,10 @@ significant digits, and identical inputs produce byte-identical outputs.
 
 import argparse
 import json
+import math
 import sys
+
+import numpy as np
 
 from . import formats
 from .gegenbauer import assoc, norm_factor, poly
@@ -36,9 +39,12 @@ def _parse_d_range(text):
 
 def _parse_floats(text):
     try:
-        return [float(v) for v in text.split(",")]
+        values = [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"non-finite number in {text!r}")
+    return values
 
 
 def _build_parser():
@@ -118,8 +124,8 @@ def _cmd_verify(args, parser):
     lo, hi = _LMAX_LIMITS
     if not lo <= args.lmax <= hi:
         parser.error(f"lmax {args.lmax} out of range {lo}..{hi}")
-    if not args.tol > 0:
-        parser.error("tolerance must be positive")
+    if not 0 < args.tol < math.inf:
+        parser.error("tolerance must be finite and positive")
     report = run_verification(args.d, args.lmax, args.tol)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -138,31 +144,45 @@ def _cmd_verify(args, parser):
     return 0 if report.passed else 1
 
 
+def _finite(value, what):
+    """``value`` formatted; a value that is not finite raises."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is not finite")
+    return _fmt(value)
+
+
 def _cmd_tabulate(args, parser):
+    """Print one table; every row is computed first, so a failing call prints nothing."""
     kind = args.kind
-    if kind == "poly":
-        if args.l is None or args.x is None:
-            parser.error("tabulate poly needs --l and --x")
-        print("# x  poly")
-        for x in args.x:
-            print(f"{_fmt(x)} {_fmt(poly(args.l, args.d, x))}")
-    elif kind == "assoc":
-        if args.l is None or args.m is None or args.theta is None:
-            parser.error("tabulate assoc needs --l, --m and --theta")
-        print("# theta  assoc")
-        for t in args.theta:
-            print(f"{_fmt(t)} {_fmt(assoc(args.l, args.m, args.d, t))}")
-    elif kind == "norm":
-        if args.l is None or args.n is None:
-            parser.error("tabulate norm needs --l and --n")
-        print("# n  norm")
-        print(f"{args.n} {_fmt(norm_factor(args.l, args.n, args.d))}")
-    else:  # count
-        if args.lmax is None:
-            parser.error("tabulate count needs --lmax")
-        print("# l  count")
-        for l in range(args.lmax + 1):
-            print(f"{l} {count(args.d, l)}")
+    # an overflow is reported by the finiteness check, not as a numpy warning
+    with np.errstate(all="ignore"):
+        if kind == "poly":
+            if args.l is None or args.x is None:
+                parser.error("tabulate poly needs --l and --x")
+            header = "# x  poly"
+            rows = [(_fmt(x), _finite(poly(args.l, args.d, x), f"poly at x={x!r}"))
+                    for x in args.x]
+        elif kind == "assoc":
+            if args.l is None or args.m is None or args.theta is None:
+                parser.error("tabulate assoc needs --l, --m and --theta")
+            header = "# theta  assoc"
+            rows = [(_fmt(t), _finite(assoc(args.l, args.m, args.d, t), f"assoc at theta={t!r}"))
+                    for t in args.theta]
+        elif kind == "norm":
+            if args.l is None or args.n is None:
+                parser.error("tabulate norm needs --l and --n")
+            header = "# n  norm"
+            rows = [(args.n, _fmt(norm_factor(args.l, args.n, args.d)))]
+        else:  # count
+            if args.lmax is None:
+                parser.error("tabulate count needs --lmax")
+            if args.lmax < 0:
+                parser.error(f"lmax must be >= 0, got {args.lmax}")
+            header = "# l  count"
+            rows = [(l, count(args.d, l)) for l in range(args.lmax + 1)]
+    print(header)
+    for row in rows:
+        print(*row)
     return 0
 
 
@@ -211,7 +231,7 @@ def main(argv=None):
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_eval(args)
-    except (ValueError, OverflowError) as exc:  # FormatError is a ValueError
+    except (ValueError, OverflowError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

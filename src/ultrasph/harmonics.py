@@ -301,7 +301,13 @@ def harmonicity_residual(idx, r, angles, h=1e-3, branch="interior"):
     D2_j is the second difference along axis j.  The residual of an exact
     harmonic is O(h^2) times the local fourth-derivative scale.
 
-    Raises if the stencil comes within sin(theta_j) < 1e-6 of a chart
+    ``r`` and the fields of ``angles`` broadcast against each other, as in
+    :mod:`~ultrasph.geometry`: a scalar point gives a float, array points
+    an array of the broadcast shape, one residual per point.  All stencils
+    form one (d, *shape, 2d+1) array, so every point shares one
+    coordinate conversion and one :func:`eval_harmonic` call.
+
+    Raises if any stencil point comes within sin(theta_j) < 1e-6 of a chart
     singularity.
     """
     if not 1e-4 <= h <= 1e-2:
@@ -311,10 +317,10 @@ def harmonicity_residual(idx, r, angles, h=1e-3, branch="interior"):
     d = idx.d
     center = UltrasphericalPoint(d, r, angles.theta, angles.phi)
     x0 = to_cartesian(center).x
-    stencil = np.tile(x0[:, None], (1, 2 * d + 1))
+    stencil = np.repeat(x0[..., None], 2 * d + 1, axis=-1)
     for j in range(d):
-        stencil[j, 1 + 2 * j] += h
-        stencil[j, 2 + 2 * j] -= h
+        stencil[j, ..., 1 + 2 * j] += h
+        stencil[j, ..., 2 + 2 * j] -= h
     sp = to_ultraspherical(CartesianPoint(d, stencil))
     for t in sp.theta:
         if np.any(np.sin(t) < 1e-6):
@@ -324,7 +330,8 @@ def harmonicity_residual(idx, r, angles, h=1e-3, branch="interior"):
     else:
         radial = np.asarray(sp.r) ** (-(idx.l + d - 2))
     u = radial * eval_harmonic(idx, sp)
-    second = (u[1::2] - 2.0 * u[0] + u[2::2]) / h**2
-    resid = abs(np.sum(second))
-    scale = float(np.sum(np.abs(second)))
-    return float(resid / max(1.0, scale))
+    second = (u[..., 1::2] - 2.0 * u[..., :1] + u[..., 2::2]) / h**2
+    resid = np.abs(np.sum(second, axis=-1))
+    scale = np.sum(np.abs(second), axis=-1)
+    val = resid / np.maximum(1.0, scale)
+    return float(val) if np.ndim(val) == 0 else val

@@ -17,11 +17,16 @@ recurrence; weights come from the standard h_{n-1} / (p_{n-1}(x) p_n'(x))
 formula, evaluated for all nodes in one recurrence pass.  A rule costs
 one dense symmetric eigensolve and two recurrence passes over all nodes.
 Nodes and weights are mirrored around the midpoint exactly.
+
+Each rule is solved once per process: :func:`theta_rule` keeps the
+recently used (alpha, n) rules (up to 256) and returns the same
+read-only ThetaRule on a repeated call, so the grids :func:`sphere_grid`
+builds share their rules.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -102,9 +107,19 @@ class ThetaRule:
 
 
 def theta_rule(alpha, n):
-    """Construct the n-point rule for weight sin^alpha(theta), alpha >= 1."""
+    """Construct the n-point rule for weight sin^alpha(theta), alpha >= 1.
+
+    Each (alpha, n) is solved once per process: later calls return the same
+    ThetaRule, whose nodes and weights are read-only.
+    """
     alpha = _check_int(alpha, "weight exponent alpha", 1)
     n = _check_int(n, "node count", 1)
+    return _theta_rule(alpha, n)
+
+
+@lru_cache(maxsize=256)
+def _theta_rule(alpha, n):
+    """The rule of :func:`theta_rule`, keyed on its validated plain ints."""
     delta = (alpha - 1) / 2.0
     x, w = _gauss_rule(n, delta)
     # map to theta = arccos(x), ascending; build the upper half as
@@ -117,6 +132,7 @@ def theta_rule(alpha, n):
     w_half = w[x > 0.0][::-1]
     w_mid = [w[n // 2]] if n % 2 == 1 else []
     weights = np.concatenate([w_half, w_mid, w_half[::-1]])
+    theta.flags.writeable = weights.flags.writeable = False  # the rule is shared
     return ThetaRule(alpha, theta, weights)
 
 

@@ -210,16 +210,11 @@ def _gram_residual(d, lmax):
     return float(np.max(np.abs(gram - np.eye(len(values)))))
 
 
-def _random_angles(rng, d):
-    thetas = tuple(rng.uniform(0.3, math.pi - 0.3) for _ in range(d - 2))
-    return geo.UltrasphericalPoint(d, 1.0, thetas, rng.uniform(0.0, 2.0 * math.pi))
-
-
 def _random_pairs(rng, d, n):
     """n pairs of directions as two array points a, b.
 
-    The angles are the draws of 2n alternating _random_angles calls (a, b,
-    a, ...), bit for bit, taken by one array draw in the same order.
+    Each direction is drawn as its d-2 thetas in [0.3, pi - 0.3] and then
+    its phi, the directions in the order a, b, a, ..., by one array draw.
     """
     low = [0.3] * (d - 2) + [0.0]
     high = [math.pi - 0.3] * (d - 2) + [2.0 * math.pi]
@@ -256,18 +251,23 @@ def _addition_reduced_residual(d, lmax):
 
 
 def _harmonicity_residual(d, lmax):
+    """Both radial branches at five random points per level, one call per branch.
+
+    Each point is drawn as its d-2 thetas, its phi and then its r, the
+    points one after another, by one array draw.
+    """
     rng = np.random.default_rng(99 + d)
+    low = [0.3] * (d - 2) + [0.0, 0.5]
+    high = [math.pi - 0.3] * (d - 2) + [2.0 * math.pi, 0.85]
     worst = 0.0
     for l in range(min(lmax, 3) + 1):
         indices = hr.enumerate_indices(d, l)
         idx = indices[len(indices) // 2]
-        for _ in range(5):
-            angles = _random_angles(rng, d)
-            r = rng.uniform(0.5, 0.85)
-            for branch in ("interior", "exterior"):
-                worst = max(
-                    worst, hr.harmonicity_residual(idx, r, angles, 1e-3, branch)
-                )
+        draws = rng.uniform(low, high, size=(5, d))
+        angles = geo.UltrasphericalPoint(d, 1.0, tuple(draws[:, :-2].T), draws[:, -2])
+        for branch in ("interior", "exterior"):
+            resid = hr.harmonicity_residual(idx, draws[:, -1], angles, 1e-3, branch)
+            worst = max(worst, float(np.max(resid)))
     return worst
 
 

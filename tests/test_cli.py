@@ -1,9 +1,12 @@
+import contextlib
 import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrasph import formats
 from ultrasph.cli import main
@@ -113,9 +116,69 @@ class TestTabulateCommand:
         # alpha_factor(200, 8) leaves the double range; gegenbauer raises OverflowError
         rc = main(["tabulate", "assoc", "--d", "8", "--l", "300", "--m", "200",
                    "--theta", "1"])
-        err = capsys.readouterr().err
-        assert rc == 2
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--d", "3", "--l", "2", "--n", "3"],
+        ["poly", "--d", "3", "--l", "3", "--x", "0.5,1e200"],
+    ], ids=["norm-order-above-degree", "poly-overflow"])
+    def test_failing_call_prints_no_table(self, capsys, argv):
+        rc = main(["tabulate", *argv])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+_USAGE_ERRORS = {
+    "poly-nan": ["tabulate", "poly", "--d", "3", "--l", "2", "--x", "nan"],
+    "poly-inf": ["tabulate", "poly", "--d", "3", "--l", "2", "--x", "inf,0.5"],
+    "assoc-inf": ["tabulate", "assoc", "--d", "3", "--l", "2", "--m", "1", "--theta", "inf"],
+    "count-negative-lmax": ["tabulate", "count", "--d", "3", "--lmax", "-1"],
+    "tol-inf": ["verify", "--d", "3", "--lmax", "1", "--tol", "inf"],
+    "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_non_finite_numbers_and_negative_lmax_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+# a --x / --theta token: number lists with any float, huge integers and
+# number-like junk, or arbitrary text
+_NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**400, 10**400).map(str),
+    st.text(alphabet="0123456789+-._eEinfatyINFNAN ", max_size=8),
+)
+_TOKEN = st.one_of(st.lists(_NUMBER, min_size=1, max_size=4).map(",".join), st.text(max_size=12))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(kind=st.sampled_from(["poly", "assoc"]), token=_TOKEN)
+def test_any_number_token_gives_finite_rows_or_exit_2(kind, token):
+    option = "--x" if kind == "poly" else "--theta"
+    argv = ["tabulate", kind, "--d", "4", "--l", "3", "--m", "2", f"{option}={token}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        header, *rows = out.getvalue().splitlines()
+        assert header.startswith("#") and len(rows) == len(token.split(","))
+        assert all(math.isfinite(float(v)) for row in rows for v in row.split())
+    else:
+        assert rc == 2 and out.getvalue() == ""
+        assert "error:" in err.getvalue()
 
 
 class TestSolveCommand:
@@ -672,3 +735,23 @@ def test_verify_and_harmonic_solve_build_no_node_mesh(tmp_path, monkeypatch, cap
                      {"radius": 2.0, "data": "harmonic:(2,0,0;0)"}],
     })
     assert main(["solve", config, "-o", str(tmp_path / "coeffs.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "eval", "verify"])
+def test_unwritable_output_path_exit_2(tmp_path, capsys, command):
+    missing = tmp_path / "missing" / "out.json"
+    config = interior_config(tmp_path)
+    coeffs = str(tmp_path / "coeffs.json")
+    assert main(["solve", config, "-o", coeffs]) == 0
+    points = write_json(tmp_path / "points.json",
+                        {"points": [{"cartesian": [0.1, 0.2, 0.3, 0.4]}]})
+    capsys.readouterr()
+    argv = {
+        "solve": ["solve", config, "-o", str(missing)],
+        "eval": ["eval", coeffs, points, "-o", str(missing)],
+        "verify": ["verify", "--d", "3", "--lmax", "1", "--json", str(missing)],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(missing) in err

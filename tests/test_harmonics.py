@@ -6,7 +6,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from ultrasph import harmonics
+from ultrasph import harmonics, verify
 from ultrasph.gegenbauer import assoc, norm_factor, poly
 from ultrasph.geometry import UltrasphericalPoint, cos_gamma, solid_angle
 from ultrasph.harmonics import (
@@ -509,3 +509,59 @@ class TestHarmonicity:
         pole = UltrasphericalPoint(4, 0.5, (0.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             harmonicity_residual(idx, 0.5, pole)
+
+    @pytest.mark.parametrize("branch", ("interior", "exterior"))
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_array_call_matches_scalar_calls(self, d, branch):
+        rng = np.random.default_rng(44 + d)
+        thetas = tuple(rng.uniform(0.3, math.pi - 0.3, size=(2, 3)) for _ in range(d - 2))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=(2, 3))
+        r = rng.uniform(0.5, 0.85, size=(2, 3))
+        for l in (0, 2, 3):
+            indices = enumerate_indices(d, l)
+            idx = indices[len(indices) // 2]
+            got = harmonicity_residual(idx, r, UltrasphericalPoint(d, 1.0, thetas, phi),
+                                       1e-3, branch)
+            assert got.shape == (2, 3)
+            for i in np.ndindex(2, 3):
+                point = UltrasphericalPoint(d, 1.0, tuple(t[i] for t in thetas), phi[i])
+                want = harmonicity_residual(idx, r[i], point, 1e-3, branch)
+                assert type(want) is float
+                assert abs(got[i] - want) <= 1e-12 * want
+
+    def test_scalar_radius_broadcasts_against_array_angles(self):
+        rng = np.random.default_rng(45)
+        idx = MultiIndex(5, 2, (1, 1, -1))
+        thetas = tuple(rng.uniform(0.3, math.pi - 0.3, size=4) for _ in range(3))
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        got = harmonicity_residual(idx, 0.6, UltrasphericalPoint(5, 1.0, thetas, phi))
+        want = harmonicity_residual(idx, np.full(4, 0.6), UltrasphericalPoint(5, 1.0, thetas, phi))
+        assert got.shape == (4,)
+        assert_allclose(got, want, rtol=0, atol=0)
+
+    def test_one_near_axis_point_among_valid_ones_raises(self):
+        rng = np.random.default_rng(46)
+        idx = MultiIndex(4, 1, (1, 1))
+        thetas = [rng.uniform(0.3, math.pi - 0.3, size=5) for _ in range(2)]
+        phi = rng.uniform(0.0, 2.0 * math.pi, size=5)
+        thetas[1][3] = 1e-7
+        angles = UltrasphericalPoint(4, 1.0, tuple(thetas), phi)
+        with pytest.raises(ValueError, match="singularity"):
+            harmonicity_residual(idx, np.full(5, 0.5), angles)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_verify_check_matches_per_point_loop(self, d):
+        # the check's former form: one scalar call per point and branch
+        rng = np.random.default_rng(99 + d)
+        want = 0.0
+        for l in range(4):
+            indices = enumerate_indices(d, l)
+            idx = indices[len(indices) // 2]
+            for _ in range(5):
+                thetas = tuple(rng.uniform(0.3, math.pi - 0.3) for _ in range(d - 2))
+                angles = UltrasphericalPoint(d, 1.0, thetas, rng.uniform(0.0, 2.0 * math.pi))
+                r = rng.uniform(0.5, 0.85)
+                for branch in ("interior", "exterior"):
+                    want = max(want, harmonicity_residual(idx, r, angles, 1e-3, branch))
+        got = verify._harmonicity_residual(d, 8)
+        assert abs(got - want) <= 1e-12 * want

@@ -106,6 +106,24 @@ class TestThetaRule:
         with pytest.raises(ValueError):
             theta_rule(2, 0)
 
+    def test_each_rule_is_built_once_and_read_only(self):
+        rule = theta_rule(1, 3)
+        assert theta_rule(1, 3) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights *= 2.0
+
+    def test_cached_rule_keeps_the_integer_check(self):
+        rule = theta_rule(1, 3)
+        for alpha in (True, 1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                theta_rule(alpha, 3)
+        with pytest.raises(ValueError, match="node count"):
+            theta_rule(1, 3.0)
+        assert theta_rule(np.int64(1), np.int64(3)) is rule
+
 
 class TestSphereGrid:
     @pytest.mark.parametrize("d", range(3, 8))
