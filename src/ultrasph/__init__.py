@@ -44,7 +44,6 @@ from .quadrature import (
     SphereGrid,
     ThetaRule,
     grid_shape,
-    inner_product,
     sphere_grid,
     theta_rule,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "grid_shape",
     "harmonic_values",
     "harmonicity_residual",
-    "inner_product",
     "norm_coeff",
     "norm_factor",
     "ode_residual",

@@ -54,6 +54,8 @@ def _build_parser():
         "Laplace boundary-value solving in d >= 3 dimensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one range check of both --lmax options
+    lmax_range = range(_LMAX_LIMITS[0], _LMAX_LIMITS[1] + 1)
 
     p_verify = sub.add_parser(
         "verify",
@@ -68,9 +70,8 @@ def _build_parser():
     p_verify.add_argument("--d", type=_parse_d_range, default=[4],
                           help="dimension or inclusive range, e.g. 4 or 3-6 "
                           f"(each in {_D_LIMITS[0]}..{_D_LIMITS[1]})")
-    p_verify.add_argument("--lmax", type=int, default=4,
-                          help=f"harmonic band limit, {_LMAX_LIMITS[0]}..{_LMAX_LIMITS[1]} "
-                          "(grid-based checks cap levels per dimension)")
+    p_verify.add_argument("--lmax", type=int, default=4, choices=lmax_range,
+                          help="harmonic band limit (grid-based checks cap levels per dimension)")
     p_verify.add_argument("--tol", type=float, default=1e-8,
                           help="tolerance for algebraic checks")
     p_verify.add_argument("--json", metavar="PATH",
@@ -92,7 +93,7 @@ def _build_parser():
                        help="comma-separated arguments in [-1, 1] (poly)")
     p_tab.add_argument("--theta", type=_parse_floats,
                        help="comma-separated angles in [0, pi] (assoc)")
-    p_tab.add_argument("--lmax", type=int, help="top level (count)")
+    p_tab.add_argument("--lmax", type=int, choices=lmax_range, help="top level (count)")
 
     p_solve = sub.add_parser(
         "solve",
@@ -121,9 +122,6 @@ def _cmd_verify(args, parser):
     for d in args.d:
         if not lo <= d <= hi:
             parser.error(f"dimension {d} out of range {lo}..{hi}")
-    lo, hi = _LMAX_LIMITS
-    if not lo <= args.lmax <= hi:
-        parser.error(f"lmax {args.lmax} out of range {lo}..{hi}")
     if not 0 < args.tol < math.inf:
         parser.error("tolerance must be finite and positive")
     report = run_verification(args.d, args.lmax, args.tol)
@@ -176,8 +174,6 @@ def _cmd_tabulate(args, parser):
         else:  # count
             if args.lmax is None:
                 parser.error("tabulate count needs --lmax")
-            if args.lmax < 0:
-                parser.error(f"lmax must be >= 0, got {args.lmax}")
             header = "# l  count"
             rows = [(l, count(args.d, l)) for l in range(args.lmax + 1)]
     print(header)

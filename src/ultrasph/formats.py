@@ -254,16 +254,16 @@ def _pair(z, pad):
 
 
 def save_coefficients(fp, expansion):
-    """Write an expansion; coefficient order follows the expansion's dict.
+    """Write an expansion; coefficient order follows the expansion's rows.
 
     The bytes are those of json.dump(..., indent=2) plus a newline, built
     as one string; a non-finite coefficient raises ValueError.
     """
     pad = " " * 6  # the nesting of a record's lists
     records = [
-        _object((("index", _array([str(v) for v in (idx.l, *idx.m)], pad)),
+        _object((("index", _array([str(v) for v in row], pad)),
                  ("A", _pair(a, pad)), ("B", _pair(b, pad))), " " * 4)
-        for idx, (a, b) in expansion.coeffs.items()
+        for row, (a, b) in zip(expansion.labels.tolist(), expansion.values.tolist())
     ]
     fp.write(_object((("format", '"ultrasph-coefficients"'), ("d", str(expansion.d)),
                       ("lmax", str(expansion.lmax)),

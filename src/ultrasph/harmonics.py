@@ -105,13 +105,10 @@ class MultiIndex:
 
 
 def count(d, l):
-    """Number of independent harmonics at level l: (d+2l-2)(d+l-3)!/((d-2)! l!)."""
+    """Number of independent harmonics at level l: C(l+d-2, d-2) + C(l+d-3, d-2), an exact int."""
     d = _check_int(d, "dimension", 3)
     l = _check_int(l, "level", 0)
-    num = (d + 2 * l - 2) * math.factorial(d + l - 3)
-    den = math.factorial(d - 2) * math.factorial(l)
-    assert num % den == 0
-    return num // den
+    return math.comb(l + d - 2, d - 2) + math.comb(l + d - 3, d - 2)
 
 
 def _chains(bound, length):
@@ -182,9 +179,15 @@ def axis_factors(k, lmax, theta):
 _BLOCK = 1 << 16
 
 
-def _labels(d, chains):
-    """The (l, m) pairs of ``chains`` as one int array of rows (l, m_{d-2}, ..., m_1)."""
-    return np.array([(l, *m) for l, m in chains], dtype=int).reshape(-1, d - 1)
+def _labels(d, lmax, lmin=0):
+    """Int label rows (l, m_{d-2}, ..., m_1) of levels lmin..lmax, in enumerate_indices order."""
+    rows = [(l, *m) for l in range(lmin, lmax + 1) for m in _chains(l, d - 2)]
+    return np.array(rows, dtype=int).reshape(-1, d - 1)
+
+
+def _indices(d, labels):
+    """The MultiIndex of each label row, for callers that key by MultiIndex."""
+    return [MultiIndex(d, l, tuple(m)) for l, *m in labels.tolist()]
 
 
 def _point_shape(angles):
@@ -233,7 +236,7 @@ def harmonic_values(angles, lmax, lmin=0):
     up to roundoff, from one set of per-axis tables.
     """
     d, shape = angles.d, _point_shape(angles)
-    labels = _labels(d, ((l, m) for l in range(lmin, lmax + 1) for m in _chains(l, d - 2)))
+    labels = _labels(d, lmax, lmin)
     out = np.empty((len(labels),) + shape, dtype=complex)
     for start, y in _chain_blocks(labels, angles, shape):
         out[start : start + len(y)] = y

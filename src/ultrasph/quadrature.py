@@ -36,7 +36,6 @@ __all__ = [
     "SphereGrid",
     "ThetaRule",
     "grid_shape",
-    "inner_product",
     "sphere_grid",
     "theta_rule",
 ]
@@ -217,19 +216,6 @@ def sphere_grid(d, lmax):
     n_phi = shape[-1]
     phi_nodes = 2.0 * math.pi * np.arange(n_phi) / n_phi
     return SphereGrid(d, lmax, rules, phi_nodes, 2.0 * math.pi / n_phi)
-
-
-def inner_product(f, g, grid):
-    """<f, g> = sum w f conj(g) over the grid (pairwise summation).
-
-    ``f`` and ``g`` may be callables taking the grid's array-valued
-    UltrasphericalPoint, or precomputed value arrays of length grid.size.
-    """
-    fv = np.asarray(f(grid.points)) if callable(f) else np.asarray(f).reshape(-1)
-    gv = np.asarray(g(grid.points)) if callable(g) else np.asarray(g).reshape(-1)
-    if fv.size != grid.size or gv.size != grid.size:
-        raise ValueError("value arrays do not match the grid size")
-    return complex(np.sum(grid.weights * fv.reshape(-1) * np.conj(gv.reshape(-1))))
 
 
 def weight_total(alpha):

@@ -24,7 +24,7 @@ and verify also use; each table is built once per call.
   below), so no intermediate is larger than the grid, and the last one
   holds c_idx at (l, m_{d-2}, ..., m_2, m_1).  A fit contracts all its
   spheres' samples as one stacked tensor, through one set of d-2 tables;
-  _read_off turns tensors into {idx: ...} dicts by one gather.
+  _read_off gathers each label row's entries, the arrays HarmonicExpansion keeps.
 * Inverse, two routes.  On a grid, _synthesize is the staged adjoint of
   the forward contraction without the weights: A and B are combined per
   level with the radial pair, scattered into the coefficient tensor, and
@@ -45,22 +45,22 @@ nonzero B needs r^-(l+d-2) finite, else the call raises ValueError; a
 power no coefficient of the level needs is replaced by 0, so 0 * inf
 never appears.  A sum that overflows although its powers are finite
 raises ValueError too (_check_finite), so no route returns inf or NaN.
-The index -> tensor-position formula is written once (_positions, on
-harmonics._labels), for _read_off's gather and _synthesize's scatter,
-and the tables of both contractions come from one helper (_tables).
+The label row -> tensor-position formula is written once (_positions),
+for _read_off's gather and _synthesize's scatter, and the tables of
+both contractions come from one helper (_tables).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .gegenbauer import _recurrence
 from .geometry import _check_int, cos_gamma, to_ultraspherical
-from .harmonics import (
-    MultiIndex, _chain_blocks, _labels, _point_shape, axis_factors, enumerate_indices,
-)
+from .harmonics import MultiIndex, _chain_blocks, _indices, _labels, _point_shape, axis_factors
 from .quadrature import sphere_grid
 
 __all__ = [
@@ -76,27 +76,46 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, init=False)
 class HarmonicExpansion:
-    """Map from MultiIndex to the radial coefficient pair (A, B).
+    """The pairs (A, B) of sum_idx (A r^l + B r^-(l+d-2)) Y_idx, as two read-only arrays.
 
-    Absent keys mean (0, 0).  Coefficient order is preserved, so files
-    written from an expansion are deterministic.
+    ``labels`` holds int rows (l, m_{d-2}, ..., m_1) and ``values`` rows
+    (A, B), in one kept order; absent labels mean (0, 0).  The constructor
+    checks a {MultiIndex: (A, B)} dict and leaves it untouched; ``coeffs``
+    is a read-only view of that kind, made on first read.
     """
 
     d: int
     lmax: int
-    coeffs: dict = field(default_factory=dict)
+    labels: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        self.d = _check_int(self.d, "dimension", 3)
-        self.lmax = _check_int(self.lmax, "lmax", 0)
-        for idx, (a, b) in self.coeffs.items():
-            if not isinstance(idx, MultiIndex) or idx.d != self.d:
-                raise ValueError(f"bad coefficient key {idx!r} for d={self.d}")
-            if idx.l > self.lmax:
-                raise ValueError(f"index level {idx.l} exceeds lmax={self.lmax}")
-            self.coeffs[idx] = (complex(a), complex(b))
+    def __init__(self, d, lmax, coeffs=MappingProxyType({})):
+        d = _check_int(d, "dimension", 3)
+        lmax = _check_int(lmax, "lmax", 0)
+        for idx in coeffs:
+            if not isinstance(idx, MultiIndex) or idx.d != d:
+                raise ValueError(f"bad coefficient key {idx!r} for d={d}")
+            if idx.l > lmax:
+                raise ValueError(f"index level {idx.l} exceeds lmax={lmax}")
+        labels = np.array([(idx.l, *idx.m) for idx in coeffs], dtype=int).reshape(-1, d - 1)
+        values = np.array([(complex(a), complex(b)) for a, b in coeffs.values()], dtype=complex)
+        vars(self).update(vars(self._of(d, lmax, labels, values.reshape(-1, 2))))
+
+    @classmethod
+    def _of(cls, d, lmax, labels, values):
+        """The expansion of label rows and (A, B) rows valid for (d, lmax), unchecked."""
+        labels.flags.writeable = values.flags.writeable = False
+        expansion = cls.__new__(cls)
+        vars(expansion).update(d=d, lmax=lmax, labels=labels, values=values)
+        return expansion
+
+    @cached_property
+    def coeffs(self):
+        """{MultiIndex: (A, B)} in row order, read-only."""
+        return MappingProxyType(dict(zip(_indices(self.d, self.labels),
+                                         map(tuple, self.values.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -178,13 +197,11 @@ def eval_expansion(expansion, r, angles):
         raise ValueError(
             f"dimension mismatch: expansion d={expansion.d}, point d={angles.d}"
         )
-    d, coeffs = expansion.d, expansion.coeffs
-    labels = _labels(d, ((idx.l, idx.m) for idx in coeffs))
+    d, labels = expansion.d, expansion.labels
     r = np.asarray(r, dtype=float)
     shape = np.broadcast_shapes(r.shape, _point_shape(angles))
     # the coefficients as (rows, 1, ...) and the powers as (level, ...), to broadcast over shape
-    a, b = np.array(list(coeffs.values()), dtype=complex).reshape(-1, 2).T
-    a, b = (c.reshape((-1,) + (1,) * len(shape)) for c in (a, b))
+    a, b = (c.reshape((-1,) + (1,) * len(shape)) for c in expansion.values.T)
     levels = labels[:, 0]
     grow, decay = np.zeros((2, levels.max(initial=0) + 1) + (1,) * (len(shape) - r.ndim) + r.shape)
     for l in range(len(grow)):
@@ -213,11 +230,10 @@ def _tensor_shape(d, lmax):
     return (lmax + 1,) * (d - 2) + (2 * lmax + 1,)
 
 
-def _positions(indices, d, lmax):
-    """Flat positions of ``indices`` in the coefficient tensor: idx at (l, *m[:-1], m_1 + lmax)."""
-    rows = _labels(d, ((idx.l, idx.m) for idx in indices))
-    rows[:, -1] += lmax
-    return np.ravel_multi_index(rows.T, _tensor_shape(d, lmax))
+def _positions(labels, lmax):
+    """Flat positions of the label rows in the coefficient tensor: (l, *m[:-1], m_1 + lmax)."""
+    shape = _tensor_shape(labels.shape[1] + 1, lmax)
+    return np.ravel_multi_index((*labels[:, :-1].T, labels[:, -1] + lmax), shape)
 
 
 def _tables(grid, lmax):
@@ -283,9 +299,9 @@ def _synthesize(expansion, r, grid):
     d, lmax = expansion.d, expansion.lmax
     if grid.d != d:
         raise ValueError(f"dimension mismatch: expansion d={d}, grid d={grid.d}")
-    flat, shape = _positions(expansion.coeffs, d, lmax), _tensor_shape(d, lmax)
-    a, b = np.array(list(expansion.coeffs.values()), dtype=complex).reshape(-1, 2).T
-    levels = np.array([idx.l for idx in expansion.coeffs], dtype=int)
+    flat, shape = _positions(expansion.labels, lmax), _tensor_shape(d, lmax)
+    a, b = expansion.values.T
+    levels = expansion.labels[:, 0]
     coef = np.zeros(math.prod(shape), dtype=complex)
     phase, tables = _tables(grid, lmax)
     phase *= 1.0 / math.sqrt(2.0 * math.pi)
@@ -310,15 +326,14 @@ def _synthesize(expansion, r, grid):
 
 
 def _read_off(tensor, d, lmax):
-    """{idx: entries} for every level <= lmax, in enumerate_indices order, by one gather.
+    """(labels, entries) of every level <= lmax, by one gather from ``tensor``.
 
-    ``tensor`` ends in the axes of _tensor_shape; the entries of idx are
-    Python numbers, a list of them over any leading axes.
+    ``tensor`` ends in the axes of _tensor_shape; row i of ``entries``
+    holds label row i's entries over the leading axes of ``tensor``.
     """
-    indices = [idx for l in range(lmax + 1) for idx in enumerate_indices(d, l)]
-    flat = _positions(indices, d, lmax)
-    entries = tensor.reshape(tensor.shape[: 1 - d] + (-1,))[..., flat]
-    return dict(zip(indices, np.moveaxis(entries, -1, 0).tolist()))
+    labels = _labels(d, lmax)
+    entries = tensor.reshape(tensor.shape[: 1 - d] + (-1,))[..., _positions(labels, lmax)]
+    return labels, np.moveaxis(entries, -1, 0)
 
 
 def project_boundary(data, grid, lmax):
@@ -328,7 +343,8 @@ def project_boundary(data, grid, lmax):
     samples at the grid nodes.  Data beyond the grid's exactness band is
     aliased; callers control the band limit through the grid.
     """
-    return _read_off(_project((data,), grid, lmax)[0], grid.d, lmax)
+    labels, entries = _read_off(_project((data,), grid, lmax)[0], grid.d, lmax)
+    return dict(zip(_indices(grid.d, labels), entries.tolist()))
 
 
 # the columns of M_l each kind keeps: A r^l, regular at the origin, and
@@ -370,7 +386,7 @@ def _fit(problem, kind):
     solved = np.zeros((2,) + coef.shape[1:], dtype=complex)
     for l in range(lmax + 1):
         solved[branches, l] = _solve_level(l, d, radii, branches, coef[:, l])
-    return HarmonicExpansion(d, lmax, _read_off(solved, d, lmax))
+    return HarmonicExpansion._of(d, lmax, *_read_off(solved, d, lmax))
 
 
 def fit_interior(problem):

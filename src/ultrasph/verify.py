@@ -272,17 +272,17 @@ def _harmonicity_residual(d, lmax):
 
 
 def _manufactured(d, lmax, rng, kind):
-    coeffs = {}
-    for l in range(lmax + 1):
-        for idx in hr.enumerate_indices(d, l):
-            a = complex(rng.normal(), rng.normal())
-            b = complex(rng.normal(), rng.normal())
-            if kind == "interior":
-                b = 0j
-            elif kind == "exterior":
-                a = 0j
-            coeffs[idx] = (a, b)
-    return sv.HarmonicExpansion(d, lmax, coeffs)
+    """Random (A, B) for each index, by one draw of A.re, A.im, B.re, B.im per index.
+
+    B is zeroed for an interior expansion and A for an exterior one.
+    """
+    labels = hr._labels(d, lmax)
+    values = rng.normal(size=(len(labels), 4)).view(complex)
+    if kind == "interior":
+        values[:, 1] = 0
+    elif kind == "exterior":
+        values[:, 0] = 0
+    return sv.HarmonicExpansion._of(d, lmax, labels, values)
 
 
 def _solver_residual(d, lmax):
@@ -302,8 +302,7 @@ def _solver_residual(d, lmax):
         truth = _manufactured(d, lcap, rng, kind)
         data = tuple(sv._synthesize(truth, r, grid) for r in radii)
         fit = fit_kind(sv.BoundaryProblem(d, kind, radii, lcap, data))
-        for idx, pair in truth.coeffs.items():
-            worst = max(worst, *(abs(got - want) for got, want in zip(fit.coeffs[idx], pair)))
+        worst = max(worst, float(np.max(np.abs(fit.values - truth.values))))
 
     # re-evaluated boundary data of the annulus fit, data[1] being its truth at r = 2
     refit = sv._synthesize(fit, 2.0, grid)

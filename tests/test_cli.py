@@ -136,6 +136,7 @@ _USAGE_ERRORS = {
     "poly-inf": ["tabulate", "poly", "--d", "3", "--l", "2", "--x", "inf,0.5"],
     "assoc-inf": ["tabulate", "assoc", "--d", "3", "--l", "2", "--m", "1", "--theta", "inf"],
     "count-negative-lmax": ["tabulate", "count", "--d", "3", "--lmax", "-1"],
+    "count-lmax-above-limit": ["tabulate", "count", "--d", "3", "--lmax", "9"],
     "tol-inf": ["verify", "--d", "3", "--lmax", "1", "--tol", "inf"],
     "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],
 }

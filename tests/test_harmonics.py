@@ -85,6 +85,15 @@ class TestCount:
         for l in range(7):
             assert count(4, l) == (l + 1) ** 2
 
+    def test_matches_the_factorial_formula(self):
+        for d in range(3, 13):
+            for l in range(61):
+                num = (d + 2 * l - 2) * math.factorial(d + l - 3)
+                den = math.factorial(d - 2) * math.factorial(l)
+                assert num % den == 0
+                got = count(d, l)
+                assert type(got) is int and got == num // den
+
 
 class TestEnumerate:
     def test_d3_level1(self):

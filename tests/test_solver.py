@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from ultrasph.geometry import (
     to_ultraspherical,
 )
 from ultrasph.harmonics import MultiIndex, enumerate_indices, eval_harmonic
-from ultrasph import solver
+from ultrasph import formats, solver
 from ultrasph.quadrature import sphere_grid
 from ultrasph.solver import (
     BoundaryProblem,
@@ -231,8 +232,10 @@ class TestSumFactorizedTransforms:
         want = exp.coeffs[zero][0] / math.sqrt(solid_angle(d))
         assert_allclose(eval_expansion(exp, p.r, p), np.full(n, want), rtol=1e-13)
         # a single nonzero B anywhere makes r = 0 singular
-        last = list(exp.coeffs)[-1]
-        exp.coeffs[last] = (exp.coeffs[last][0], 1e-3 + 0j)
+        coeffs = dict(exp.coeffs)
+        last = list(coeffs)[-1]
+        coeffs[last] = (coeffs[last][0], 1e-3 + 0j)
+        exp = HarmonicExpansion(d, 2, coeffs)
         with pytest.raises(ValueError, match="r = 0"):
             eval_expansion(exp, p.r, p)
         r = np.array([0.5, 0.0, 1.0])
@@ -263,9 +266,9 @@ class TestStagedSynthesis:
         exp = manufactured(rng, d, lmax, "interior")
         grid = sphere_grid(d, lmax)
         samples = solver._synthesize(exp, 1.0, grid)
-        got = solver._read_off(solver._project((samples,), grid, lmax)[0], d, lmax)
-        assert list(got) == list(exp.coeffs)
-        assert max(abs(got[idx] - a) for idx, (a, _) in exp.coeffs.items()) <= 1e-13
+        labels, got = solver._read_off(solver._project((samples,), grid, lmax)[0], d, lmax)
+        assert np.array_equal(labels, exp.labels)
+        assert np.max(np.abs(got - exp.values[:, 0])) <= 1e-13
 
     def test_sparse_expansion_on_a_finer_grid(self):
         d = 5
@@ -493,6 +496,62 @@ class TestFits:
             HarmonicExpansion(3, -1, {})
         exp = HarmonicExpansion(np.int64(3), np.int64(1), {})
         assert type(exp.d) is int and type(exp.lmax) is int
+
+
+class TestCoefficientArrays:
+    """HarmonicExpansion stores label rows and (A, B) rows; coeffs is a view of them."""
+
+    @pytest.mark.parametrize("kind, radii", [("interior", (1.0,)), ("annulus", (0.5, 2.0))])
+    def test_fit_and_save_build_no_multi_index(self, monkeypatch, kind, radii):
+        d, lmax = 4, 3
+        rng = np.random.default_rng(130)
+        size = sphere_grid(d, lmax).size
+        problem = BoundaryProblem(d, kind, radii, lmax,
+                                  tuple(rng.normal(size=size) for _ in radii))
+        built = []
+        check = MultiIndex.__post_init__
+        monkeypatch.setattr(MultiIndex, "__post_init__",
+                            lambda idx: built.append(idx) or check(idx))
+        fit = {"interior": fit_interior, "annulus": fit_annulus}[kind](problem)
+        formats.save_coefficients(io.StringIO(), fit)
+        assert built == []
+        # the labels become MultiIndex keys only when a caller reads coeffs
+        assert len(fit.coeffs) == len(built) == len(fit.labels)
+
+    def test_coeffs_is_read_only(self):
+        idx = MultiIndex(3, 1, (-1,))
+        exp = HarmonicExpansion(3, 1, {idx: (1.0, 2.0)})
+        with pytest.raises(TypeError):
+            exp.coeffs[idx] = (0.0, 0.0)
+        with pytest.raises(AttributeError):
+            exp.coeffs = {}
+        with pytest.raises(ValueError, match="read-only"):
+            exp.values[0, 0] = 0.0
+        assert exp.coeffs == {idx: (1.0, 2.0)}
+
+    @pytest.mark.parametrize("d, lmax", [(3, 4), (5, 2)])
+    def test_dict_constructor_reproduces_a_fit(self, d, lmax):
+        rng = np.random.default_rng(131 + d)
+        samples = rng.normal(size=(sphere_grid(d, lmax).size, 2)) @ [1.0, 1j]
+        fit = fit_exterior(BoundaryProblem(d, "exterior", (1.5,), lmax, (samples,)))
+        again = HarmonicExpansion(d, lmax, fit.coeffs)
+        assert np.array_equal(again.labels, fit.labels)
+        assert again.values.tobytes() == fit.values.tobytes()
+        written = []
+        for exp in (fit, again):
+            out = io.StringIO()
+            formats.save_coefficients(out, exp)
+            written.append(out.getvalue())
+        assert written[0] == written[1]
+
+    def test_constructor_leaves_the_callers_dict_untouched(self):
+        idx = MultiIndex(4, 1, (1, 0))
+        pair = (1, 2)
+        coeffs = {idx: pair}
+        exp = HarmonicExpansion(4, 1, coeffs)
+        assert coeffs == {idx: pair} and coeffs[idx] is pair
+        assert exp.coeffs[idx] == (1 + 0j, 2 + 0j)
+        assert all(type(v) is complex for v in exp.coeffs[idx])
 
 
 class TestGreenExpansion:
