@@ -6,7 +6,7 @@ Run:  python demos/polynomials_and_derivatives.py
 
 import numpy as np
 
-from ultrasph import alpha_factor, deriv_at_one, poly, poly_deriv, poly_reference
+from ultrasph import deriv_at_one, poly, poly_deriv, poly_reference
 
 print("=" * 70)
 print("Ultraspherical polynomials P_{l,d}")
@@ -47,7 +47,8 @@ xs = np.array([-0.5, 0.0, 0.4])
 shift = np.asarray(poly_deriv(l, m, d, xs))
 fd = (np.asarray(poly_deriv(l, 1, d, xs + h))
       - np.asarray(poly_deriv(l, 1, d, xs - h))) / (2 * h)
-print(f"alpha({m},{d}) = {alpha_factor(m, d)}")
+# alpha(m,d) is the constant m-th derivative of P_{m,d}
+print(f"alpha({m},{d}) = {deriv_at_one(m, m, d)}")
 print(f"closed form      : {shift}")
 print(f"finite difference: {fd}")
 

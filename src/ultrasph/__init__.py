@@ -18,7 +18,6 @@ from .geometry import (
     to_ultraspherical,
 )
 from .gegenbauer import (
-    alpha_factor,
     assoc,
     deriv_at_one,
     norm_factor,
@@ -73,7 +72,6 @@ __all__ = [
     "VerifyReport",
     "addition_reduced",
     "addition_sum",
-    "alpha_factor",
     "assoc",
     "axis_factors",
     "cos_gamma",

@@ -38,7 +38,6 @@ import numpy as np
 from .geometry import _check_int, solid_angle
 
 __all__ = [
-    "alpha_factor",
     "assoc",
     "deriv_at_one",
     "norm_factor",
@@ -62,6 +61,16 @@ def _recurrence(lmax, d, x):
         elif k > 1:
             p_prev, p = p, ((2 * k + d - 4) * x * p - (k + d - 4) * p_prev) / k
         yield p
+
+
+def _jacobi_b(n, delta):
+    """b_n (n >= 1) of the monic recurrence p_{n+1} = x p_n - b_n p_{n-1} for (1-x^2)^delta."""
+    return n * (n + 2.0 * delta) / ((2.0 * n + 2.0 * delta) ** 2 - 1.0)
+
+
+def _log_mass(delta):
+    """log mu_0, mu_0 = int_{-1}^{1} (1-x^2)^delta dx = sqrt(pi) Gamma(delta+1) / Gamma(delta+3/2)."""
+    return 0.5 * math.log(math.pi) + math.lgamma(delta + 1.0) - math.lgamma(delta + 1.5)
 
 
 def poly(l, d, x):
@@ -135,17 +144,6 @@ def poly_reference(l, d, x):
     return np.asarray(flat).reshape(xa.shape)
 
 
-def alpha_factor(m, d):
-    """The product (d-2) d (d+2) ... (d+2m-4); empty product 1 for m = 0.
-
-    alpha(m, d) is the constant m-th derivative of P_{m,d}, so it equals
-    deriv_at_one(m, m, d); the exact integer product is rounded once.
-    """
-    m = _check_int(m, "order", 0)
-    d = _check_int(d, "dimension", 3)
-    return float(math.prod(range(d - 2, d + 2 * m - 2, 2)))
-
-
 def poly_deriv(l, m, d, x):
     """m-th x-derivative of P_{l,d} via the dimension shift.
 
@@ -160,7 +158,8 @@ def poly_deriv(l, m, d, x):
         return _maybe_scalar(np.zeros_like(xa), scalar_in)
     if m == 0:
         return poly(l, d, x)
-    val = alpha_factor(m, d) * np.asarray(poly(l - m, d + 2 * m, xa))
+    alpha = float(math.prod(range(d - 2, d + 2 * m - 2, 2)))  # exact, rounded once
+    val = alpha * np.asarray(poly(l - m, d + 2 * m, xa))
     return _maybe_scalar(val, scalar_in)
 
 

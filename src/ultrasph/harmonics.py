@@ -21,7 +21,8 @@ is exactly the identity (the chained 1-D factors alone leave a residual
 
 All bulk evaluation takes one table path: Y_idx is (2 pi)^(-1/2)
 e^(i m_1 phi) times one normalized factor per polar axis, read from the
-per-axis tables of :func:`axis_factors`.  :func:`harmonic_values` (and
+per-axis tables of :func:`axis_factors`, which one orthonormal recurrence
+fills with no normalization constant.  :func:`harmonic_values` (and
 through it :func:`addition_sum` and the verify Gram check) and
 ``solver.eval_expansion`` share one block gather over those tables
 (_chain_blocks) on integer label rows (_labels); a block of about 2^16
@@ -32,11 +33,12 @@ is the independent reference the tests compare the table path to.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gegenbauer import _recurrence, alpha_factor, assoc, norm_factor, poly
+from .gegenbauer import _jacobi_b, _log_mass, assoc, norm_factor, poly
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, solid_angle, to_cartesian, to_ultraspherical
 
 __all__ = [
@@ -143,10 +145,17 @@ def eval_psi(idx, angles):
 
 
 def norm_coeff(idx):
-    """Chained normalization constant, including the (2 pi)^(-1/2) factor."""
+    """Chained normalization constant, including the (2 pi)^(-1/2) factor.
+
+    Raises ValueError once a per-axis factor falls below sqrt(tiny) (its
+    rational part subnormal: from l = 86 at d = 3) or the product below tiny.
+    """
     out = 1.0 / math.sqrt(2.0 * math.pi)
     for k, degree, order in idx.axis_terms():
-        out *= norm_factor(degree, order, k)
+        factor = norm_factor(degree, order, k)
+        out *= factor
+        if factor < math.sqrt(sys.float_info.min) or out < sys.float_info.min:
+            raise ValueError(f"the normalization of {idx} underflows; use harmonic_values")
     return out
 
 
@@ -159,19 +168,26 @@ def axis_factors(k, lmax, theta):
     theta.  Y_idx is (2 pi)^(-1/2) e^(i m_1 phi) times the product of
     T_k[deg, ord] over idx.axis_terms().
 
-    Column ord is sin^ord(theta) alpha(ord, k) P_{deg-ord, k+2 ord}(cos theta),
-    so one walk of gegenbauer's degree recurrence per column fills it, with
-    the operations of :func:`~ultrasph.gegenbauer.assoc` in the same order:
-    the table is bitwise equal to the entry-by-entry product.
+    Column ord is sin^ord(theta) q_n(cos theta), n = deg - ord, with q_n
+    orthonormal for the weight (1-x^2)^delta, delta = ord + (k-3)/2.  All
+    columns step together through x q_n = a_{n+1} q_{n+1} + a_n q_{n-1},
+    a_n = sqrt(b_n), from q_0 = mu_0^(-1/2) (gegenbauer._jacobi_b,
+    _log_mass): no normalization constant is formed, and only the start
+    factor sin^ord(theta) can underflow (the weight-sin^(k-2) form of
+    Holmes & Featherstone 2002, J. Geodesy 76:279, without their scaling).
     """
     theta = np.asarray(theta, dtype=float)
+    x, ones = np.cos(theta), (1,) * theta.ndim
+    orders = np.arange(lmax + 1)
+    delta = orders.reshape((-1,) + ones) + (k - 3) / 2.0  # per column, broadcast over theta
+    a = np.sqrt(_jacobi_b(np.arange(1, lmax + 2).reshape((-1, 1) + ones), delta))  # a[n-1] = a_n
+    start = np.exp([-0.5 * _log_mass(v) for v in delta.flat]).reshape(delta.shape)
+    q, q_prev, a_n = start * np.sin(theta) ** orders.reshape(delta.shape), 0.0, 0.0
     table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
-    x = np.cos(theta)
-    for order in range(lmax + 1):
-        scale = np.sin(theta) ** order
-        alpha = alpha_factor(order, k)
-        for j, p in enumerate(_recurrence(lmax - order, k + 2 * order, x)):
-            table[order + j, order] = norm_factor(order + j, order, k) * (scale * (alpha * p))
+    for n in range(lmax + 1):
+        live = orders[: lmax + 1 - n]  # the columns whose degree ord + n is in the table
+        table[live + n, live] = q[: lmax + 1 - n]
+        q_prev, q, a_n = q, (x * q - a_n * q_prev) / a[n], a[n]
     return table
 
 
@@ -278,20 +294,14 @@ def addition_reduced(d, l, theta_a, theta_b, cos_gamma_lower):
     K_{l,d} sum_{m=0}^{l} (2m+d-3) N_{lm}^2 P^m_{l,d}(cos theta_a)
     P^m_{l,d}(cos theta_b) P_{m,d-1}(cos gamma_{d-1}), which again equals
     P_{l,d}(cos gamma_d).  Undefined at d = 3, where K divides by d-3.
+    The products N_{lm} P^m_{l,d} are row l of :func:`axis_factors`.
     """
     d = _check_int(d, "addition_reduced dimension", 4)
     k_factor = (
         solid_angle(d) / solid_angle(d - 1) * (d - 2) / ((2 * l + d - 2) * (d - 3))
     )
-    total = 0.0
-    for m in range(l + 1):
-        total += (
-            (2 * m + d - 3)
-            * norm_factor(l, m, d) ** 2
-            * assoc(l, m, d, theta_a)
-            * assoc(l, m, d, theta_b)
-            * poly(m, d - 1, cos_gamma_lower)
-        )
+    a, b = axis_factors(d, l, theta_a)[l], axis_factors(d, l, theta_b)[l]
+    total = sum((2 * m + d - 3) * a[m] * b[m] * poly(m, d - 1, cos_gamma_lower) for m in range(l + 1))
     return k_factor * total
 
 

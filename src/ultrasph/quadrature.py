@@ -14,9 +14,11 @@ weight.  They are found as the eigenvalues of the symmetric tridiagonal
 Jacobi matrix of its three-term recurrence (Golub & Welsch 1969, Math.
 Comp. 23:221), then polished by one vectorized Newton step on that
 recurrence; weights come from the standard h_{n-1} / (p_{n-1}(x) p_n'(x))
-formula, evaluated for all nodes in one recurrence pass.  A rule costs
-one dense symmetric eigensolve and two recurrence passes over all nodes.
-Nodes and weights are mirrored around the midpoint exactly.
+formula, evaluated for all nodes in one recurrence pass.  The recurrence
+coefficients b_k and the mass h_0 are gegenbauer's (_jacobi_b, _log_mass),
+as for harmonics.axis_factors.  A rule costs one dense symmetric
+eigensolve and two recurrence passes over all nodes.  Nodes and weights
+are mirrored around the midpoint exactly.
 
 Each rule is solved once per process: :func:`theta_rule` keeps the
 recently used (alpha, n) rules (up to 256) and returns the same
@@ -30,6 +32,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .gegenbauer import _jacobi_b, _log_mass
 from .geometry import UltrasphericalPoint, _check_int
 
 __all__ = [
@@ -39,18 +42,6 @@ __all__ = [
     "sphere_grid",
     "theta_rule",
 ]
-
-
-def _recurrence_b(k, delta):
-    """Monic recurrence coefficient b_k for the weight (1-x^2)^delta."""
-    return k * (k + 2.0 * delta) / ((2.0 * k + 2.0 * delta) ** 2 - 1.0)
-
-
-def _weight_mass(delta):
-    """mu_0 = integral of (1-x^2)^delta over [-1, 1]."""
-    return 2.0 ** (2.0 * delta + 1.0) * math.gamma(delta + 1.0) ** 2 / math.gamma(
-        2.0 * delta + 2.0
-    )
 
 
 def _monic(b, x):
@@ -71,7 +62,7 @@ def _gauss_rule(n, delta):
     are h_{n-1} / (p_{n-1}(x) p_n'(x)), mirror-averaged so paired weights
     are bitwise equal.
     """
-    b = _recurrence_b(np.arange(1, n), delta)
+    b = _jacobi_b(np.arange(1, n), delta)
     off = np.sqrt(b)
     x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
     _, p, dp = _monic(b, x)
@@ -80,7 +71,7 @@ def _gauss_rule(n, delta):
     if n % 2 == 1:
         x[n // 2] = 0.0
     pm1, _, dp = _monic(b, x)
-    w = _weight_mass(delta) * np.prod(b) / (pm1 * dp)
+    w = math.exp(_log_mass(delta)) * np.prod(b) / (pm1 * dp)
     return x, 0.5 * (w + w[::-1])
 
 

@@ -13,8 +13,9 @@ the level's whole coefficient slice (_solve_level, _BRANCHES).
 
 Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
-(harmonics.axis_factors), the one table path that harmonics.harmonic_values
-and verify also use; each table is built once per call.
+(harmonics.axis_factors, an orthonormal recurrence with no normalization
+constant), the one table path that harmonics.harmonic_values and verify
+also use; each table is built once per call.
 
 * Forward (project_boundary) is a staged contraction on the product grid.
   The samples, as the node tensor (n_d, ..., n_3, n_phi), are contracted

@@ -113,7 +113,8 @@ class TestTabulateCommand:
         assert err.value.code == 2
 
     def test_overflow_is_an_input_error(self, capsys):
-        # alpha_factor(200, 8) leaves the double range; gegenbauer raises OverflowError
+        # alpha(200, 8) = deriv_at_one(200, 200, 8) leaves the double range;
+        # poly_deriv raises OverflowError
         rc = main(["tabulate", "assoc", "--d", "8", "--l", "300", "--m", "200",
                    "--theta", "1"])
         out, err = capsys.readouterr()
@@ -293,6 +294,19 @@ class TestEvalCommand:
         assert main(["eval", coeffs, points, "-o", str(out_path)]) == 0
         assert capsys.readouterr().err == ""
         assert json.loads(out_path.read_text()) == {"values": [[0.0, 0.0], [0.0, 0.0]]}
+
+    def test_high_degree_coefficient(self, tmp_path, capsys):
+        # Y = T_3[100, 100](1) / sqrt(2 pi), far below every normalization constant's range
+        coeffs = write_json(tmp_path / "coeffs.json", {
+            "format": "ultrasph-coefficients", "d": 3, "lmax": 100, "coefficients": [
+                {"index": [100, 100], "A": [1.0, 0.0], "B": [0.0, 0.0]}],
+        })
+        points = write_json(tmp_path / "points.json", {"points": [
+            {"ultraspherical": {"r": 1.0, "theta": [1.0], "phi": 0.0}}]})
+        assert main(["eval", coeffs, points]) == 0
+        [[re, im]] = json.loads(capsys.readouterr().out)["values"]
+        assert abs(re - 3.029345023317297e-08) <= 1e-13 * 3.029345023317297e-08
+        assert im == 0.0
 
     def _solve_constant(self, tmp_path, capsys):
         config = interior_config(tmp_path, data="harmonic:(0,0;0)")

@@ -9,9 +9,9 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 import ultrasph.gegenbauer
+import ultrasph.harmonics
 from ultrasph.cli import main
 from ultrasph.gegenbauer import (
-    alpha_factor,
     assoc,
     deriv_at_one,
     norm_factor,
@@ -23,6 +23,7 @@ from ultrasph.gegenbauer import (
 from ultrasph.geometry import UltrasphericalPoint, _check_int, solid_angle
 from ultrasph.harmonics import axis_factors, harmonic_values
 from ultrasph.quadrature import theta_rule
+from ultrasph.solver import BoundaryProblem, eval_expansion, fit_annulus
 
 X_GRID = np.linspace(-1.0, 1.0, 21)
 
@@ -84,16 +85,18 @@ class TestPolyReference:
 
 
 class TestAlphaFactor:
+    """alpha(m, d), the constant m-th derivative of P_{m,d}: deriv_at_one(m, m, d)."""
+
     def test_empty_product(self):
         for d in range(3, 9):
-            assert alpha_factor(0, d) == 1.0
+            assert deriv_at_one(0, 0, d) == 1.0
 
     def test_single_factor(self):
-        assert alpha_factor(1, 5) == 3.0
+        assert deriv_at_one(1, 1, 5) == 3.0
 
     def test_direct_product(self):
-        assert alpha_factor(2, 3) == 3.0  # (1)(3)
-        assert alpha_factor(3, 6) == 4.0 * 6.0 * 8.0
+        assert deriv_at_one(2, 2, 3) == 3.0  # (1)(3)
+        assert deriv_at_one(3, 3, 6) == 4.0 * 6.0 * 8.0
 
 
 def _fd_first(f, x, h=1e-5):
@@ -291,11 +294,6 @@ def deriv_at_one_fraction(l, n, d):
     return float(Fraction(num, den))
 
 
-def alpha_factor_fraction(m, d):
-    m = _check_int(m, "order", 0)
-    return deriv_at_one_fraction(m, m, d)
-
-
 def norm_factor_fraction(l, n, d):
     l = _check_int(l, "degree", 0)
     n = _check_int(n, "order", 0)
@@ -359,10 +357,9 @@ class TestExactIntegerArithmetic:
 
     @pytest.mark.parametrize("d", range(3, 21))
     def test_alpha_factor_is_deriv_at_one(self, d):
+        # poly_deriv(m, m, d, x) is alpha(m, d) P_{0,d+2m} = alpha(m, d), rounded once
         for m in range(181):
-            want = _outcome(deriv_at_one_fraction, m, m, d)
-            assert _outcome(alpha_factor, m, d) == want
-            assert _outcome(alpha_factor_fraction, m, d) == want
+            assert _outcome(poly_deriv, m, m, d, 0.5) == _outcome(deriv_at_one_fraction, m, m, d)
 
     @pytest.mark.parametrize("arg", (2.0, True, np.int64(2), np.int32(3), -1, "2"))
     def test_argument_types_accepted_or_rejected_as_before(self, arg):
@@ -370,7 +367,6 @@ class TestExactIntegerArithmetic:
             (poly_reference, poly_reference_fraction, [(arg, 4, 0.3), (2, arg, 0.3)]),
             (norm_factor, norm_factor_fraction, [(arg, 1, 4), (3, arg, 4), (3, 1, arg)]),
             (deriv_at_one, deriv_at_one_fraction, [(arg, 1, 4), (3, arg, 4), (3, 1, arg)]),
-            (alpha_factor, alpha_factor_fraction, [(arg, 4), (2, arg)]),
         ]
         for new, old, arg_lists in cases:
             for args in arg_lists:
@@ -391,7 +387,6 @@ class TestNoFractionOnHotPaths:
     def test_constants_and_tables(self, monkeypatch):
         monkeypatch.setattr(ultrasph.gegenbauer, "Fraction", _no_fraction)
         assert norm_factor(5, 2, 6) == norm_factor_fraction(5, 2, 6)
-        assert alpha_factor(4, 5) == alpha_factor_fraction(4, 5)
         assert deriv_at_one(7, 3, 4) == deriv_at_one_fraction(7, 3, 4)
         assert axis_factors(5, 6, np.linspace(0.0, math.pi, 9)).shape == (7, 7, 9)
         point = UltrasphericalPoint(5, 1.0, (0.4, 1.1, 2.0), 0.3)
@@ -428,3 +423,22 @@ class TestNoFractionOnHotPaths:
         calls.clear()
         poly_reference(12, 6, X_GRID)
         assert 0 < once == len(calls)
+
+
+def _no_constant(*args, **kwargs):
+    raise AssertionError("norm_factor or exact integer arithmetic used on a bulk path")
+
+
+class TestNoNormalizationConstantOnBulkPaths:
+    def test_tables_values_fit_and_eval(self, monkeypatch):
+        monkeypatch.setattr(ultrasph.harmonics, "norm_factor", _no_constant)
+        monkeypatch.setattr(math, "factorial", _no_constant)
+        assert axis_factors(5, 6, np.linspace(0.0, math.pi, 9)).shape == (7, 7, 9)
+        point = UltrasphericalPoint(5, 1.0, (0.4, 1.1, 2.0), 0.3)
+        assert harmonic_values(point, 4).shape == (105,)
+        problem = BoundaryProblem(
+            4, "annulus", (0.5, 2.0), 3, (lambda p: np.cos(p.theta[0]), lambda p: 1.0 + 0 * p.phi)
+        )
+        expansion = fit_annulus(problem)
+        value = eval_expansion(expansion, 1.2, UltrasphericalPoint(4, 1.2, (0.5, 2.0), 4.0))
+        assert np.isfinite(value)

@@ -22,7 +22,7 @@ from ultrasph.harmonics import (
     harmonicity_residual,
     norm_coeff,
 )
-from ultrasph.quadrature import sphere_grid
+from ultrasph.quadrature import sphere_grid, theta_rule
 from ultrasph.solver import HarmonicExpansion, eval_expansion, radial_eval
 
 
@@ -161,6 +161,18 @@ class TestNormCoeff:
         b = norm_coeff(MultiIndex(5, 3, (2, 1, -1)))
         assert a == b
 
+    def test_underflowing_constant_raises(self):
+        point = UltrasphericalPoint(3, 1.0, (1.0,), 0.0)
+        # norm_factor(80, 80, 3) is still a normal double
+        assert eval_harmonic(MultiIndex(3, 80, (80,)), point) != 0.0
+        # norm_factor(100, 100, 3) is subnormal; the true Y is 3.029345023317297e-08
+        with pytest.raises(ValueError, match="underflows"):
+            eval_harmonic(MultiIndex(3, 100, (100,)), point)
+        # each per-axis factor is about 1e-104, their product is subnormal
+        assert norm_coeff(MultiIndex(5, 61, (61, 61, 61))) > 0.0
+        with pytest.raises(ValueError, match="underflows"):
+            norm_coeff(MultiIndex(5, 62, (62, 62, 62)))
+
 
 class TestEvalHarmonic:
     def test_constant_everywhere(self):
@@ -242,7 +254,7 @@ def random_point_array(rng, d, shape):
 
 class TestAxisFactors:
     @pytest.mark.parametrize("k", range(3, 9))
-    def test_one_pass_table_is_bitwise_the_entry_products(self, k):
+    def test_one_pass_table_matches_the_entry_products(self, k):
         rng = np.random.default_rng(40 + k)
         thetas = (0.0, math.pi, 0.7, rng.uniform(0.0, math.pi, 13),
                   rng.uniform(0.0, math.pi, (3, 4)))
@@ -251,7 +263,28 @@ class TestAxisFactors:
                 got = axis_factors(k, lmax, theta)
                 want = axis_factors_reference(k, lmax, theta)
                 assert got.shape == want.shape
-                assert np.array_equal(got, want)
+                # the largest |entry| of each column at each point
+                scale = np.max(np.abs(want), axis=0, keepdims=True)
+                assert np.all(np.abs(got - want) <= 2e-14 * scale)
+
+    def test_high_degree_entry_does_not_underflow(self):
+        # mpmath at 50 digits, rounded; norm_factor * assoc gives 0.0 here
+        assert_allclose(axis_factors(3, 100, 1.0)[100, 100], 7.593441889059845e-08, rtol=1e-13)
+
+    def test_high_degree_table_is_finite(self):
+        # filterwarnings = error: an overflow warning fails the test too
+        assert np.all(np.isfinite(axis_factors(3, 160, 1.0)))
+
+    @pytest.mark.parametrize("k", (3, 5))
+    def test_columns_are_orthonormal_at_high_degree(self, k):
+        lmax = 120
+        rule = theta_rule(k - 2, lmax + 2)
+        table = axis_factors(k, lmax, rule.nodes)
+        for order in range(lmax + 1):
+            column = table[:, order]
+            gram = (column * rule.weights) @ column.T
+            expected = np.diag((np.arange(lmax + 1) >= order).astype(float))
+            assert np.max(np.abs(gram - expected)) <= 1e-12
 
 
 # levels per dimension for the harmonic_values comparison
@@ -268,7 +301,8 @@ class TestHarmonicValues:
             got = harmonic_values(point, lmax)
             want = np.array([eval_harmonic(i, point) for i in indices])
             assert got.shape == want.shape
-            assert_allclose(got, want, rtol=1e-14, atol=0)
+            # entries near zero cancel in the table recurrence; atol covers them
+            assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.max(np.abs(want)))
 
     def test_single_level_is_a_slice_of_all_levels(self):
         rng = np.random.default_rng(57)

@@ -39,6 +39,14 @@ class TestThetaRule:
         got = rule.integrate(np.cos(rule.nodes) ** 2)
         assert_allclose(got, math.pi / 8, rtol=1e-13)
 
+    def test_high_weight_exponent(self):
+        # Gamma(150.5)^2 overflows a double; the mass is formed in logs
+        rule = theta_rule(300, 6)
+        total = rule.total_weight()
+        assert_allclose(total, math.sqrt(math.pi) * math.exp(math.lgamma(150.5) - math.lgamma(151)),
+                        rtol=1e-13)
+        assert_allclose(rule.integrate(np.cos(rule.nodes) ** 2) / total, 1 / 302, rtol=1e-13)
+
     @pytest.mark.parametrize("alpha", range(1, 7))
     @pytest.mark.parametrize("n", range(1, 13))
     def test_monomial_exactness(self, alpha, n):

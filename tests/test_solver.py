@@ -270,6 +270,17 @@ class TestStagedSynthesis:
         assert np.array_equal(labels, exp.labels)
         assert np.max(np.abs(got - exp.values[:, 0])) <= 1e-13
 
+    def test_high_degree_round_trip(self):
+        # fit, synthesize, fit again at lmax 100: the tables stay in the double range
+        lmax = 100
+        grid = sphere_grid(3, lmax)
+        samples = np.random.default_rng(0).standard_normal(grid.size)
+        first = fit_interior(BoundaryProblem(3, "interior", (1.0,), lmax, (samples,)))
+        again = fit_interior(
+            BoundaryProblem(3, "interior", (1.0,), lmax, (solver._synthesize(first, 1.0, grid),))
+        )
+        assert np.max(np.abs(again.values - first.values)) <= 1e-13
+
     def test_sparse_expansion_on_a_finer_grid(self):
         d = 5
         exp = HarmonicExpansion(d, 2, {MultiIndex(d, 2, (1, 1, -1)): (0.5j, 2.0),
