@@ -170,7 +170,10 @@ def _cmd_tabulate(args, parser):
             if args.l is None or args.n is None:
                 parser.error("tabulate norm needs --l and --n")
             header = "# n  norm"
-            rows = [(args.n, _fmt(norm_factor(args.l, args.n, args.d)))]
+            norm = norm_factor(args.l, args.n, args.d)
+            if norm < math.sqrt(sys.float_info.min):  # refused as norm_coeff refuses it
+                parser.error(f"norm at l={args.l}, n={args.n}, d={args.d} underflows")
+            rows = [(args.n, _fmt(norm))]
         else:  # count
             if args.lmax is None:
                 parser.error("tabulate count needs --lmax")

@@ -17,8 +17,12 @@ One self-describing JSON syntax covers all four file kinds:
                   ...]}
 * values:        {"values": [[re, im], ...]}, order-preserving
 
-Floats serialize through Python's shortest round-trip repr, so identical
-inputs produce byte-identical files; a non-finite number is never written.
+Readers and writers work on whole arrays: one bulk number check
+(_finite_rows) serves samples, coefficient pairs and coordinates, and
+only the first failing record or entry, in file order, is checked alone
+to word the error.  Writers fill one %-template per row; %r is Python's
+shortest round-trip float repr, as json.dump writes it, so identical
+inputs produce byte-identical files.  A non-finite number is never written.
 """
 
 import itertools
@@ -157,7 +161,7 @@ def _data_for_entry(entry, d, lmax, where):
     samples = _load_json(entry["samples-file"])
     if not isinstance(samples, dict) or "values" not in samples:
         raise FormatError(f"{entry['samples-file']}: expected an object with 'values'")
-    values = _parse_complex_list(samples["values"], entry["samples-file"])
+    values = _finite_rows(samples["values"], entry["samples-file"], 2).view(complex)[:, 0]
     expected = math.prod(grid_shape(d, lmax))
     if values.size != expected:
         raise FormatError(
@@ -185,21 +189,28 @@ def build_problem(config):
         raise FormatError(f"{config['path']}: {exc}") from exc
 
 
-def _parse_complex_list(raw, where):
-    """The [re, im] pairs of ``raw`` as a complex array; rejects strings, bools and non-finite."""
+def _finite_rows(raw, where, width):
+    """``raw``, a list of lists of ``width`` numbers, as a (len(raw), width) float array.
+
+    Only JSON ints and floats that are finite doubles pass: a bool, a
+    string numpy would convert, an integer beyond the double range, inf,
+    NaN or another layout raises FormatError naming ``where``.
+    """
+    layout = f"{where}: values must be " + (
+        "[re, im] pairs" if width == 2 else f"lists of {width} numbers")
     try:
         # one pass over the entries: only JSON numbers, not bools or strings numpy would convert
         numbers = set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"{where}: values must be [re, im] pairs") from exc
+        raise FormatError(layout) from exc
     except OverflowError as exc:  # an integer literal too large for a float
         raise FormatError(f"{where}: values must be finite numbers") from exc
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise FormatError(f"{where}: values must be [re, im] pairs")
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise FormatError(layout)
     if not (numbers and np.isfinite(arr).all()):
         raise FormatError(f"{where}: values must be finite numbers")
-    return arr[:, 0] + 1j * arr[:, 1]
+    return arr
 
 
 def _is_finite_number(v):
@@ -220,95 +231,145 @@ def _finite_numbers(values):
 
 
 def _finite_pair(rec, key, where):
-    """The [re, im] pair under ``key`` as a complex; rejects bools and non-finite."""
+    """Check the [re, im] pair under ``key`` of one record; rejects bools and non-finite."""
     pair = _require(rec, key, list, where)
     if not (len(pair) == 2 and all(_is_finite_number(v) for v in pair)):
         raise FormatError(f"{where}: {key} must be a [re, im] pair of finite numbers")
-    return complex(pair[0], pair[1])
 
 
-def _number(v):
-    """A finite float as json writes it, its repr; inf or NaN raises ValueError."""
-    if not math.isfinite(v):
-        raise ValueError(f"cannot write the non-finite value {v!r}")
-    return repr(v)
+def _parts(values):
+    """The (re, im) parts of a complex array as floats, each row's in order; a non-finite part raises ValueError."""
+    parts = np.ascontiguousarray(values, dtype=complex).view(float)
+    finite = np.isfinite(parts)
+    if not finite.all():
+        raise ValueError(f"cannot write the non-finite value {float(parts[~finite][0])!r}")
+    return parts
 
 
-def _array(items, pad):
-    """A list of formatted items in json.dump's indent=2 layout, nested at ``pad``."""
+def _list(items, pad):
+    """Formatted items as a list in json.dump's indent=2 layout, nested at ``pad``."""
     if not items:
         return "[]"
-    sep = ",\n" + pad + "  "
-    return "[\n" + pad + "  " + sep.join(items) + "\n" + pad + "]"
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"
 
 
-def _object(fields, pad):
-    """An object of (key, formatted value) fields in the same layout; keys need no escapes."""
-    sep = ",\n" + pad + "  "
-    return "{\n" + pad + "  " + sep.join(f'"{k}": {v}' for k, v in fields) + "\n" + pad + "}"
-
-
-def _pair(z, pad):
-    z = complex(z)
-    return _array([_number(z.real), _number(z.imag)], pad)
+_PAIR = "[\n{0}  %r,\n{0}  %r\n{0}]"
 
 
 def save_coefficients(fp, expansion):
     """Write an expansion; coefficient order follows the expansion's rows.
 
-    The bytes are those of json.dump(..., indent=2) plus a newline, built
-    as one string; a non-finite coefficient raises ValueError.
+    The bytes are those of json.dump(..., indent=2) plus a newline: one
+    %-template per record, %d for the index and %r (float repr, as json
+    writes) for A and B.  A non-finite coefficient raises ValueError
+    before anything is written.
     """
-    pad = " " * 6  # the nesting of a record's lists
-    records = [
-        _object((("index", _array([str(v) for v in row], pad)),
-                 ("A", _pair(a, pad)), ("B", _pair(b, pad))), " " * 4)
-        for row, (a, b) in zip(expansion.labels.tolist(), expansion.values.tolist())
-    ]
-    fp.write(_object((("format", '"ultrasph-coefficients"'), ("d", str(expansion.d)),
-                      ("lmax", str(expansion.lmax)),
-                      ("coefficients", _array(records, "  "))), "") + "\n")
+    labels, parts = expansion.labels, _parts(expansion.values)
+    index = ",\n".join(["        %d"] * labels.shape[1])
+    pair = _PAIR.format(" " * 6)
+    record = ('    {\n      "index": [\n' + index + '\n      ],\n'
+              '      "A": ' + pair + ',\n      "B": ' + pair + "\n    }")
+    fields = np.concatenate([labels, parts], axis=1, dtype=object).tolist()
+    records = [record % tuple(row) for row in fields]
+    fp.write('{\n  "format": "ultrasph-coefficients",\n  "d": %d,\n  "lmax": %d,\n'
+             '  "coefficients": %s\n}\n' % (expansion.d, expansion.lmax, _list(records, "  ")))
+
+
+def _record_error(rec, d, path):
+    """Raise the error of ``rec``, a record whose index breaks a rule or repeats an earlier one.
+
+    Only this record is built as a MultiIndex, whose error text the message keeps.
+    """
+    if not isinstance(rec, dict):
+        raise FormatError(f"{path}: coefficient records must be objects")
+    index = _require(rec, "index", list, path)
+    try:
+        l, *m = index
+        MultiIndex(d, l, tuple(m))
+    except ValueError as exc:
+        raise FormatError(f"{path}: invalid index {index}: {exc}") from exc
+    raise FormatError(f"{path}: duplicate index {index}")
+
+
+def _label_rows(rows, d):
+    """(labels, bad): the int-list rows of ``rows`` as one array, in order, and a mask.
+
+    ``bad`` marks each row that is not a list of d - 1 ints, breaks the
+    chain rule l >= m_{d-2} >= ... >= m_2 >= |m_1| >= 0 or repeats an
+    earlier row.  Integers beyond int64 stay Python ints (an object
+    array), so every comparison is exact.
+    """
+    width, keep = d - 1, None
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int}):
+        # find the rows that are lists of d - 1 ints, one by one
+        keep = np.array([type(r) is list and len(r) == width and set(map(type, r)) <= {int}
+                         for r in rows], dtype=bool)
+        rows = list(itertools.compress(rows, keep))
+    try:
+        labels = np.array(rows, dtype=np.int64).reshape(len(rows), width)
+    except OverflowError:
+        labels = np.array(rows, dtype=object).reshape(len(rows), width)
+    # (l, m_{d-2}, ..., m_2, |m_1|) must not increase; abs(-2^63) < 0 fails the last test
+    chain = np.concatenate([labels[:, :-1], np.abs(labels[:, -1:])], axis=1)
+    bad = ~((chain[:, :-1] >= chain[:, 1:]).all(axis=1) & (chain[:, -1] >= 0))
+    order = np.lexsort(labels.T)  # stable: a repeated row follows its first, file order kept
+    bad[order[1:]] |= (labels[order[1:]] == labels[order[:-1]]).all(axis=1)
+    if keep is not None:  # the rows left out are bad too
+        keep[keep] = ~bad
+        bad = ~keep
+    return labels, bad
 
 
 def load_coefficients(path):
+    """Read a coefficients file into a HarmonicExpansion, rows in file order.
+
+    No MultiIndex is built unless a record fails; then the first failing
+    one words the error, as a record-by-record reader would.  A level
+    above lmax is reported once every record has passed.
+    """
     obj = _load_json(path)
     if not isinstance(obj, dict) or obj.get("format") != "ultrasph-coefficients":
         raise FormatError(f"{path}: not a coefficients file")
     d = _require(obj, "d", int, path)
     lmax = _require(obj, "lmax", int, path)
-    coeffs = {}
-    for rec in _require(obj, "coefficients", list, path):
-        if not isinstance(rec, dict):
-            raise FormatError(f"{path}: coefficient records must be objects")
-        index = _require(rec, "index", list, path)
-        try:
-            l, *m = index
-            idx = MultiIndex(d, l, tuple(m))
-        except ValueError as exc:
-            raise FormatError(f"{path}: invalid index {index}: {exc}") from exc
-        if idx in coeffs:
-            raise FormatError(f"{path}: duplicate index {index}")
-        coeffs[idx] = (_finite_pair(rec, "A", path), _finite_pair(rec, "B", path))
+    records = _require(obj, "coefficients", list, path)
+    objects = [rec if type(rec) is dict else {} for rec in records]
+    labels, bad = _label_rows([rec.get("index") for rec in objects], max(d, 3))
+    bad |= d < 3  # no index fits
     try:
-        return HarmonicExpansion(d, lmax, coeffs)
+        pairs = [p for rec in objects for p in (rec.get("A"), rec.get("B"))]
+        values = _finite_rows(pairs, path, 2) if pairs else np.empty((0, 2))
+    except FormatError:
+        values = None
+    if values is None or bad.any():
+        for rec, flagged in zip(records, bad):
+            if flagged:
+                _record_error(rec, d, path)
+            _finite_pair(rec, "A", path)
+            _finite_pair(rec, "B", path)
+    try:
+        d, lmax = _check_int(d, "dimension", 3), _check_int(lmax, "lmax", 0)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    above = labels[:, 0] > lmax
+    if above.any():
+        raise FormatError(f"{path}: index level {labels[above.argmax(), 0]} exceeds lmax={lmax}")
+    return HarmonicExpansion._of(d, lmax, np.asarray(labels, dtype=np.int64),
+                                 values.view(complex).reshape(-1, 2))
 
 
-def load_points(path):
-    """Read a points file; returns (d, one UltrasphericalPoint holding every point).
+def _point_row(entry):
+    """An entry's numbers, x or (r, theta_d, ..., theta_3, phi), unchecked."""
+    if "cartesian" in entry:
+        return entry["cartesian"]
+    rec = entry["ultraspherical"]
+    return [rec["r"], *rec["theta"], rec["phi"]]
 
-    The point's fields are arrays with one entry per point, in file order;
-    all Cartesian entries are converted by one to_ultraspherical call.
-    """
-    obj = _load_json(path)
-    if not isinstance(obj, dict) or "points" not in obj:
-        raise FormatError(f"{path}: expected an object with a 'points' list")
-    entries = obj["points"]
-    if not isinstance(entries, list) or not entries:
-        raise FormatError(f"{path}: 'points' must be a nonempty list")
-    rows = []  # the d numbers of each entry: (r, theta_d, ..., theta_3, phi) or x
-    cartesian = []  # positions of the Cartesian entries
+
+def _point_error(entries, path):
+    """Raise the error of the first entry, in file order, that breaks a rule of the points file."""
+    d = None
     for i, entry in enumerate(entries):
         where = f"{path} point #{i}"
         if not isinstance(entry, dict):
@@ -320,7 +381,6 @@ def load_points(path):
         try:
             if "cartesian" in entry:
                 row = _finite_numbers(entry["cartesian"])
-                cartesian.append(i)
             else:
                 rec = entry["ultraspherical"]
                 r, phi = _finite_numbers([rec["r"], rec["phi"]])
@@ -328,10 +388,37 @@ def load_points(path):
             _check_int(len(row), "dimension", 3)
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{where}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise FormatError(f"{where}: dimension {len(row)} differs from {len(rows[0])}")
-        rows.append(row)
-    d, coords = len(rows[0]), np.array(rows).T
+        d = d or len(row)
+        if len(row) != d:
+            raise FormatError(f"{where}: dimension {len(row)} differs from {d}")
+
+
+def load_points(path):
+    """Read a points file; returns (d, one UltrasphericalPoint holding every point).
+
+    The point's fields are arrays with one entry per point, in file order;
+    all Cartesian entries are converted by one to_ultraspherical call.
+    Every coordinate passes one bulk number check; only when an entry
+    fails are the entries checked one by one, to name it.
+    """
+    obj = _load_json(path)
+    if not isinstance(obj, dict) or "points" not in obj:
+        raise FormatError(f"{path}: expected an object with a 'points' list")
+    entries = obj["points"]
+    if not isinstance(entries, list) or not entries:
+        raise FormatError(f"{path}: 'points' must be a nonempty list")
+    coords = None
+    if set(map(type, entries)) <= {dict} and all(
+            [("cartesian" in e) != ("ultraspherical" in e) for e in entries]):
+        try:
+            rows = [_point_row(e) for e in entries]
+            coords = _finite_rows(rows, path, len(rows[0]))
+        except (KeyError, TypeError, FormatError):
+            pass
+    if coords is None or coords.shape[1] < 3:
+        _point_error(entries, path)
+    d, coords = coords.shape[1], coords.T
+    cartesian = [i for i, e in enumerate(entries) if "cartesian" in e]
     if cartesian:
         converted = to_ultraspherical(CartesianPoint(d, coords[:, cartesian]))
         coords[:, cartesian] = [converted.r, *converted.theta, converted.phi]
@@ -343,7 +430,7 @@ def load_points(path):
         return d, point(coords)
     except ValueError:
         # the same rules entry by entry, to name the first point that breaks one
-        for i in range(len(rows)):
+        for i in range(len(entries)):
             try:
                 point(coords[:, i])
             except ValueError as exc:
@@ -353,5 +440,6 @@ def load_points(path):
 
 def save_values(fp, values):
     """Write values in the layout of :func:`save_coefficients`; a non-finite value raises ValueError."""
-    fp.write(_object((("values", _array([_pair(v, " " * 4) for v in values], "  ")),), "")
-             + "\n")
+    pair = "    " + _PAIR.format(" " * 4)
+    rows = [pair % tuple(p) for p in _parts(values).reshape(-1, 2).tolist()]
+    fp.write('{\n  "values": %s\n}\n' % _list(rows, "  "))

@@ -210,5 +210,14 @@ def sphere_grid(d, lmax):
 
 
 def weight_total(alpha):
-    """Analytic int_0^pi sin^alpha(theta) dtheta."""
-    return math.sqrt(math.pi) * math.gamma((alpha + 1) / 2.0) / math.gamma(alpha / 2.0 + 1.0)
+    """Analytic int_0^pi sin^alpha(theta) dtheta = sqrt(pi) Gamma((alpha+1)/2) / Gamma(alpha/2+1).
+
+    The direct ratio is correct to a few ulps while the Gamma values are
+    finite (alpha <= 340).  Above that it is formed in logs with
+    math.lgamma, whose rounding near lgamma(alpha/2) limits it to about
+    1e-13 relative (2.2e-14 at alpha = 400).
+    """
+    if alpha <= 340:
+        return math.sqrt(math.pi) * math.gamma((alpha + 1) / 2.0) / math.gamma(alpha / 2.0 + 1.0)
+    return math.exp(0.5 * math.log(math.pi) + math.lgamma((alpha + 1) / 2.0)
+                    - math.lgamma(alpha / 2.0 + 1.0))

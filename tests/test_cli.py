@@ -138,6 +138,7 @@ _USAGE_ERRORS = {
     "assoc-inf": ["tabulate", "assoc", "--d", "3", "--l", "2", "--m", "1", "--theta", "inf"],
     "count-negative-lmax": ["tabulate", "count", "--d", "3", "--lmax", "-1"],
     "count-lmax-above-limit": ["tabulate", "count", "--d", "3", "--lmax", "9"],
+    "norm-underflow": ["tabulate", "norm", "--d", "3", "--l", "100", "--n", "100"],
     "tol-inf": ["verify", "--d", "3", "--lmax", "1", "--tol", "inf"],
     "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],
 }
@@ -601,6 +602,8 @@ _MALFORMED = {
     "points-theta-out-of-range": ("points",
                                   _points_doc({"ultraspherical": dict(_US, theta=[0.5, 4.0])}),
                                   "point #1: polar angles must lie in [0, pi]"),
+    "points-two-coordinates": ("points", {"points": [{"cartesian": [0.1, 0.2]}]},
+                               "point #0: dimension must be an integer >= 3, got 2"),
     "coefficients-empty-index": ("coefficients", _coefficients_doc([]), "invalid index []"),
     "coefficients-float-entry": ("coefficients", _coefficients_doc([1, 0.7, 0]),
                                  "must be an integer"),

@@ -47,6 +47,11 @@ class TestThetaRule:
                         rtol=1e-13)
         assert_allclose(rule.integrate(np.cos(rule.nodes) ** 2) / total, 1 / 302, rtol=1e-13)
 
+    def test_weight_total_past_the_gamma_overflow(self):
+        # mpmath: 0.12525310615320497864...
+        assert_allclose(weight_total(400), 0.12525310615320498, rtol=1e-13)
+        assert_allclose(theta_rule(400, 3).total_weight(), weight_total(400), rtol=1e-13)
+
     @pytest.mark.parametrize("alpha", range(1, 7))
     @pytest.mark.parametrize("n", range(1, 13))
     def test_monomial_exactness(self, alpha, n):
