@@ -35,6 +35,7 @@ is the independent reference the tests compare the table path to.
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -175,14 +176,18 @@ def axis_factors(k, lmax, theta):
     _log_mass): no normalization constant is formed, and only the start
     factor sin^ord(theta) can underflow (the weight-sin^(k-2) form of
     Holmes & Featherstone 2002, J. Geodesy 76:279, without their scaling).
+    The steps a_n and starts mu_0^(-1/2) are formed once per (k, lmax)
+    (_steps), so a call runs only the recurrence over theta.
     """
+    k = _check_int(k, "dimension", 3)
+    lmax = _check_int(lmax, "lmax", 0)
+    a, start = _steps(k, lmax)
     theta = np.asarray(theta, dtype=float)
     x, ones = np.cos(theta), (1,) * theta.ndim
     orders = np.arange(lmax + 1)
-    delta = orders.reshape((-1,) + ones) + (k - 3) / 2.0  # per column, broadcast over theta
-    a = np.sqrt(_jacobi_b(np.arange(1, lmax + 2).reshape((-1, 1) + ones), delta))  # a[n-1] = a_n
-    start = np.exp([-0.5 * _log_mass(v) for v in delta.flat]).reshape(delta.shape)
-    q, q_prev, a_n = start * np.sin(theta) ** orders.reshape(delta.shape), 0.0, 0.0
+    a = a.reshape(a.shape + ones)  # a[n-1] = a_n, one column per order, broadcast over theta
+    q = start.reshape((-1,) + ones) * np.sin(theta) ** orders.reshape((-1,) + ones)
+    q_prev, a_n = 0.0, 0.0
     table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
     for n in range(lmax + 1):
         live = orders[: lmax + 1 - n]  # the columns whose degree ord + n is in the table
@@ -191,14 +196,33 @@ def axis_factors(k, lmax, theta):
     return table
 
 
+@lru_cache(maxsize=64)
+def _steps(k, lmax):
+    """The recurrence steps a[n-1, ord] = a_n and the starts mu_0^(-1/2) per order, read-only.
+
+    Keyed on the validated plain ints of :func:`axis_factors`.
+    """
+    delta = np.arange(lmax + 1) + (k - 3) / 2.0  # per column
+    a = np.sqrt(_jacobi_b(np.arange(1, lmax + 2).reshape(-1, 1), delta))
+    start = np.exp([-0.5 * _log_mass(v) for v in delta])
+    a.flags.writeable = start.flags.writeable = False  # shared by every later call
+    return a, start
+
+
 # rows x points entries of one block of the chain-product gather (1 MiB of complex)
 _BLOCK = 1 << 16
 
 
-def _labels(d, lmax, lmin=0):
-    """Int label rows (l, m_{d-2}, ..., m_1) of levels lmin..lmax, in enumerate_indices order."""
+@lru_cache(maxsize=64)
+def _labels(d, lmax, lmin):
+    """Int label rows (l, m_{d-2}, ..., m_1) of levels lmin..lmax, in enumerate_indices order.
+
+    Built once per (d, lmax, lmin) and shared, so the array is read-only.
+    """
     rows = [(l, *m) for l in range(lmin, lmax + 1) for m in _chains(l, d - 2)]
-    return np.array(rows, dtype=int).reshape(-1, d - 1)
+    labels = np.array(rows, dtype=int).reshape(-1, d - 1)
+    labels.flags.writeable = False
+    return labels
 
 
 def _indices(d, labels):
@@ -215,9 +239,12 @@ def _chain_blocks(labels, angles, shape):
     """Yield (start, Y): Y_idx(angles) of the label rows from start on, as (rows,) + shape.
 
     ``shape`` is one the angles broadcast to.  Each block starts as its
-    rows' e^(i m_1 phi) / sqrt(2 pi) and is multiplied in place by the
-    gathered T_k[deg_k, ord_k] for k = d, ..., 3, the order of the
-    per-index chain product, so each row is bitwise that product.
+    rows' e^(i m_1 phi) / sqrt(2 pi) and is multiplied by the gathered
+    T_k[deg_k, ord_k] for k = d, ..., 3, the order of the per-index chain
+    product, so each row is bitwise that product.  A block grows by
+    broadcasting until it has its full shape (an open mesh grows from the
+    phase outward) and is then multiplied in place, so scattered points
+    allocate nothing beyond the block.
     """
 
     def full(a):  # an angle array with the ndim of ``shape``, for gathers over rows
@@ -235,11 +262,17 @@ def _chain_blocks(labels, angles, shape):
     step = max(1, _BLOCK // max(1, math.prod(shape)))
     for start in range(0, len(labels), step):
         rows = labels[start : start + step]
-        y = np.empty((len(rows),) + shape, dtype=complex)
-        y[...] = phases[rows[:, -1] + top]
+        block = (len(rows),) + shape
+        y = phases[rows[:, -1] + top]
         orders = np.abs(rows)  # only m_1 may be negative; its axis has order |m_1|
         for i, table in enumerate(tables):
-            y *= table[orders[:, i], orders[:, i + 1]]
+            factor = table[orders[:, i], orders[:, i + 1]]
+            if y.shape == block:
+                y *= factor
+            else:
+                y = y * factor
+        if y.shape != block:  # angles that do not span ``shape``
+            y = np.broadcast_to(y, block).copy()
         yield start, y
 
 
@@ -251,6 +284,8 @@ def harmonic_values(angles, lmax, lmin=0):
     scalar point gives a vector.  Equal to :func:`eval_harmonic` per index
     up to roundoff, from one set of per-axis tables.
     """
+    lmax = _check_int(lmax, "lmax", 0)
+    lmin = _check_int(lmin, "lmin", 0)
     d, shape = angles.d, _point_shape(angles)
     labels = _labels(d, lmax, lmin)
     out = np.empty((len(labels),) + shape, dtype=complex)
@@ -279,6 +314,8 @@ def addition_sum(d, l, angles_a, angles_b):
     the imaginary part cancels (conjugate m_1 pairs) and is dropped.
     Array-valued points give one sum per broadcast element.
     """
+    d = _check_int(d, "dimension", 3)
+    l = _check_int(l, "level", 0)
     if angles_a.d != d or angles_b.d != d:
         raise ValueError(f"dimension mismatch: d={d}, points d={angles_a.d}, {angles_b.d}")
     ya = harmonic_values(angles_a, l, l)
@@ -297,6 +334,7 @@ def addition_reduced(d, l, theta_a, theta_b, cos_gamma_lower):
     The products N_{lm} P^m_{l,d} are row l of :func:`axis_factors`.
     """
     d = _check_int(d, "addition_reduced dimension", 4)
+    l = _check_int(l, "level", 0)
     k_factor = (
         solid_angle(d) / solid_angle(d - 1) * (d - 2) / ((2 * l + d - 2) * (d - 3))
     )

@@ -22,13 +22,16 @@ are mirrored around the midpoint exactly.
 
 Each rule is solved once per process: :func:`theta_rule` keeps the
 recently used (alpha, n) rules (up to 256) and returns the same
-read-only ThetaRule on a repeated call, so the grids :func:`sphere_grid`
-builds share their rules.
+read-only ThetaRule on a repeated call.  Grids are shared the same way:
+:func:`sphere_grid` keeps the recently used (d, lmax) grids (up to 64),
+which share their rules, and the transforms keep each grid's per-axis
+tables with it (solver._tables).  A shared grid holds only its axes;
+its node mesh and weight tensor are formed on each read.
 """
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -135,7 +138,8 @@ class SphereGrid:
     <= lmax exactly up to roundoff.
 
     ``points``/``weights`` expose the flattened node tensor for vectorized
-    consumers (built lazily and cached).
+    consumers, formed anew on each read: a grid is shared, so it keeps no
+    node-sized array.
     """
 
     def __init__(self, d, lmax, theta_rules, phi_nodes, phi_weight):
@@ -158,7 +162,7 @@ class SphereGrid:
     def size(self):
         return math.prod(self.shape)
 
-    @cached_property
+    @property
     def points(self):
         """All nodes as one UltrasphericalPoint with array angles, r = 1."""
         axes = [rule.nodes for rule in self.theta_rules] + [self.phi_nodes]
@@ -167,7 +171,7 @@ class SphereGrid:
         phi = mesh[-1].reshape(-1)
         return UltrasphericalPoint(self.d, 1.0, thetas, phi)
 
-    @cached_property
+    @property
     def weights(self):
         axes = [rule.weights for rule in self.theta_rules] + [
             np.full(self.n_phi, self.phi_weight)
@@ -200,12 +204,23 @@ def grid_shape(d, lmax):
 
 
 def sphere_grid(d, lmax):
-    """Build the product grid for dimension d and harmonic band limit lmax."""
+    """The product grid for dimension d and harmonic band limit lmax.
+
+    Each (d, lmax) is built once per process, like its rules: later calls
+    return the same SphereGrid, whose phi nodes are read-only.
+    """
+    grid_shape(d, lmax)  # the integer checks
+    return _sphere_grid(int(d), int(lmax))
+
+
+@lru_cache(maxsize=64)
+def _sphere_grid(d, lmax):
+    """The grid of :func:`sphere_grid`, keyed on its validated plain ints."""
     shape = grid_shape(d, lmax)
-    d, lmax = int(d), int(lmax)
     rules = [theta_rule(j - 2, n) for j, n in zip(range(d, 2, -1), shape[:-1])]
     n_phi = shape[-1]
     phi_nodes = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    phi_nodes.flags.writeable = False  # the grid is shared
     return SphereGrid(d, lmax, rules, phi_nodes, 2.0 * math.pi / n_phi)
 
 

@@ -15,7 +15,9 @@ Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
 (harmonics.axis_factors, an orthonormal recurrence with no normalization
 constant), the one table path that harmonics.harmonic_values and verify
-also use; each table is built once per call.
+also use.  Each table is built once per grid and lmax (_tables), and
+sphere_grid shares one grid per (d, lmax), so repeated fits and
+syntheses on a grid reuse its tables.
 
 * Forward (project_boundary) is a staged contraction on the product grid.
   The samples, as the node tensor (n_d, ..., n_3, n_phi), are contracted
@@ -25,6 +27,8 @@ also use; each table is built once per call.
   below), so no intermediate is larger than the grid, and the last one
   holds c_idx at (l, m_{d-2}, ..., m_2, m_1).  A fit contracts all its
   spheres' samples as one stacked tensor, through one set of d-2 tables;
+  the phi stage is one 2-D matmul and each theta stage one matmul per
+  order of the axis below (_stage), so BLAS sees few large products;
   _read_off gathers each label row's entries, the arrays HarmonicExpansion keeps.
 * Inverse, two routes.  On a grid, _synthesize is the staged adjoint of
   the forward contraction without the weights: A and B are combined per
@@ -53,6 +57,7 @@ both contractions come from one helper (_tables).
 
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -179,6 +184,8 @@ def _radial_powers(l, d, r, need_a, need_b):
 
 def radial_eval(a, b, l, d, r):
     """A r^l + B r^-(l+d-2); a nonzero coefficient needs its power of r finite."""
+    l = _check_int(l, "level", 0)
+    d = _check_int(d, "dimension", 3)
     ra = np.asarray(r, dtype=float)
     a, b = complex(a), complex(b)
     grow, decay = _radial_powers(l, d, ra, a != 0, b != 0)
@@ -237,23 +244,52 @@ def _positions(labels, lmax):
     return np.ravel_multi_index((*labels[:, :-1].T, labels[:, -1] + lmax), shape)
 
 
+# the phase and tables of each grid, by lmax, kept while the grid lives
+_GRID_TABLES = weakref.WeakKeyDictionary()
+
+
 def _tables(grid, lmax):
     """The phase and per-axis tables of both transforms on ``grid``, up to lmax.
 
     The phase is e^(-i m_1 phi) as (n_phi, 2 lmax + 1), and the tables are
-    T_k as (degree, order, n_k) for k = 3, ..., d, the orders at theta_3
-    gathered as |m_1| for m_1 = -lmax, ..., lmax.  They carry neither the
-    (2 pi)^(-1/2) factor nor quadrature weights; the callers apply those.
+    T_k as (order, degree, n_k) for k = 3, ..., d, the layout of the
+    contractions' matmul batched over the order, with the orders at
+    theta_3 gathered as |m_1| for m_1 = -lmax, ..., lmax.  They carry
+    neither the (2 pi)^(-1/2) factor nor quadrature weights; the callers
+    apply those.  Each grid builds them once per lmax and shares them
+    read-only.
     """
-    m1 = np.arange(-lmax, lmax + 1)
-    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
-    tables = []
-    for k, rule in zip(range(3, grid.d + 1), reversed(grid.theta_rules)):
-        table = axis_factors(k, lmax, rule.nodes)
-        if k == 3:
-            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
-        tables.append(table)
-    return phase, tables
+    by_lmax = _GRID_TABLES.setdefault(grid, {})
+    if lmax not in by_lmax:
+        m1 = np.arange(-lmax, lmax + 1)
+        phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
+        tables = []
+        for k, rule in zip(range(3, grid.d + 1), reversed(grid.theta_rules)):
+            table = axis_factors(k, lmax, rule.nodes)
+            if k == 3:
+                table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
+            tables.append(np.ascontiguousarray(table.transpose(1, 0, 2)))
+        for array in (phase, *tables):
+            array.flags.writeable = False
+        by_lmax[lmax] = phase, tuple(tables)
+    return by_lmax[lmax]
+
+
+def _stage(table, coef, i):
+    """One stage of the staged contractions: axis i of ``coef`` against ``table``.
+
+    ``table`` is (b, out, in), and axis i + 1 of ``coef`` (size b) is the
+    order the table's matrix depends on.  The stage is one matmul per
+    order, (out, in) @ (in, rest), where rest gathers every axis before i
+    and after i + 1, so BLAS sees b large products, not one per node.
+    """
+    shape, out = coef.shape, table.shape[1]
+    # axes (b, in, before, after), contiguous, so rest is one axis
+    stack = np.ascontiguousarray(
+        coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1).transpose(2, 1, 0, 3))
+    product = table @ stack.reshape(shape[i + 1], shape[i], -1)
+    product = product.reshape(shape[i + 1], out, stack.shape[2], -1).transpose(2, 1, 0, 3)
+    return product.reshape(shape[:i] + (out,) + shape[i + 1 :])
 
 
 def _project(datasets, grid, lmax):
@@ -261,30 +297,30 @@ def _project(datasets, grid, lmax):
 
     The tensor's axes are (data set, l, m_{d-2}, ..., m_2, m_1 + lmax).
     """
+    lmax = _check_int(lmax, "lmax", 0)
     if lmax > grid.lmax:
         raise ValueError(f"grid supports lmax <= {grid.lmax}, requested {lmax}")
+    # the node mesh only for callable data, formed once and not kept by the grid
+    points = grid.points if any(map(callable, datasets)) else None
     samples = []
     for data in datasets:
-        values = np.asarray(data(grid.points)) if callable(data) else np.asarray(data)
+        values = np.asarray(data(points)) if callable(data) else np.asarray(data)
         if values.size != grid.size:
             raise ValueError(
                 f"expected {grid.size} boundary samples in grid order, got {values.size}"
             )
         samples.append(values.reshape(grid.shape))
     phase, tables = _tables(grid, lmax)
-    coef = np.stack(samples) @ (phase * (grid.phi_weight / math.sqrt(2.0 * math.pi)))
+    # the phi stage as one 2-D matmul over every other node axis
+    coef = (np.stack(samples).reshape(-1, grid.n_phi)
+            @ (phase * (grid.phi_weight / math.sqrt(2.0 * math.pi)))
+            ).reshape((len(samples),) + grid.shape[:-1] + (2 * lmax + 1,))
     d = grid.d
     for k, table, rule in zip(range(3, d + 1), tables, reversed(grid.theta_rules)):
-        table = table * rule.weights
         # coef axes are the data set, n_d, ..., n_k, then the orders
         # m_{k-2}, ..., m_1 of the axes below; n_k becomes the degree on
         # theta_k (l when k = d)
-        shape, i = coef.shape, d - k + 1
-        coef = np.einsum(
-            "pnbr,abn->pabr",
-            coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
-            table,
-        ).reshape(shape[:i] + (lmax + 1,) + shape[i + 1 :])
+        coef = _stage(table * rule.weights, coef, d - k + 1)
     return coef
 
 
@@ -305,7 +341,6 @@ def _synthesize(expansion, r, grid):
     levels = expansion.labels[:, 0]
     coef = np.zeros(math.prod(shape), dtype=complex)
     phase, tables = _tables(grid, lmax)
-    phase *= 1.0 / math.sqrt(2.0 * math.pi)
     with np.errstate(over="ignore", invalid="ignore"):
         for l in range(lmax + 1):
             at = levels == l
@@ -315,13 +350,9 @@ def _synthesize(expansion, r, grid):
         for k, table in zip(range(d, 2, -1), reversed(tables)):
             # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
             # then the orders below it; the degree becomes the node n_k
-            shape, i = coef.shape, d - k
-            coef = np.einsum(
-                "pabr,abn->pnbr",
-                coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1),
-                table,
-            ).reshape(shape[:i] + (table.shape[-1],) + shape[i + 1 :])
-        values = (coef @ phase.conj().T).reshape(-1)
+            coef = _stage(table.transpose(0, 2, 1), coef, d - k)
+        values = coef.reshape(-1, 2 * lmax + 1) @ (phase * (1.0 / math.sqrt(2.0 * math.pi))).conj().T
+        values = values.reshape(-1)
     _check_finite(values)
     return values
 
@@ -332,7 +363,7 @@ def _read_off(tensor, d, lmax):
     ``tensor`` ends in the axes of _tensor_shape; row i of ``entries``
     holds label row i's entries over the leading axes of ``tensor``.
     """
-    labels = _labels(d, lmax)
+    labels = _labels(d, lmax, 0)
     entries = tensor.reshape(tensor.shape[: 1 - d] + (-1,))[..., _positions(labels, lmax)]
     return labels, np.moveaxis(entries, -1, 0)
 
@@ -417,6 +448,7 @@ def green_expansion(x_a, x_b, lmax):
     geometrically with ratio r_</r_>, so equal radii are rejected.  With
     x_a at the origin only the l = 0 term survives.
     """
+    lmax = _check_int(lmax, "lmax", 0)
     if x_a.d != x_b.d:
         raise ValueError(f"dimension mismatch: {x_a.d} vs {x_b.d}")
     d = x_a.d

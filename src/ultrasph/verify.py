@@ -276,7 +276,7 @@ def _manufactured(d, lmax, rng, kind):
 
     B is zeroed for an interior expansion and A for an exterior one.
     """
-    labels = hr._labels(d, lmax)
+    labels = hr._labels(d, lmax, 0)
     values = rng.normal(size=(len(labels), 4)).view(complex)
     if kind == "interior":
         values[:, 1] = 0

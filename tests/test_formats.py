@@ -281,6 +281,153 @@ def test_generated_documents_load_as_the_reference_loads_them(tmp_path_factory, 
         assert rc == 2 and out.getvalue() == "" and err.getvalue() == f"error: {message}\n"
 
 
+# ---------------------------------------------------------------------------
+# generated configs and samples files for ``solve``: the reference loader reads
+# them entry by entry and row by row, and ``solve`` must fail with its message
+
+
+def _reference_samples(path, d, lmax):
+    try:
+        with open(path) as fp:
+            doc = json.load(fp)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict) or "values" not in doc:
+        raise FormatError(f"{path}: expected an object with 'values'")
+    rows = doc["values"]
+    if not (isinstance(rows, list) and all(isinstance(row, list) and len(row) == 2
+                                           for row in rows)):
+        raise FormatError(f"{path}: values must be [re, im] pairs")
+    if not all(_is_finite_number(v) for row in rows for v in row):
+        raise FormatError(f"{path}: values must be finite numbers")
+    expected = (lmax + 2) ** (d - 2) * (2 * lmax + 2)
+    if len(rows) != expected:
+        raise FormatError(f"{path}: expected {expected} samples for d={d}, lmax={lmax} "
+                          f"in grid order, got {len(rows)}")
+    return [complex(re, im) for re, im in rows]
+
+
+def reference_load_problem(path):
+    """(d, kind, radii, lmax, samples per radius) of a config with samples files."""
+    with open(path) as fp:
+        obj = json.load(fp)
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path}: config must be a JSON object")
+    d = _require(obj, "d", int, path)
+    if not 3 <= d <= 8:
+        raise FormatError(f"{path}: dimension out of range, need 3 <= d <= 8")
+    kind = _require(obj, "kind", str, path)
+    lmax = _require(obj, "lmax", int, path)
+    if not 0 <= lmax <= 8:
+        raise FormatError(f"{path}: lmax out of range, need 0 <= lmax <= 8")
+    radii = _require(obj, "radii", list, path)
+    if not all(_is_finite_number(r) for r in radii):
+        raise FormatError(f"{path}: radii must be finite numbers")
+    radii = [float(r) for r in radii]
+    files = {}
+    for entry in _require(obj, "boundary", list, path):
+        if not isinstance(entry, dict):
+            raise FormatError(f"{path}: boundary entries must be objects")
+        radius = _require(entry, "radius", (int, float), path)
+        if not _is_finite_number(radius) or float(radius) not in radii:
+            raise FormatError(f"{path}: boundary radius {radius} does not match radii {radii}")
+        if ("data" in entry) == ("samples-file" in entry):
+            raise FormatError(
+                f"{path}: each boundary entry needs exactly one of 'data' or 'samples-file'")
+        if not isinstance(entry["samples-file"], str):
+            raise FormatError(f"{path}: 'samples-file' must be a path string")
+        files[float(radius)] = entry["samples-file"]
+    if sorted(files) != sorted(radii):
+        raise FormatError(f"{path}: boundary entries must cover every radius once")
+    try:
+        samples = [_reference_samples(files[r], d, lmax) for r in radii]
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    # generated radii are positive, ordered and as many as the kind needs
+    if kind not in ("interior", "exterior", "annulus"):
+        raise FormatError(f"{path}: unknown problem kind {kind!r}")
+    return d, kind, radii, lmax, samples
+
+
+@st.composite
+def problem_docs(draw, d, folder):
+    """A config with samples files in ``folder``, then at most one entry mutated.
+
+    Returns the config and the {path: samples document} it names.
+    """
+    lmax = draw(st.integers(0, 2))
+    kind = draw(st.sampled_from(["interior", "exterior", "annulus"]))
+    if kind == "annulus":
+        radii = [draw(st.floats(0.5, 1.0)), draw(st.floats(1.5, 2.0))]
+    else:
+        radii = [draw(st.floats(0.5, 2.0))]
+    nodes = (lmax + 2) ** (d - 2) * (2 * lmax + 2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    paths = [f"{folder}/samples{j}.json" for j in range(len(radii))]
+    samples = {path: {"values": rng.uniform(-1.0, 1.0, (nodes, 2)).tolist()} for path in paths}
+    entries = [{"radius": r, "samples-file": path} for r, path in zip(radii, paths)]
+    config = {"d": d, "kind": kind, "radii": list(radii), "lmax": lmax, "boundary": entries}
+    kinds = ["none", *_VALUES, "pair-length", "missing-key", "radius-mismatch", "sample-count"]
+    mutation = draw(st.sampled_from(kinds))
+    k = draw(st.integers(0, len(radii) - 1))
+    entry, rows = entries[k], samples[paths[k]]["values"]
+    if mutation in _VALUES:
+        value = draw(_VALUES[mutation])
+        target = draw(st.sampled_from(["config", "entry", "samples"]))
+        if draw(st.integers(0, 9)) == 0:
+            config = value
+        elif target == "config":
+            _mutate_slot(draw, config, ["d", "kind", "radii", "lmax", "boundary"], value)
+        elif target == "entry":
+            _mutate_slot(draw, entry, ["radius", "samples-file"], value)
+        else:
+            i = draw(st.integers(0, nodes - 1))
+            where = draw(st.sampled_from(["values", "row", "number"]))
+            if where == "values":
+                samples[paths[k]]["values"] = value
+            elif where == "row":
+                rows[i] = value
+            else:
+                rows[i][draw(st.integers(0, 1))] = value
+    elif mutation == "pair-length":
+        row = rows[draw(st.integers(0, nodes - 1))]
+        row.pop() if draw(st.booleans()) else row.append(0.5)
+    elif mutation == "missing-key":
+        holder = draw(st.sampled_from(["config", "entry", "samples"]))
+        if holder == "config":
+            del config[draw(st.sampled_from(sorted(config)))]
+        elif holder == "entry":
+            del entry[draw(st.sampled_from(sorted(entry)))]
+        else:
+            del samples[paths[k]]["values"]
+    elif mutation == "radius-mismatch":
+        entry["radius"] += 0.25
+    elif mutation == "sample-count":
+        rows.pop() if draw(st.booleans()) else rows.append([0.5, 0.25])
+    return config, samples
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data(), d=st.integers(3, 5))
+def test_generated_problems_solve_or_fail_as_the_reference_loads_them(
+    tmp_path_factory, data, d
+):
+    tmp = tmp_path_factory.mktemp("problem")
+    config, samples = data.draw(problem_docs(d, str(tmp)), "problem")
+    for path, doc in samples.items():
+        _write(Path(path), doc)
+    path = _write(tmp / "config.json", config)
+    want, want_error = _outcome(reference_load_problem, path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["solve", path])
+    if want_error is None:
+        assert rc == 0 and err.getvalue() == ""
+        assert json.loads(out.getvalue())["d"] == want[0]
+    else:
+        assert rc == 2 and out.getvalue() == "" and err.getvalue() == f"error: {want_error}\n"
+
+
 @pytest.mark.parametrize("index, message", [
     ([10**400, 0], "index level " + "1" + "0" * 400 + " exceeds lmax=2"),
     ([2**63, 2**63], "index level 9223372036854775808 exceeds lmax=2"),

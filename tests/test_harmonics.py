@@ -286,6 +286,28 @@ class TestAxisFactors:
             expected = np.diag((np.arange(lmax + 1) >= order).astype(float))
             assert np.max(np.abs(gram - expected)) <= 1e-12
 
+    @pytest.mark.parametrize("k, lmax, name", [
+        (2, 3, "dimension"), (True, 3, "dimension"), (3.0, 3, "dimension"),
+        (3, -1, "lmax"), (3, 2.5, "lmax"), (3, True, "lmax"), (3, 1.0, "lmax"),
+    ])
+    def test_rejects_bad_integers(self, k, lmax, name):
+        with pytest.raises(ValueError, match=name):
+            axis_factors(k, lmax, np.linspace(0.1, 3.0, 4))
+
+    def test_steps_are_shared_read_only_and_keyed_on_ints(self):
+        theta = np.linspace(0.1, 3.0, 5)
+        table = axis_factors(4, 6, theta)
+        before = harmonics._steps.cache_info()
+        assert np.array_equal(axis_factors(np.int64(4), np.int64(6), theta), table)
+        after = harmonics._steps.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+        for steps in harmonics._steps(4, 6):
+            assert not steps.flags.writeable
+            with pytest.raises(ValueError):
+                steps[0] = 1.0
+        table[0, 0] = 2.0  # each call returns its own table
+        assert not np.any(axis_factors(4, 6, theta)[0, 0] == 2.0)
+
 
 # levels per dimension for the harmonic_values comparison
 _VALUE_LMAX = {3: 8, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3}
@@ -310,6 +332,25 @@ class TestHarmonicValues:
         full = harmonic_values(point, 4)
         start = sum(count(5, l) for l in range(3))
         assert np.array_equal(harmonic_values(point, 3, 3), full[start:start + count(5, 3)])
+
+    @pytest.mark.parametrize("lmax, lmin, name", [
+        (-1, 0, "lmax"), (True, 0, "lmax"), (2.0, 0, "lmax"), (2, -1, "lmin"), (2, 1.0, "lmin"),
+    ])
+    def test_rejects_bad_levels(self, lmax, lmin, name):
+        point = random_point_array(np.random.default_rng(58), 4, (3,))
+        with pytest.raises(ValueError, match=name):
+            harmonic_values(point, lmax, lmin)
+
+    def test_label_rows_are_built_once_and_read_only(self):
+        labels = harmonics._labels(5, 3, 0)
+        assert harmonics._labels(5, 3, 0) is labels and not labels.flags.writeable
+        with pytest.raises(ValueError):
+            labels[0, 0] = 1
+        want = [(i.l, *i.m) for l in range(4) for i in enumerate_indices(5, l)]
+        assert labels.tolist() == [list(row) for row in want]
+        # values built from the shared rows are the caller's own
+        values = harmonic_values(random_point_array(np.random.default_rng(59), 5, (2,)), 3)
+        assert values.flags.writeable
 
     def test_open_mesh_broadcasts_to_the_full_grid(self):
         grid = sphere_grid(4, 3)
@@ -482,6 +523,15 @@ class TestAdditionSum:
         with pytest.raises(ValueError):
             addition_sum(4, 1, random_angles(rng, 4), random_angles(rng, 5))
 
+    @pytest.mark.parametrize("d, l, name", [
+        (3, -1, "level"), (3, True, "level"), (3, 1.0, "level"), (2, 1, "dimension"),
+    ])
+    def test_rejects_bad_integers(self, d, l, name):
+        rng = np.random.default_rng(27)
+        a, b = random_angles(rng, 3), random_angles(rng, 3)
+        with pytest.raises(ValueError, match=name):
+            addition_sum(d, l, a, b)
+
     def test_trace_identity(self):
         # sum over one level of |Y|^2 is direction independent
         rng = np.random.default_rng(24)
@@ -521,6 +571,11 @@ class TestAdditionReduced:
     def test_d3_rejected(self):
         with pytest.raises(ValueError):
             addition_reduced(3, 2, 0.5, 0.5, 0.5)
+
+    @pytest.mark.parametrize("l", (-1, True, 2.0))
+    def test_rejects_bad_levels(self, l):
+        with pytest.raises(ValueError, match="level"):
+            addition_reduced(4, l, 0.5, 0.7, 0.3)
 
 
 class TestHarmonicity:

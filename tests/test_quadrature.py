@@ -144,6 +144,22 @@ class TestThetaRule:
 
 
 class TestSphereGrid:
+    def test_each_grid_is_built_once_and_keeps_no_node_mesh(self):
+        grid = sphere_grid(5, 3)
+        assert sphere_grid(5, 3) is grid and sphere_grid(np.int64(5), np.int64(3)) is grid
+        assert not grid.phi_nodes.flags.writeable
+        points, weights = grid.points, grid.weights
+        assert points.phi.shape == weights.shape == (grid.size,)
+        assert "points" not in vars(grid) and "weights" not in vars(grid)
+
+    @pytest.mark.parametrize("d, lmax, name", [
+        (True, 3, "dimension"), (3.0, 3, "dimension"), (2, 3, "dimension"),
+        (3, True, "lmax"), (3, 1.0, "lmax"), (3, -1, "lmax"),
+    ])
+    def test_shared_grid_keeps_the_integer_check(self, d, lmax, name):
+        with pytest.raises(ValueError, match=name):
+            sphere_grid(d, lmax)
+
     @pytest.mark.parametrize("d", range(3, 8))
     def test_total_weight_is_solid_angle(self, d):
         grid = sphere_grid(d, 4)

@@ -15,7 +15,7 @@ from ultrasph.geometry import (
 )
 from ultrasph.harmonics import MultiIndex, enumerate_indices, eval_harmonic
 from ultrasph import formats, solver
-from ultrasph.quadrature import sphere_grid
+from ultrasph.quadrature import SphereGrid, ThetaRule, sphere_grid
 from ultrasph.solver import (
     BoundaryProblem,
     HarmonicExpansion,
@@ -36,6 +36,12 @@ def random_angles(rng, d):
         tuple(rng.uniform(0.25, math.pi - 0.25) for _ in range(d - 2)),
         rng.uniform(0.0, 2.0 * math.pi),
     )
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def manufactured(rng, d, lmax, kind):
@@ -85,6 +91,13 @@ class TestRadialEval:
         r = np.array([0.5, 1.0, 2.0])
         got = radial_eval(2.0, 1.0, 1, 3, r)
         assert_allclose(got, 2.0 * r + r**-2.0)
+
+    @pytest.mark.parametrize("l, d, name", [
+        (-1, 3, "level"), (True, 3, "level"), (1.0, 3, "level"), (1, 2, "dimension"),
+    ])
+    def test_rejects_bad_integers(self, l, d, name):
+        with pytest.raises(ValueError, match=name):
+            radial_eval(1, 0, l, d, 0.5)
 
 
 class TestEvalExpansion:
@@ -161,6 +174,12 @@ class TestProjectBoundary:
         assert abs(coeffs[b] - 3.0j) <= 1e-10
         others = [i for i in coeffs if i not in (a, b)]
         assert max(abs(coeffs[i]) for i in others) <= 1e-10
+
+    @pytest.mark.parametrize("lmax", (-1, True, 1.0))
+    def test_rejects_bad_lmax(self, lmax):
+        grid = sphere_grid(3, 2)
+        with pytest.raises(ValueError, match="lmax"):
+            project_boundary(np.ones(grid.size), grid, lmax)
 
     def test_samples_array_accepted(self):
         d, lmax = 3, 2
@@ -308,6 +327,48 @@ class TestStagedSynthesis:
             solver._synthesize(HarmonicExpansion(4, 1), 1.0, sphere_grid(3, 1))
 
 
+class TestGridTables:
+    """Each grid builds its phase and tables once per lmax and shares them read-only."""
+
+    def test_tables_are_shared_and_read_only(self):
+        grid = sphere_grid(5, 3)
+        phase, tables = solver._tables(grid, 3)
+        again_phase, again_tables = solver._tables(sphere_grid(5, 3), 3)
+        assert again_phase is phase and all(a is b for a, b in zip(again_tables, tables))
+        for array in (phase, *tables):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array *= 2.0
+
+    @pytest.mark.parametrize("d, lmax", [(3, 4), (5, 3)])
+    def test_repeated_synthesis_is_bitwise_equal(self, d, lmax):
+        exp = manufactured(np.random.default_rng(130 + d), d, lmax, "annulus")
+        grid = sphere_grid(d, lmax)
+        first = solver._synthesize(exp, 1.3, grid)
+        assert_bitwise(solver._synthesize(exp, 1.3, grid), first)
+        samples = first.copy()
+        coef = solver._project((samples,), grid, lmax)
+        assert_bitwise(solver._project((samples,), grid, lmax), coef)
+        assert_bitwise(samples, first)
+
+    def test_hand_built_grid_gets_its_own_tables(self):
+        d, lmax = 4, 3
+        shared = sphere_grid(d, lmax)
+        shifted = SphereGrid(
+            d, lmax,
+            [ThetaRule(rule.alpha, rule.nodes + 0.01, rule.weights) for rule in shared.theta_rules],
+            shared.phi_nodes + 0.1, shared.phi_weight,
+        )
+        phase, tables = solver._tables(shared, lmax)
+        shifted_phase, shifted_tables = solver._tables(shifted, lmax)
+        assert not np.allclose(shifted_phase, phase)
+        for got, want in zip(shifted_tables, tables):
+            assert got.shape == want.shape and not np.allclose(got, want)
+        exp = manufactured(np.random.default_rng(140), d, lmax, "interior")
+        assert_allclose(solver._synthesize(exp, 1.0, shifted),
+                        eval_expansion(exp, 1.0, shifted.points), rtol=0, atol=1e-13)
+
+
 class TestFits:
     def test_interior_unit_radius_identity(self):
         d, lmax = 4, 2
@@ -390,7 +451,14 @@ class TestFits:
         monkeypatch.setattr(
             solver, "axis_factors", lambda *args: calls.append(args) or build(*args)
         )
-        fit = fit_annulus(BoundaryProblem(d, "annulus", (0.5, 2.0), lmax, (inner, outer)))
+        # a fresh grid with the shared grid's axes builds its d-2 tables once
+        fresh = SphereGrid(d, lmax, grid.theta_rules, grid.phi_nodes, grid.phi_weight)
+        monkeypatch.setattr(solver, "sphere_grid", lambda *args: fresh)
+        problem = BoundaryProblem(d, "annulus", (0.5, 2.0), lmax, (inner, outer))
+        fit = fit_annulus(problem)
+        assert len(calls) == d - 2
+        # a second fit on the same grid builds none
+        assert_bitwise(fit_annulus(problem).values, fit.values)
         assert len(calls) == d - 2
         # the 2x2 Cramer solve of fit_annulus, from the two separate projections
         want = {}
@@ -622,6 +690,13 @@ class TestGreenExpansion:
             for l in range(31):
                 want += r_lo**l / r_hi ** (l + d - 2) * poly(l, d, cg)
             assert green_expansion(xa, xb, 30) == want
+
+    @pytest.mark.parametrize("lmax", (-1, True, 2.0))
+    def test_rejects_bad_lmax(self, lmax):
+        xa = CartesianPoint(4, np.array([0.1, 0.0, 0.0, 0.0]))
+        xb = CartesianPoint(4, np.array([0.0, 1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="lmax"):
+            green_expansion(xa, xb, lmax)
 
     def test_equal_radii_rejected(self):
         d = 4
