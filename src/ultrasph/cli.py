@@ -54,8 +54,9 @@ def _build_parser():
         "Laplace boundary-value solving in d >= 3 dimensions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # the one range check of both --lmax options
+    # the one range check of both --lmax options and of tabulate --d
     lmax_range = range(_LMAX_LIMITS[0], _LMAX_LIMITS[1] + 1)
+    d_range = range(_D_LIMITS[0], _D_LIMITS[1] + 1)
 
     p_verify = sub.add_parser(
         "verify",
@@ -85,7 +86,7 @@ def _build_parser():
         "(columns: l count).  Values print with 17 significant digits.",
     )
     p_tab.add_argument("kind", choices=["poly", "assoc", "norm", "count"])
-    p_tab.add_argument("--d", type=int, required=True, help="dimension")
+    p_tab.add_argument("--d", type=int, required=True, choices=d_range, help="dimension")
     p_tab.add_argument("--l", type=int, help="degree (poly, assoc, norm)")
     p_tab.add_argument("--m", type=int, help="order (assoc)")
     p_tab.add_argument("--n", type=int, help="order (norm)")

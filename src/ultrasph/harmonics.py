@@ -235,7 +235,7 @@ def _point_shape(angles):
     return np.broadcast_shapes(*(np.shape(t) for t in angles.theta), np.shape(angles.phi))
 
 
-def _chain_blocks(labels, angles, shape):
+def _chain_blocks(labels, angles, shape, out=None):
     """Yield (start, Y): Y_idx(angles) of the label rows from start on, as (rows,) + shape.
 
     ``shape`` is one the angles broadcast to.  Each block starts as its
@@ -244,7 +244,10 @@ def _chain_blocks(labels, angles, shape):
     product, so each row is bitwise that product.  A block grows by
     broadcasting until it has its full shape (an open mesh grows from the
     phase outward) and is then multiplied in place, so scattered points
-    allocate nothing beyond the block.
+    allocate nothing beyond the block.  Given ``out``, an array of
+    (len(labels),) + shape, the last product of each block is written
+    straight into its rows of ``out`` and Y is that view, so no full block
+    is allocated beside it.
     """
 
     def full(a):  # an angle array with the ndim of ``shape``, for gathers over rows
@@ -267,7 +270,9 @@ def _chain_blocks(labels, angles, shape):
         orders = np.abs(rows)  # only m_1 may be negative; its axis has order |m_1|
         for i, table in enumerate(tables):
             factor = table[orders[:, i], orders[:, i + 1]]
-            if y.shape == block:
+            if out is not None and i == len(tables) - 1:
+                y = np.multiply(y, factor, out=out[start : start + len(rows)])
+            elif y.shape == block:
                 y *= factor
             else:
                 y = y * factor
@@ -282,15 +287,16 @@ def harmonic_values(angles, lmax, lmin=0):
     Rows follow enumerate_indices(d, lmin), ..., enumerate_indices(d, lmax);
     the result has shape (rows,) + the broadcast shape of the angles, so a
     scalar point gives a vector.  Equal to :func:`eval_harmonic` per index
-    up to roundoff, from one set of per-axis tables.
+    up to roundoff, from one set of per-axis tables.  Each block's last
+    chain product is written straight into the result.
     """
     lmax = _check_int(lmax, "lmax", 0)
     lmin = _check_int(lmin, "lmin", 0)
     d, shape = angles.d, _point_shape(angles)
     labels = _labels(d, lmax, lmin)
     out = np.empty((len(labels),) + shape, dtype=complex)
-    for start, y in _chain_blocks(labels, angles, shape):
-        out[start : start + len(y)] = y
+    for _ in _chain_blocks(labels, angles, shape, out):
+        pass
     return out
 
 

@@ -14,9 +14,18 @@ finite-difference harmonicity check has an O(h^2) method floor of 1e-4
 (h = 1e-3), so its effective tolerance is max(tol, 1e-4).  Checks over
 harmonic levels cap the level per dimension to keep grids desk-sized;
 one-dimensional polynomial checks honor the full requested lmax.
+
+Random points and coefficients are drawn from ``random.Random`` with a
+fixed seed per check and dimension (uniform draws by ``uniform``, normal
+ones by ``gauss``), so every run prints the same report; the stdlib
+generator is already loaded with the command line, where the first
+``numpy.random`` generator would import that package.  The level count
+check compares the closed form ``count(d, l)`` with the number of label
+rows the chain enumeration behind every table path builds.
 """
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,15 +219,24 @@ def _gram_residual(d, lmax):
     return float(np.max(np.abs(gram - np.eye(len(values)))))
 
 
+def _uniform(rng, bounds, n):
+    """An (n, len(bounds)) array of uniform draws, row after row, column j in bounds[j]."""
+    return np.array([rng.uniform(lo, hi) for _ in range(n) for lo, hi in bounds]).reshape(n, -1)
+
+
+def _normal(rng, n):
+    """n standard normal draws."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+
+
 def _random_pairs(rng, d, n):
     """n pairs of directions as two array points a, b.
 
     Each direction is drawn as its d-2 thetas in [0.3, pi - 0.3] and then
-    its phi, the directions in the order a, b, a, ..., by one array draw.
+    its phi, the directions in the order a, b, a, ...
     """
-    low = [0.3] * (d - 2) + [0.0]
-    high = [math.pi - 0.3] * (d - 2) + [2.0 * math.pi]
-    draws = rng.uniform(low, high, size=(n, 2, d - 1))
+    bounds = [(0.3, math.pi - 0.3)] * (d - 2) + [(0.0, 2.0 * math.pi)]
+    draws = _uniform(rng, bounds, 2 * n).reshape(n, 2, d - 1)
     return tuple(
         geo.UltrasphericalPoint(d, 1.0, tuple(draws[:, j, :-1].T), draws[:, j, -1])
         for j in (0, 1)
@@ -226,7 +244,7 @@ def _random_pairs(rng, d, n):
 
 
 def _addition_residual(d, lmax):
-    rng = np.random.default_rng(1234 + d)
+    rng = random.Random(1234 + d)
     worst = 0.0
     for l in range(min(lmax, 4) + 1):
         a, b = _random_pairs(rng, d, 10)
@@ -236,7 +254,7 @@ def _addition_residual(d, lmax):
 
 
 def _addition_reduced_residual(d, lmax):
-    rng = np.random.default_rng(4321 + d)
+    rng = random.Random(4321 + d)
     worst = 0.0
     for l in range(min(lmax, 4) + 1):
         a, b = _random_pairs(rng, d, 10)
@@ -254,16 +272,16 @@ def _harmonicity_residual(d, lmax):
     """Both radial branches at five random points per level, one call per branch.
 
     Each point is drawn as its d-2 thetas, its phi and then its r, the
-    points one after another, by one array draw.
+    points one after another.  The index is the middle label row of its level.
     """
-    rng = np.random.default_rng(99 + d)
-    low = [0.3] * (d - 2) + [0.0, 0.5]
-    high = [math.pi - 0.3] * (d - 2) + [2.0 * math.pi, 0.85]
+    rng = random.Random(99 + d)
+    bounds = [(0.3, math.pi - 0.3)] * (d - 2) + [(0.0, 2.0 * math.pi), (0.5, 0.85)]
     worst = 0.0
     for l in range(min(lmax, 3) + 1):
-        indices = hr.enumerate_indices(d, l)
-        idx = indices[len(indices) // 2]
-        draws = rng.uniform(low, high, size=(5, d))
+        labels = hr._labels(d, l, l)
+        mid = len(labels) // 2
+        (idx,) = hr._indices(d, labels[mid : mid + 1])
+        draws = _uniform(rng, bounds, 5)
         angles = geo.UltrasphericalPoint(d, 1.0, tuple(draws[:, :-2].T), draws[:, -2])
         for branch in ("interior", "exterior"):
             resid = hr.harmonicity_residual(idx, draws[:, -1], angles, 1e-3, branch)
@@ -272,12 +290,12 @@ def _harmonicity_residual(d, lmax):
 
 
 def _manufactured(d, lmax, rng, kind):
-    """Random (A, B) for each index, by one draw of A.re, A.im, B.re, B.im per index.
+    """Random (A, B) for each index, by the draws A.re, A.im, B.re, B.im per index.
 
     B is zeroed for an interior expansion and A for an exterior one.
     """
     labels = hr._labels(d, lmax, 0)
-    values = rng.normal(size=(len(labels), 4)).view(complex)
+    values = _normal(rng, 4 * len(labels)).reshape(-1, 4).view(complex)
     if kind == "interior":
         values[:, 1] = 0
     elif kind == "exterior":
@@ -293,7 +311,7 @@ def _solver_residual(d, lmax):
     grid nodes.
     """
     lcap = min(lmax, _LEVEL_CAP[d])
-    rng = np.random.default_rng(7 + d)
+    rng = random.Random(7 + d)
     grid = qd.sphere_grid(d, lcap)
     worst = 0.0
     fits = {"interior": ((1.0,), sv.fit_interior), "exterior": ((1.0,), sv.fit_exterior),
@@ -321,12 +339,12 @@ def _solver_residual(d, lmax):
 
 
 def _green_residual(d):
-    rng = np.random.default_rng(2 + d)
+    rng = random.Random(2 + d)
     worst = 0.0
     for _ in range(5):
-        va = rng.normal(size=d)
+        va = _normal(rng, d)
         xa = geo.CartesianPoint(d, 0.3 * va / np.linalg.norm(va))
-        vb = rng.normal(size=d)
+        vb = _normal(rng, d)
         xb = geo.CartesianPoint(d, vb / np.linalg.norm(vb))
         direct = float(np.sum((xa.x - xb.x) ** 2)) ** (-(d - 2) / 2.0)
         got = sv.green_expansion(xa, xb, 80)
@@ -335,9 +353,10 @@ def _green_residual(d):
 
 
 def _count_residual(d, lmax):
+    """The closed form against the number of label rows the chain enumeration builds."""
     worst = 0
     for l in range(min(lmax, 6) + 1):
-        worst = max(worst, abs(len(hr.enumerate_indices(d, l)) - hr.count(d, l)))
+        worst = max(worst, abs(len(hr._labels(d, l, l)) - hr.count(d, l)))
     return float(worst)
 
 

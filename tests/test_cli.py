@@ -2,6 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,16 @@ from ultrasph.harmonics import MultiIndex, enumerate_indices
 from ultrasph.quadrature import SphereGrid, sphere_grid
 from ultrasph.solver import HarmonicExpansion, _synthesize, eval_expansion
 from ultrasph.verify import run_verification
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args):
+    """Run a fresh interpreter with the package of this checkout on its path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=300)
 
 
 def write_json(path, obj):
@@ -68,6 +82,25 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "OVERALL PASS (84/84 checks)" in out
+
+    def test_verify_imports_no_numpy_random(self):
+        # the first numpy.random generator imports the package with secrets,
+        # hmac and _hashlib: about 25 ms of CPU that no identity needs
+        result = run_python("-c", (
+            "import sys\n"
+            "from ultrasph.cli import main\n"
+            "assert main(['verify', '--d', '3-8', '--lmax', '8']) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n"
+        ))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("OVERALL PASS (84/84 checks)\n")
+
+    def test_report_is_the_same_in_every_process(self):
+        runs = [run_python("-m", "ultrasph.cli", "verify", "--d", "3-8", "--lmax", "8")
+                for _ in range(2)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stdout.endswith("OVERALL PASS (84/84 checks)\n")
 
     def test_unsupported_dimension_rejected_up_front(self):
         for d_values in ([9], [3, 9]):
@@ -138,6 +171,7 @@ _USAGE_ERRORS = {
     "assoc-inf": ["tabulate", "assoc", "--d", "3", "--l", "2", "--m", "1", "--theta", "inf"],
     "count-negative-lmax": ["tabulate", "count", "--d", "3", "--lmax", "-1"],
     "count-lmax-above-limit": ["tabulate", "count", "--d", "3", "--lmax", "9"],
+    "tabulate-d-above-limit": ["tabulate", "count", "--d", "9", "--lmax", "2"],
     "norm-underflow": ["tabulate", "norm", "--d", "3", "--l", "100", "--n", "100"],
     "tol-inf": ["verify", "--d", "3", "--lmax", "1", "--tol", "inf"],
     "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],

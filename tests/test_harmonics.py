@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -460,6 +461,22 @@ class TestBlockGather:
         assert eval_expansion(empty, 1.5, random_angles(rng, 4)) == 0j
         assert harmonic_values(point, 1, 2).shape == (0, 2)
 
+    def test_gram_mesh_is_written_once(self):
+        # d = 8, lmax 2 on its grid's open mesh: blocks of 2 rows x 24,576 nodes
+        grid = sphere_grid(8, 2)
+        axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
+        point = UltrasphericalPoint(8, 1.0, axes[:-1], axes[-1])
+        harmonic_values(point, 2)  # warm: tables' steps and label rows cached
+        tracemalloc.start()
+        try:
+            values = harmonic_values(point, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 2 * grid.size * 16
+        assert harmonics._BLOCK // grid.size == 2 and block == 786_432
+        assert peak <= values.nbytes + block
+
     def test_memory_stays_near_the_per_index_loop(self):
         # d = 5, lmax = 6: 336 indices; one rows x points array would take 269 MB
         rng = np.random.default_rng(81)
@@ -650,7 +667,7 @@ class TestHarmonicity:
     @pytest.mark.parametrize("d", range(3, 9))
     def test_verify_check_matches_per_point_loop(self, d):
         # the check's former form: one scalar call per point and branch
-        rng = np.random.default_rng(99 + d)
+        rng = random.Random(99 + d)
         want = 0.0
         for l in range(4):
             indices = enumerate_indices(d, l)
@@ -663,3 +680,16 @@ class TestHarmonicity:
                     want = max(want, harmonicity_residual(idx, r, angles, 1e-3, branch))
         got = verify._harmonicity_residual(d, 8)
         assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_verify_checks_build_few_multi_index(self, monkeypatch, d):
+        built = []
+        check = MultiIndex.__post_init__
+        monkeypatch.setattr(MultiIndex, "__post_init__",
+                            lambda idx: built.append(idx) or check(idx))
+        # the count check compares the closed form with label rows, not objects
+        verify._count_residual(d, 8)
+        assert built == []
+        # one index for each of levels 0..3, and the conjugate eval_harmonic forms when m_1 < 0
+        verify._harmonicity_residual(d, 8)
+        assert 4 <= len(built) <= 8
