@@ -32,6 +32,7 @@ x/theta argument.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,6 +72,34 @@ def _jacobi_b(n, delta):
 def _log_mass(delta):
     """log mu_0, mu_0 = int_{-1}^{1} (1-x^2)^delta dx = sqrt(pi) Gamma(delta+1) / Gamma(delta+3/2)."""
     return 0.5 * math.log(math.pi) + math.lgamma(delta + 1.0) - math.lgamma(delta + 1.5)
+
+
+def _orthonormal(x, q, a):
+    """Yield q_0(x) = q, q_1(x), ..., q_N(x), N = len(a), orthonormal for (1-x^2)^delta.
+
+    The one recurrence the Gauss rules and the per-axis tables run:
+    x q_n = a_{n+1} q_{n+1} + a_n q_{n-1}, a[n-1] = a_n = sqrt(b_n), from
+    q_0 = mu_0^(-1/2) or a multiple, which scales every q_n.  A row of
+    ``a`` may hold one step per column of ``q``.
+    """
+    q_prev, a_n = 0.0, 0.0
+    for a_next in a:
+        yield q
+        q_prev, q, a_n = q, (x * q - a_n * q_prev) / a_next, a_next
+    yield q
+
+
+@lru_cache(maxsize=64)
+def _steps(k, lmax):
+    """Read-only steps a[n-1, ord] = a_n (n <= lmax) and starts mu_0^(-1/2) of axis_factors.
+
+    One column per order ord <= lmax, delta = ord + (k-3)/2; keyed on validated plain ints.
+    """
+    delta = np.arange(lmax + 1) + (k - 3) / 2.0  # per column
+    a = np.sqrt(_jacobi_b(np.arange(1, lmax + 1).reshape(-1, 1), delta))
+    start = np.exp([-0.5 * _log_mass(v) for v in delta])
+    a.flags.writeable = start.flags.writeable = False  # shared by every later call
+    return a, start
 
 
 def poly(l, d, x):

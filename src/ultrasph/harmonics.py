@@ -21,8 +21,9 @@ is exactly the identity (the chained 1-D factors alone leave a residual
 
 All bulk evaluation takes one table path: Y_idx is (2 pi)^(-1/2)
 e^(i m_1 phi) times one normalized factor per polar axis, read from the
-per-axis tables of :func:`axis_factors`, which one orthonormal recurrence
-fills with no normalization constant.  :func:`harmonic_values` (and
+per-axis tables of :func:`axis_factors`, which gegenbauer's orthonormal
+recurrence (the one the Gauss rules run) fills with no normalization
+constant.  :func:`harmonic_values` (and
 through it :func:`addition_sum` and the verify Gram check) and
 ``solver.eval_expansion`` share one block gather over those tables
 (_chain_blocks) on integer label rows (_labels); a block of about 2^16
@@ -39,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gegenbauer import _jacobi_b, _log_mass, assoc, norm_factor, poly
+from .gegenbauer import _orthonormal, _steps, assoc, norm_factor, poly
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, solid_angle, to_cartesian, to_ultraspherical
 
 __all__ = [
@@ -171,13 +172,12 @@ def axis_factors(k, lmax, theta):
 
     Column ord is sin^ord(theta) q_n(cos theta), n = deg - ord, with q_n
     orthonormal for the weight (1-x^2)^delta, delta = ord + (k-3)/2.  All
-    columns step together through x q_n = a_{n+1} q_{n+1} + a_n q_{n-1},
-    a_n = sqrt(b_n), from q_0 = mu_0^(-1/2) (gegenbauer._jacobi_b,
-    _log_mass): no normalization constant is formed, and only the start
-    factor sin^ord(theta) can underflow (the weight-sin^(k-2) form of
-    Holmes & Featherstone 2002, J. Geodesy 76:279, without their scaling).
-    The steps a_n and starts mu_0^(-1/2) are formed once per (k, lmax)
-    (_steps), so a call runs only the recurrence over theta.
+    columns step together through gegenbauer's _orthonormal, the recurrence
+    the Gauss rules run, from q_0 = mu_0^(-1/2) sin^ord(theta): no
+    normalization constant is formed, and only sin^ord(theta) can underflow
+    (the weight-sin^(k-2) form of Holmes & Featherstone 2002, J. Geodesy
+    76:279, without their scaling).  The steps and starts are formed once
+    per (k, lmax) (gegenbauer._steps), so a call runs only the recurrence.
     """
     k = _check_int(k, "dimension", 3)
     lmax = _check_int(lmax, "lmax", 0)
@@ -185,28 +185,13 @@ def axis_factors(k, lmax, theta):
     theta = np.asarray(theta, dtype=float)
     x, ones = np.cos(theta), (1,) * theta.ndim
     orders = np.arange(lmax + 1)
-    a = a.reshape(a.shape + ones)  # a[n-1] = a_n, one column per order, broadcast over theta
-    q = start.reshape((-1,) + ones) * np.sin(theta) ** orders.reshape((-1,) + ones)
-    q_prev, a_n = 0.0, 0.0
+    a = a.reshape(a.shape + ones)  # one step per order, broadcast over theta
+    q0 = start.reshape((-1,) + ones) * np.sin(theta) ** orders.reshape((-1,) + ones)
     table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
-    for n in range(lmax + 1):
+    for n, q in enumerate(_orthonormal(x, q0, a)):
         live = orders[: lmax + 1 - n]  # the columns whose degree ord + n is in the table
         table[live + n, live] = q[: lmax + 1 - n]
-        q_prev, q, a_n = q, (x * q - a_n * q_prev) / a[n], a[n]
     return table
-
-
-@lru_cache(maxsize=64)
-def _steps(k, lmax):
-    """The recurrence steps a[n-1, ord] = a_n and the starts mu_0^(-1/2) per order, read-only.
-
-    Keyed on the validated plain ints of :func:`axis_factors`.
-    """
-    delta = np.arange(lmax + 1) + (k - 3) / 2.0  # per column
-    a = np.sqrt(_jacobi_b(np.arange(1, lmax + 2).reshape(-1, 1), delta))
-    start = np.exp([-0.5 * _log_mass(v) for v in delta])
-    a.flags.writeable = start.flags.writeable = False  # shared by every later call
-    return a, start
 
 
 # rows x points entries of one block of the chain-product gather (1 MiB of complex)

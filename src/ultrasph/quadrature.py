@@ -9,16 +9,15 @@ sin^alpha(theta) on [0, pi], i.e. the Gegenbauer weight (1-x^2)^((alpha-1)/2)
 on x = cos(theta)) plus a uniform rule in phi, which is exact for
 e^(i k phi) with |k| < n_phi.
 
-Gauss nodes are the roots of the monic orthogonal polynomial p_n of the
-weight.  They are found as the eigenvalues of the symmetric tridiagonal
-Jacobi matrix of its three-term recurrence (Golub & Welsch 1969, Math.
-Comp. 23:221), then polished by one vectorized Newton step on that
-recurrence; weights come from the standard h_{n-1} / (p_{n-1}(x) p_n'(x))
-formula, evaluated for all nodes in one recurrence pass.  The recurrence
-coefficients b_k and the mass h_0 are gegenbauer's (_jacobi_b, _log_mass),
-as for harmonics.axis_factors.  A rule costs one dense symmetric
-eigensolve and two recurrence passes over all nodes.  Nodes and weights
-are mirrored around the midpoint exactly.
+Gauss nodes are the roots of the orthonormal polynomial q_n of the
+weight: the eigenvalues of the symmetric tridiagonal Jacobi matrix
+(Golub & Welsch 1969, Math. Comp. 23:221), polished by one vectorized
+Newton step on gegenbauer's orthonormal recurrence, the one
+harmonics.axis_factors runs.  The weights are Christoffel weights
+1 / sum_{j<n} q_j(x)^2 from a second pass (Gautschi 2004, Orthogonal
+Polynomials, section 3.1); no monic family is run, so no weight
+underflows at large n.  A rule costs one dense eigensolve and two
+recurrence passes.  Nodes and weights mirror around the midpoint exactly.
 
 Each rule is solved once per process: :func:`theta_rule` keeps the
 recently used (alpha, n) rules (up to 256) and returns the same
@@ -30,12 +29,13 @@ its node mesh and weight tensor are formed on each read.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gegenbauer import _jacobi_b, _log_mass
+from .gegenbauer import _jacobi_b, _log_mass, _orthonormal
 from .geometry import UltrasphericalPoint, _check_int
 
 __all__ = [
@@ -47,34 +47,24 @@ __all__ = [
 ]
 
 
-def _monic(b, x):
-    """p_{n-1}(x), p_n(x) and p_n'(x) of the monic family, n = len(b) + 1."""
-    p_prev, p = np.ones_like(x), x
-    dp_prev, dp = np.zeros_like(x), np.ones_like(x)
-    for bk in b:
-        p_prev, p, dp_prev, dp = p, x * p - bk * p_prev, dp, p + x * dp - bk * dp_prev
-    return p_prev, p, dp
-
-
 def _gauss_rule(n, delta):
-    """Golub-Welsch nodes and weights of the n-point rule for (1-x^2)^delta.
+    """Golub-Welsch nodes and Christoffel weights of the n-point rule for (1-x^2)^delta.
 
-    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi
-    matrix (zero diagonal, off-diagonal sqrt(b_k)), polished by one Newton
-    step on the monic recurrence and mirrored exactly about 0; the weights
-    are h_{n-1} / (p_{n-1}(x) p_n'(x)), mirror-averaged so paired weights
-    are bitwise equal.
+    The nodes are the Jacobi-matrix eigenvalues (off-diagonal a_k = sqrt(b_k)),
+    polished by one Newton step whose derivative comes from the last two
+    recurrence values, (1-x^2) q_n' = -n x q_n + (2n+2 delta+1) a_n q_{n-1},
+    and mirrored exactly about 0; the weights are 1 / sum_{j<n} q_j(x)^2,
+    mirror-averaged so paired weights are bitwise equal.
     """
-    b = _jacobi_b(np.arange(1, n), delta)
-    off = np.sqrt(b)
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    _, p, dp = _monic(b, x)
-    x = x - p / dp
+    a = np.sqrt(_jacobi_b(np.arange(1, n + 1), delta))  # a_1, ..., a_n
+    x = np.linalg.eigvalsh(np.diag(a[:-1], 1) + np.diag(a[:-1], -1))
+    q0 = np.full_like(x, math.exp(-0.5 * _log_mass(delta)))
+    q_prev, q = deque(_orthonormal(x, q0, a), maxlen=2)  # q_{n-1}, q_n
+    x = x - (1.0 - x * x) * q / ((2 * n + 2 * delta + 1) * a[-1] * q_prev - n * x * q)
     x = 0.5 * (x - x[::-1])
     if n % 2 == 1:
         x[n // 2] = 0.0
-    pm1, _, dp = _monic(b, x)
-    w = math.exp(_log_mass(delta)) * np.prod(b) / (pm1 * dp)
+    w = 1.0 / sum(q * q for q in _orthonormal(x, q0, a[:-1]))
     return x, 0.5 * (w + w[::-1])
 
 
@@ -113,18 +103,13 @@ def theta_rule(alpha, n):
 @lru_cache(maxsize=256)
 def _theta_rule(alpha, n):
     """The rule of :func:`theta_rule`, keyed on its validated plain ints."""
-    delta = (alpha - 1) / 2.0
-    x, w = _gauss_rule(n, delta)
-    # map to theta = arccos(x), ascending; build the upper half as
-    # pi - arccos(|x|) so node pairs mirror around pi/2 exactly
-    half = x[x > 0.0][::-1]  # descending positive roots
-    t_low = np.arccos(half)
-    t_high = (math.pi - np.arccos(half))[::-1]
-    mid = [math.pi / 2.0] if n % 2 == 1 else []
-    theta = np.concatenate([t_low, mid, t_high])
-    w_half = w[x > 0.0][::-1]
-    w_mid = [w[n // 2]] if n % 2 == 1 else []
-    weights = np.concatenate([w_half, w_mid, w_half[::-1]])
+    x, weights = _gauss_rule(n, (alpha - 1) / 2.0)  # the weights are mirror-symmetric
+    # theta = arccos(x), ascending, its upper half pi minus the lower so
+    # node pairs mirror around pi/2 exactly
+    theta = np.arccos(x[::-1])
+    theta[(n + 1) // 2 :] = math.pi - theta[: n // 2][::-1]
+    if n % 2 == 1:
+        theta[n // 2] = math.pi / 2.0
     theta.flags.writeable = weights.flags.writeable = False  # the rule is shared
     return ThetaRule(alpha, theta, weights)
 

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 import ultrasph.gegenbauer
 import ultrasph.harmonics
+import ultrasph.quadrature
 from ultrasph.cli import main
 from ultrasph.gegenbauer import (
     assoc,
@@ -442,3 +443,53 @@ class TestNoNormalizationConstantOnBulkPaths:
         expansion = fit_annulus(problem)
         value = eval_expansion(expansion, 1.2, UltrasphericalPoint(4, 1.2, (0.5, 2.0), 4.0))
         assert np.isfinite(value)
+
+
+class TestOrthonormalRecurrence:
+    def test_steps_are_shared_read_only_and_keyed_on_ints(self):
+        theta = np.linspace(0.1, 3.0, 5)
+        table = axis_factors(4, 6, theta)
+        before = ultrasph.gegenbauer._steps.cache_info()
+        assert np.array_equal(axis_factors(np.int64(4), np.int64(6), theta), table)
+        after = ultrasph.gegenbauer._steps.cache_info()
+        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
+        for steps in ultrasph.gegenbauer._steps(4, 6):
+            assert not steps.flags.writeable
+            with pytest.raises(ValueError):
+                steps[0] = 1.0
+        table[0, 0] = 2.0  # each call returns its own table
+        assert not np.any(axis_factors(4, 6, theta)[0, 0] == 2.0)
+
+    def test_rules_and_tables_run_the_one_stepper(self, monkeypatch):
+        stepper = ultrasph.gegenbauer._orthonormal
+        assert ultrasph.quadrature._orthonormal is stepper
+        assert ultrasph.harmonics._orthonormal is stepper
+        calls = []
+
+        def counting(x, q, a):
+            calls.append(len(a))
+            return stepper(x, q, a)
+
+        monkeypatch.setattr(ultrasph.quadrature, "_orthonormal", counting)
+        monkeypatch.setattr(ultrasph.harmonics, "_orthonormal", counting)
+        before = ultrasph.quadrature._theta_rule.cache_info().misses
+        theta_rule(9, 31)
+        assert ultrasph.quadrature._theta_rule.cache_info().misses == before + 1
+        assert calls == [31, 30]  # the Newton pass to q_n, the weight pass to q_{n-1}
+        axis_factors(5, 7, np.linspace(0.1, 3.0, 4))
+        assert calls == [31, 30, 7]
+
+    @pytest.mark.parametrize("k", (3, 4, 8))  # delta = (k-3)/2 = 0, 1/2, 5/2
+    @pytest.mark.parametrize("n", (1, 3, 8))
+    def test_derivative_from_the_last_two_values(self, k, n):
+        # (1-x^2) q_n' = -n x q_n + (2n+2 delta+1) a_n q_{n-1}, the Newton
+        # polish of the Gauss rules; q_n is a multiple of P_{n,k}
+        delta = (k - 3) / 2
+        x = np.linspace(-0.95, 0.95, 11)
+        a = np.sqrt(ultrasph.gegenbauer._jacobi_b(np.arange(1, n + 1), delta))
+        q0 = math.exp(-0.5 * ultrasph.gegenbauer._log_mass(delta))
+        *_, q_prev, q = ultrasph.gegenbauer._orthonormal(x, np.full_like(x, q0), a)
+        scale = q[-1] / poly(n, k, x[-1])
+        want = (1 - x * x) * scale * poly_deriv(n, 1, k, x)
+        got = -n * x * q + (2 * n + 2 * delta + 1) * a[-1] * q_prev
+        assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))

@@ -295,20 +295,6 @@ class TestAxisFactors:
         with pytest.raises(ValueError, match=name):
             axis_factors(k, lmax, np.linspace(0.1, 3.0, 4))
 
-    def test_steps_are_shared_read_only_and_keyed_on_ints(self):
-        theta = np.linspace(0.1, 3.0, 5)
-        table = axis_factors(4, 6, theta)
-        before = harmonics._steps.cache_info()
-        assert np.array_equal(axis_factors(np.int64(4), np.int64(6), theta), table)
-        after = harmonics._steps.cache_info()
-        assert (after.hits, after.currsize) == (before.hits + 1, before.currsize)
-        for steps in harmonics._steps(4, 6):
-            assert not steps.flags.writeable
-            with pytest.raises(ValueError):
-                steps[0] = 1.0
-        table[0, 0] = 2.0  # each call returns its own table
-        assert not np.any(axis_factors(4, 6, theta)[0, 0] == 2.0)
-
 
 # levels per dimension for the harmonic_values comparison
 _VALUE_LMAX = {3: 8, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3}
