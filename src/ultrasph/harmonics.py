@@ -26,8 +26,12 @@ recurrence (the one the Gauss rules run) fills with no normalization
 constant.  :func:`harmonic_values` (and
 through it :func:`addition_sum` and the verify Gram check) and
 ``solver.eval_expansion`` share one block gather over those tables
-(_chain_blocks) on integer label rows (_labels); a block of about 2^16
-rows x points entries bounds the memory beyond the tables.
+(_chain_blocks) on integer label rows (_labels).  It takes the points
+one chunk of the leading axis at a time, sized so that the chunk's
+phases and tables fit one working budget (_BUDGET, split by _slices,
+the rule the verify Gram check and SphereGrid.total_weight also slab
+by), and a block of about 2^16 rows x points entries bounds the memory
+beyond them, so only the caller's result grows with the point count.
 ``solver.project_boundary`` contracts grid samples against the same
 tables.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by index)
 is the independent reference the tests compare the table path to.
@@ -188,14 +192,31 @@ def axis_factors(k, lmax, theta):
     a = a.reshape(a.shape + ones)  # one step per order, broadcast over theta
     q0 = start.reshape((-1,) + ones) * np.sin(theta) ** orders.reshape((-1,) + ones)
     table = np.zeros((lmax + 1, lmax + 1) + theta.shape)
+    # entry (ord + n, ord) is flat row n (lmax + 1) + ord (lmax + 2), so the
+    # columns whose degree ord + n is in the table are one strided slice
+    diagonals = table.reshape(((lmax + 1) ** 2,) + theta.shape)
     for n, q in enumerate(_orthonormal(x, q0, a)):
-        live = orders[: lmax + 1 - n]  # the columns whose degree ord + n is in the table
-        table[live + n, live] = q[: lmax + 1 - n]
+        diagonals[n * (lmax + 1) :: lmax + 2] = q[: lmax + 1 - n]
     return table
 
 
 # rows x points entries of one block of the chain-product gather (1 MiB of complex)
 _BLOCK = 1 << 16
+# working bytes one slice of a leading point or node axis may hold: a chunk's
+# phases and per-axis tables, a slab of the Gram check or of the grid weights
+# (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4 points)
+_BUDGET = 3 << 20
+
+
+def _slices(n, nbytes, least=1):
+    """The fewest near-equal slices of range(n) whose share of ``nbytes`` fits _BUDGET.
+
+    One slice when all of nbytes fits.  No slice is shorter than ``least``
+    indices (or n), even where that many take more than the budget.
+    """
+    step = max(least, _BUDGET * n // max(nbytes, 1))
+    count = max(1, min(-(-n // step), n // least))
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
 @lru_cache(maxsize=64)
@@ -220,37 +241,64 @@ def _point_shape(angles):
     return np.broadcast_shapes(*(np.shape(t) for t in angles.theta), np.shape(angles.phi))
 
 
-def _chain_blocks(labels, angles, shape, out=None):
-    """Yield (start, Y): Y_idx(angles) of the label rows from start on, as (rows,) + shape.
+def _part(a, at, ndim):
+    """``a`` as an ndim-dimensional float array, cut to the chunk ``at`` of the leading axis.
 
-    ``shape`` is one the angles broadcast to.  Each block starts as its
-    rows' e^(i m_1 phi) / sqrt(2 pi) and is multiplied by the gathered
-    T_k[deg_k, ord_k] for k = d, ..., 3, the order of the per-index chain
-    product, so each row is bitwise that product.  A block grows by
+    ``at`` is () or a 1-tuple of a slice; an axis of length 1 broadcasts
+    and is kept whole.
+    """
+    a = np.asarray(a, dtype=float)
+    a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
+    return a[at] if at and len(a) > 1 else a
+
+
+def _chain_blocks(labels, angles, shape, out=None):
+    """Yield (at, start, Y): Y_idx at the points ``at`` of ``shape``, label rows from start on.
+
+    ``shape`` is one the angles broadcast to.  The points are taken one
+    chunk of the leading axis at a time, ``at`` being () or (slice,), and
+    Y is (rows,) + the chunk's shape.  A chunk's phases and per-axis
+    tables are built for it alone and freed before the next chunk's, in
+    one chunk whenever they fit _BUDGET, so they do not grow with the
+    point count.  Each block starts as its rows' e^(i m_1 phi) / sqrt(2 pi)
+    and is multiplied by the gathered T_k[deg_k, ord_k] for
+    k = d, ..., 3, the order of the per-index chain product, so each row
+    is bitwise that product whatever the chunks.  A block grows by
     broadcasting until it has its full shape (an open mesh grows from the
     phase outward) and is then multiplied in place, so scattered points
     allocate nothing beyond the block.  Given ``out``, an array of
     (len(labels),) + shape, the last product of each block is written
-    straight into its rows of ``out`` and Y is that view, so no full block
-    is allocated beside it.
+    straight into its rows of ``out`` and Y is that view, so no full
+    block is allocated beside it.
     """
-
-    def full(a):  # an angle array with the ndim of ``shape``, for gathers over rows
-        a = np.asarray(a, dtype=float)
-        return a.reshape((1,) * (len(shape) - a.ndim) + a.shape)
-
     top = int(labels[:, 0].max(initial=0))
-    tables = [
-        axis_factors(k, top, full(t)) for k, t in zip(range(angles.d, 2, -1), angles.theta)
-    ]
-    phi = full(angles.phi)
-    phases = np.stack(
-        [np.exp(1j * m1 * phi) / math.sqrt(2.0 * math.pi) for m1 in range(-top, top + 1)]
-    )
-    step = max(1, _BLOCK // max(1, math.prod(shape)))
+    chunks = [()]
+    if shape:
+        # the tables and phases of all the points
+        nbytes = (8 * (top + 1) ** 2 * sum(map(np.size, angles.theta))
+                  + 16 * (2 * top + 1) * np.size(angles.phi))
+        # a chunk of one point would sum its rows pairwise, as numpy reduces a
+        # single column, where the points of a larger chunk sum theirs in order
+        least = 2 if math.prod(shape[1:]) == 1 else 1
+        chunks = [(s,) for s in _slices(shape[0], nbytes, least)]
+    for at in chunks:
+        yield from _chunk_blocks(labels, top, angles, at, shape, out)
+
+
+def _chunk_blocks(labels, top, angles, at, shape, out):
+    """The blocks of _chain_blocks at the chunk ``at`` of ``shape``, from its own tables."""
+    ndim = len(shape)
+    part = (at[0].stop - at[0].start,) + shape[1:] if at else shape
+    thetas = (_part(t, at, ndim) for t in angles.theta)
+    tables = [axis_factors(k, top, t) for k, t in zip(range(angles.d, 2, -1), thetas)]
+    m1 = np.arange(-top, top + 1).reshape((-1,) + (1,) * ndim)
+    phases = np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)
+    if out is not None:
+        out = out[(slice(None),) + at]
+    step = max(1, _BLOCK // max(1, math.prod(part)))
     for start in range(0, len(labels), step):
         rows = labels[start : start + step]
-        block = (len(rows),) + shape
+        block = (len(rows),) + part
         y = phases[rows[:, -1] + top]
         orders = np.abs(rows)  # only m_1 may be negative; its axis has order |m_1|
         for i, table in enumerate(tables):
@@ -263,7 +311,7 @@ def _chain_blocks(labels, angles, shape, out=None):
                 y = y * factor
         if y.shape != block:  # angles that do not span ``shape``
             y = np.broadcast_to(y, block).copy()
-        yield start, y
+        yield at, start, y
 
 
 def harmonic_values(angles, lmax, lmin=0):
@@ -272,8 +320,10 @@ def harmonic_values(angles, lmax, lmin=0):
     Rows follow enumerate_indices(d, lmin), ..., enumerate_indices(d, lmax);
     the result has shape (rows,) + the broadcast shape of the angles, so a
     scalar point gives a vector.  Equal to :func:`eval_harmonic` per index
-    up to roundoff, from one set of per-axis tables.  Each block's last
-    chain product is written straight into the result.
+    up to roundoff, from per-axis tables built one chunk of points at a
+    time (_chain_blocks), so beyond the result only one chunk's tables
+    and one block are held.  Each block's last chain product is written
+    straight into the result.
     """
     lmax = _check_int(lmax, "lmax", 0)
     lmin = _check_int(lmin, "lmin", 0)

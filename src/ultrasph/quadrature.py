@@ -25,7 +25,9 @@ read-only ThetaRule on a repeated call.  Grids are shared the same way:
 :func:`sphere_grid` keeps the recently used (d, lmax) grids (up to 64),
 which share their rules, and the transforms keep each grid's per-axis
 tables with it (solver._tables).  A shared grid holds only its axes;
-its node mesh and weight tensor are formed on each read.
+its node mesh and weight tensor are formed on each read, and its total
+weight is summed slab by slab of the leading axis, within the working
+budget of harmonics._slices.
 """
 
 import math
@@ -37,6 +39,7 @@ import numpy as np
 
 from .gegenbauer import _jacobi_b, _log_mass, _orthonormal
 from .geometry import UltrasphericalPoint, _check_int
+from .harmonics import _slices
 
 __all__ = [
     "SphereGrid",
@@ -158,16 +161,22 @@ class SphereGrid:
 
     @property
     def weights(self):
+        return self._weights(slice(None))
+
+    def _weights(self, at):
+        """The weights of the nodes in the slice ``at`` of the leading axis, flat in grid order."""
         axes = [rule.weights for rule in self.theta_rules] + [
             np.full(self.n_phi, self.phi_weight)
         ]
-        w = axes[0]
+        w = axes[0][at]
         for a in axes[1:]:
             w = np.multiply.outer(w, a)
         return w.reshape(-1)
 
     def total_weight(self):
-        return float(np.sum(self.weights))
+        """The sum of the weights, slab by slab of the leading axis (harmonics._slices)."""
+        slabs = _slices(self.shape[0], 8 * self.size)
+        return float(sum(np.sum(self._weights(at)) for at in slabs))
 
 
 # The supported problem sizes, (lowest, highest) inclusive: the dimensions

@@ -39,10 +39,13 @@ syntheses on a grid reuse its tables.
   scattered points, eval_expansion weights the row blocks of the gather
   it shares with harmonics.harmonic_values by A r^l + B r^-(l+d-2) and
   adds each block's row sum, the running total first (in row order, so
-  bitwise the index-by-index sum at array points), in O(points) memory
-  beyond the tables.  Scattered points share no grid structure, so
-  staging there would carry a points x (lmax+1)^(d-3) x (2 lmax+1)
-  intermediate, far larger than the output.
+  bitwise the index-by-index sum at array points).  The gather builds
+  the phases and tables, and eval_expansion the radial powers, for one
+  chunk of points at a time within harmonics._BUDGET, so beyond the
+  output its memory does not grow with the point count.  Scattered
+  points share no grid structure, so staging there would carry a
+  points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
+  the output.
 
 Both inverse routes and radial_eval form the radial powers once per
 level by one rule (_radial_powers): a nonzero A needs r^l finite and a
@@ -66,7 +69,9 @@ import numpy as np
 
 from .gegenbauer import _recurrence
 from .geometry import _check_int, cos_gamma, to_ultraspherical
-from .harmonics import MultiIndex, _chain_blocks, _indices, _labels, _point_shape, axis_factors
+from .harmonics import (
+    MultiIndex, _chain_blocks, _indices, _labels, _part, _point_shape, axis_factors,
+)
 from .quadrature import sphere_grid
 
 __all__ = [
@@ -199,7 +204,9 @@ def eval_expansion(expansion, r, angles):
     ``r`` and the angles may be arrays of any common broadcast shape; a
     scalar evaluation returns a complex number, and an expansion without
     coefficients gives zeros of that shape.  The radial powers are formed
-    once per level, as the level's coefficients need them.
+    once per level and chunk of points, as the level's coefficients need
+    them; a needed power that overflows raises ValueError naming its
+    level, the first such level of the first chunk of points that has one.
     """
     if angles.d != expansion.d:
         raise ValueError(
@@ -208,21 +215,27 @@ def eval_expansion(expansion, r, angles):
     d, labels = expansion.d, expansion.labels
     r = np.asarray(r, dtype=float)
     shape = np.broadcast_shapes(r.shape, _point_shape(angles))
-    # the coefficients as (rows, 1, ...) and the powers as (level, ...), to broadcast over shape
+    # the coefficients as (rows, 1, ...), to broadcast over shape
     a, b = (c.reshape((-1,) + (1,) * len(shape)) for c in expansion.values.T)
     levels = labels[:, 0]
-    grow, decay = np.zeros((2, levels.max(initial=0) + 1) + (1,) * (len(shape) - r.ndim) + r.shape)
-    for l in range(len(grow)):
-        at = levels == l
-        grow[l], decay[l] = _radial_powers(l, d, r, a[at].any(), b[at].any())
+    need = []
+    for l in range(levels.max(initial=0) + 1):
+        need_a, need_b = a[levels == l].any(), b[levels == l].any()
+        if need_a or need_b:  # a level no coefficient needs keeps zero powers
+            need.append((l, need_a, need_b))
     total = np.zeros(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, y in _chain_blocks(labels, angles, shape):
+        for at, start, y in _chain_blocks(labels, angles, shape):
+            if start == 0:  # a new chunk of points: its powers as (level, ...)
+                part = _part(r, at, len(shape))
+                grow, decay = np.zeros((2, levels.max() + 1) + part.shape)
+                for l, need_a, need_b in need:
+                    grow[l], decay[l] = _radial_powers(l, d, part, need_a, need_b)
             rows = slice(start, start + len(y))
             weights = a[rows] * grow[levels[rows]] + b[rows] * decay[levels[rows]]
             np.multiply(weights, y, out=y)  # weights first, as the per-index sum
-            y[0] += total  # the running total leads the block's row sum
-            total = np.sum(y, axis=0)
+            y[0] += total[at]  # the running total leads the block's row sum
+            total[at] = np.sum(y, axis=0)
     _check_finite(total)
     return complex(total) if np.ndim(total) == 0 else total
 

@@ -206,17 +206,29 @@ def _quadrature_residual(d, rule_residual):
 
 
 def _gram_residual(d, lmax):
+    """max |V W V^H - I| over the grid's nodes, V the harmonic values and W the weights.
+
+    V W V^H is summed over slabs of the leading node axis, one slab when
+    all of V fits the working budget (harmonics._slices), so only one
+    slab of V is held at a time.  Each slab is taken in column blocks, 8
+    over all of V, so only one block's conjugate is held at a time.
+    """
     lcap = min(lmax, _LEVEL_CAP[d])
     grid = qd.sphere_grid(d, lcap)
-    # the open mesh of the node axes broadcasts to the grid in grid order,
-    # so the per-axis tables hold only each axis's own nodes
-    axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
-    values = hr.harmonic_values(geo.UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]), lcap)
-    values = values.reshape(len(values), -1)
-    values *= np.sqrt(grid.weights)  # the weights are positive
-    # V V^H by column blocks, so only one block's conjugate is held at a time
-    gram = sum(b @ b.conj().T for b in np.array_split(values, 8, axis=1))
-    return float(np.max(np.abs(gram - np.eye(len(values)))))
+    rows, n = len(hr._labels(d, lcap, 0)), grid.shape[0]
+    nodes = [rule.nodes for rule in grid.theta_rules]
+    gram = 0
+    for at in hr._slices(n, 16 * rows * grid.size):
+        # the open mesh of the slab's node axes broadcasts to the slab in grid
+        # order, so the per-axis tables hold only each axis's own nodes
+        axes = np.ix_(nodes[0][at], *nodes[1:], grid.phi_nodes)
+        values = hr.harmonic_values(geo.UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]), lcap)
+        values = values.reshape(rows, -1)
+        values *= np.sqrt(grid._weights(at))  # the weights are positive
+        for b in np.array_split(values, max(1, 8 * (at.stop - at.start) // n), axis=1):
+            gram = gram + b @ b.conj().T
+        del values, b  # freed before the next slab's values are made
+    return float(np.max(np.abs(gram - np.eye(rows))))
 
 
 def _uniform(rng, bounds, n):

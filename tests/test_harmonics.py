@@ -400,8 +400,10 @@ class TestBlockGather:
 
     # a point count at which every d's rows span several blocks
     SPLIT = 2000
+    BUDGET = harmonics._BUDGET
 
     def points(self, rng, d):
+        """Point sets by name; those named "chunked ..." are taken in several chunks (budget)."""
         grid = sphere_grid(d, 2)
         axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
         return {
@@ -409,23 +411,44 @@ class TestBlockGather:
             "array": random_point_array(rng, d, (2, 5)),
             "mesh": UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]),
             "split": random_point_array(rng, d, (self.SPLIT,)),
+            # 7 flat points in chunks of 2, 2 and 3, the mesh in one theta_d node per chunk
+            "chunked flat": random_point_array(rng, d, (7,)),
+            "chunked mesh": UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]),
         }
 
+    def budget(self, monkeypatch, name):
+        """Set the budget for the point set ``name``: 1 byte, the smallest chunks, if chunked."""
+        monkeypatch.setattr(harmonics, "_BUDGET", 1 if name.startswith("chunked") else self.BUDGET)
+
     @pytest.mark.parametrize("d", range(3, 9))
-    def test_harmonic_values_are_bitwise_the_chain_products(self, d):
+    def test_harmonic_values_are_bitwise_the_chain_products(self, d, monkeypatch):
         rng = np.random.default_rng(60 + d)
         lmax = _VALUE_LMAX[d]
         indices = [i for l in range(lmax + 1) for i in enumerate_indices(d, l)]
         assert len(indices) * self.SPLIT > 2 * harmonics._BLOCK
-        for point in self.points(rng, d).values():
+        for name, point in self.points(rng, d).items():
+            self.budget(monkeypatch, name)
             want = np.array(list(chain_products_reference(indices, point)))
             assert_bitwise(harmonic_values(point, lmax), want)
 
+    def test_chunked_point_sets_span_several_chunks(self, monkeypatch):
+        point = self.points(np.random.default_rng(69), 4)["chunked flat"]
+        self.budget(monkeypatch, "chunked flat")
+        labels = harmonics._labels(4, 2, 0)
+        blocks = harmonics._chain_blocks(labels, point, (7,))
+        assert [y.shape[1:] for _, start, y in blocks if start == 0] == [(2,), (2,), (3,)]
+        mesh = self.points(np.random.default_rng(69), 4)["chunked mesh"]
+        shape = harmonics._point_shape(mesh)
+        blocks = harmonics._chain_blocks(labels, mesh, shape)
+        chunks = [y.shape[1:] for _, start, y in blocks if start == 0]
+        assert chunks == [(1,) + shape[1:]] * shape[0]
+
     @pytest.mark.parametrize("d", range(3, 9))
-    def test_eval_expansion_is_the_sequential_sum(self, d):
+    def test_eval_expansion_is_the_sequential_sum(self, d, monkeypatch):
         rng = np.random.default_rng(70 + d)
         expansion = shuffled_expansion(rng, d, _VALUE_LMAX[d])
         for name, point in self.points(rng, d).items():
+            self.budget(monkeypatch, name)
             shape = np.broadcast_shapes(*(np.shape(t) for t in point.theta), np.shape(point.phi))
             r = rng.uniform(0.5, 2.0, shape)
             got = eval_expansion(expansion, r, point)
@@ -479,8 +502,46 @@ class TestBlockGather:
             finally:
                 tracemalloc.stop()
         reference, blocked = peaks
-        assert blocked <= 1.25 * reference
-        assert blocked < 0.5 * len(expansion.coeffs) * n * 16
+        # one chunk's tables at a time, where the per-index loop holds all 56 MiB of them
+        assert blocked <= 0.15 * reference
+        assert blocked < 10 * 2**20
+
+    def test_scattered_memory_does_not_grow_with_the_point_count(self):
+        # one coefficient at l = 300: a point's table alone takes 725 kB, 143 MiB for 200
+        # points; 200, not more, as each chunk of 4 points runs its own 300-step recurrence
+        rng = np.random.default_rng(82)
+        expansion = HarmonicExpansion(3, 300, {MultiIndex(3, 300, (7,)): (1.0, 0.5)})
+        point, r = random_point_array(rng, 3, (200,)), rng.uniform(0.5, 1.0, 200)
+        eval_expansion(expansion, 1.0, random_angles(rng, 3))  # warm: the steps are cached
+        tracemalloc.start()
+        try:
+            values = eval_expansion(expansion, r, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * harmonics._BUDGET + values.nbytes
+
+    def test_gram_check_holds_one_slab_of_values(self):
+        # d = 8 at its level cap 2: V is 44 rows x 24,576 nodes, 17.3 MB of complex
+        d = 8
+        lcap = verify._LEVEL_CAP[d]
+        grid = sphere_grid(d, lcap)
+        axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
+        values = harmonic_values(UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]), lcap)
+        values = values.reshape(len(values), -1) * np.sqrt(grid.weights)
+        gram = sum(b @ b.conj().T for b in np.array_split(values, 8, axis=1))
+        want = float(np.max(np.abs(gram - np.eye(len(values)))))
+        nbytes = values.nbytes
+        del values, gram
+        tracemalloc.start()
+        try:
+            got = verify._gram_residual(d, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slab of V (a quarter) and one column block's conjugate (an eighth)
+        assert nbytes == 17_301_504 and peak < 0.5 * nbytes
+        assert got == want
 
 
 class TestAdditionSum:
