@@ -34,6 +34,11 @@ def _parse_d_range(text):
     lo, hi = values[0], values[-1]
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty dimension range {text!r}")
+    # checked before the list is built, so a huge range costs nothing
+    for d in (lo, hi):
+        if not _D_LIMITS[0] <= d <= _D_LIMITS[1]:
+            raise argparse.ArgumentTypeError(
+                f"dimension {d} out of range {_D_LIMITS[0]}..{_D_LIMITS[1]}")
     return list(range(lo, hi + 1))
 
 
@@ -119,10 +124,6 @@ def _build_parser():
 
 
 def _cmd_verify(args, parser):
-    lo, hi = _D_LIMITS
-    for d in args.d:
-        if not lo <= d <= hi:
-            parser.error(f"dimension {d} out of range {lo}..{hi}")
     if not 0 < args.tol < math.inf:
         parser.error("tolerance must be finite and positive")
     report = run_verification(args.d, args.lmax, args.tol)

@@ -313,8 +313,9 @@ def _label_rows(rows, d):
     # (l, m_{d-2}, ..., m_2, |m_1|) must not increase; abs(-2^63) < 0 fails the last test
     chain = np.concatenate([labels[:, :-1], np.abs(labels[:, -1:])], axis=1)
     bad = ~((chain[:, :-1] >= chain[:, 1:]).all(axis=1) & (chain[:, -1] >= 0))
-    order = np.lexsort(labels.T)  # stable: a repeated row follows its first, file order kept
-    bad[order[1:]] |= (labels[order[1:]] == labels[order[:-1]]).all(axis=1)
+    if len(labels) > 1:  # a repeat needs two rows; lexsort takes one key per column
+        order = np.lexsort(labels.T)  # stable: a repeated row follows its first, file order kept
+        bad[order[1:]] |= (labels[order[1:]] == labels[order[:-1]]).all(axis=1)
     if keep is not None:  # the rows left out are bad too
         keep[keep] = ~bad
         bad = ~keep

@@ -30,8 +30,10 @@ through it :func:`addition_sum` and the verify Gram check) and
 one chunk of the leading axis at a time, sized so that the chunk's
 phases and tables fit one working budget (_BUDGET, split by _slices,
 the rule the verify Gram check and SphereGrid.total_weight also slab
-by), and a block of about 2^16 rows x points entries bounds the memory
-beyond them, so only the caller's result grows with the point count.
+by), and the label rows one block at a time, sized so that the block's
+temporaries, the caller's included, fit a cache budget (_CACHE) in
+buffers reused by each block of the chunk; only the caller's result
+grows with the point count.
 ``solver.project_boundary`` contracts grid samples against the same
 tables.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by index)
 is the independent reference the tests compare the table path to.
@@ -200,8 +202,10 @@ def axis_factors(k, lmax, theta):
     return table
 
 
-# rows x points entries of one block of the chain-product gather (1 MiB of complex)
-_BLOCK = 1 << 16
+# bytes of temporaries one block of the chain-product gather may hold, its
+# caller's included: half of a core's 2 MiB L2 cache on the host it was tuned
+# on, the rest left to the chunk's tables and phases
+_CACHE = 1 << 20
 # working bytes one slice of a leading point or node axis may hold: a chunk's
 # phases and per-axis tables, a slab of the Gram check or of the grid weights
 # (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4 points)
@@ -252,7 +256,7 @@ def _part(a, at, ndim):
     return a[at] if at and len(a) > 1 else a
 
 
-def _chain_blocks(labels, angles, shape, out=None):
+def _chain_blocks(labels, angles, shape, out=None, spare=0):
     """Yield (at, start, Y): Y_idx at the points ``at`` of ``shape``, label rows from start on.
 
     ``shape`` is one the angles broadcast to.  The points are taken one
@@ -263,13 +267,12 @@ def _chain_blocks(labels, angles, shape, out=None):
     point count.  Each block starts as its rows' e^(i m_1 phi) / sqrt(2 pi)
     and is multiplied by the gathered T_k[deg_k, ord_k] for
     k = d, ..., 3, the order of the per-index chain product, so each row
-    is bitwise that product whatever the chunks.  A block grows by
-    broadcasting until it has its full shape (an open mesh grows from the
-    phase outward) and is then multiplied in place, so scattered points
-    allocate nothing beyond the block.  Given ``out``, an array of
-    (len(labels),) + shape, the last product of each block is written
-    straight into its rows of ``out`` and Y is that view, so no full
-    block is allocated beside it.
+    is bitwise that product whatever the chunks and blocks.  Given
+    ``out``, an array of (len(labels),) + shape, the last product of each
+    block is written straight into its rows of ``out`` and Y is that view.
+    Otherwise Y is a buffer of the chunk that the next block overwrites,
+    so the caller may change it in place; ``spare`` is the bytes per
+    entry the caller's own temporaries take beside it (_chunk_blocks).
     """
     top = int(labels[:, 0].max(initial=0))
     chunks = [()]
@@ -282,35 +285,71 @@ def _chain_blocks(labels, angles, shape, out=None):
         least = 2 if math.prod(shape[1:]) == 1 else 1
         chunks = [(s,) for s in _slices(shape[0], nbytes, least)]
     for at in chunks:
-        yield from _chunk_blocks(labels, top, angles, at, shape, out)
+        yield from _chunk_blocks(labels, top, angles, at, shape, out, spare)
 
 
-def _chunk_blocks(labels, top, angles, at, shape, out):
-    """The blocks of _chain_blocks at the chunk ``at`` of ``shape``, from its own tables."""
+def _chunk_blocks(labels, top, angles, at, shape, out, spare):
+    """The blocks of _chain_blocks at the chunk ``at`` of ``shape``, from its own tables.
+
+    A block takes as many rows as keep its temporaries within _CACHE
+    bytes: per row, the running product (complex) and ``spare`` bytes
+    per entry of the caller's, and the largest gathered table factor
+    (float), which has the row's full shape at scattered points.  The
+    blocks are near-equal, the first the largest.  A block grows by
+    broadcasting until it has its full shape (an open mesh grows from the
+    phase outward, its partial products within the product's share).
+    What has the full shape is written into one buffer per dtype, made
+    for the chunk and reused by each block, so scattered points allocate
+    nothing per block.
+    """
     ndim = len(shape)
     part = (at[0].stop - at[0].start,) + shape[1:] if at else shape
-    thetas = (_part(t, at, ndim) for t in angles.theta)
-    tables = [axis_factors(k, top, t) for k, t in zip(range(angles.d, 2, -1), thetas)]
     m1 = np.arange(-top, top + 1).reshape((-1,) + (1,) * ndim)
-    phases = np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)
+    thetas = (_part(t, at, ndim) for t in angles.theta)
+    # the phases, then each table with its (degree, order) axes as one
+    sources = [np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)]
+    sources += [axis_factors(k, top, t).reshape((-1,) + t.shape)
+                for k, t in zip(range(angles.d, 2, -1), thetas)]
+    # the point shape of the running product after each source (each axis of
+    # a source is 1 or full, so the larger broadcasts); the last product has
+    # the full shape, in ``out`` or in the buffer
+    grown = [sources[0].shape[1:]]
+    for table in sources[1:-1]:
+        grown.append(tuple(map(max, grown[-1], table.shape[1:])))
+    grown.append(part)
     if out is not None:
         out = out[(slice(None),) + at]
-    step = max(1, _BLOCK // max(1, math.prod(part)))
-    for start in range(0, len(labels), step):
-        rows = labels[start : start + step]
-        block = (len(rows),) + part
-        y = phases[rows[:, -1] + top]
-        orders = np.abs(rows)  # only m_1 may be negative; its axis has order |m_1|
-        for i, table in enumerate(tables):
-            factor = table[orders[:, i], orders[:, i + 1]]
-            if out is not None and i == len(tables) - 1:
-                y = np.multiply(y, factor, out=out[start : start + len(rows)])
-            elif y.shape == block:
+    # a row's temporaries: its product (complex) and the caller's spare bytes
+    # per entry, and its largest gathered factor (float)
+    row = (16 + spare) * math.prod(part) + 8 * max(math.prod(t.shape[1:]) for t in sources[1:])
+    rows = len(labels)
+    count = max(1, -(-rows // max(1, _CACHE // row)))
+    step = max(1, -(-rows // count))
+    buffers = {}
+
+    def full(dtype, n):
+        """The first n rows of the chunk's buffer of ``dtype``, made on first use."""
+        if dtype not in buffers:
+            buffers[dtype] = np.empty((step,) + part, dtype)
+        return buffers[dtype][:n]
+
+    for start in range(0, rows, step):
+        block = labels[start : start + step]
+        n = len(block)
+        orders = np.abs(block)  # only m_1 may be negative; its axis has order |m_1|
+        # each row's phase, then its flat (degree, order) entry of each table
+        index = [block[:, -1] + top, *(orders[:, :-1] * (top + 1) + orders[:, 1:]).T]
+        factors = (np.take(source, i, axis=0, out=full(source.dtype, n), mode="clip")
+                   if source.shape[1:] == part else source[i]
+                   for source, i in zip(sources, index))
+        y = next(factors)
+        for i, factor in enumerate(factors, 1):
+            if out is not None and i == len(sources) - 1:
+                y = np.multiply(y, factor, out=out[start : start + n])
+            elif y.shape[1:] == part:
                 y *= factor
             else:
-                y = y * factor
-        if y.shape != block:  # angles that do not span ``shape``
-            y = np.broadcast_to(y, block).copy()
+                y = np.multiply(y, factor, out=full(y.dtype, n) if grown[i] == part else None)
         yield at, start, y
 
 

@@ -8,8 +8,9 @@ A scalar Laplace solution with purely radial boundary conditions is
 where the two radial branches solve the Euler equation with eigenvalue
 -l(l+d-2).  Interior problems keep only the A branch (regular at the
 origin), exterior problems only the B branch (decaying at infinity), and
-annulus problems determine both, by one radial solve per level applied to
-the level's whole coefficient slice (_solve_level, _BRANCHES).
+annulus problems determine both.  One stacked solve covers the radial
+system of every level, each applied to its level's whole coefficient
+slice (_solve_levels, _BRANCHES).
 
 Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
@@ -42,7 +43,9 @@ syntheses on a grid reuse its tables.
   bitwise the index-by-index sum at array points).  The gather builds
   the phases and tables, and eval_expansion the radial powers, for one
   chunk of points at a time within harmonics._BUDGET, so beyond the
-  output its memory does not grow with the point count.  Scattered
+  output its memory does not grow with the point count; the blocks and
+  their weights stay within harmonics._CACHE, in buffers each block of
+  the chunk reuses.  Scattered
   points share no grid structure, so staging there would carry a
   points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
   the output.
@@ -207,6 +210,9 @@ def eval_expansion(expansion, r, angles):
     once per level and chunk of points, as the level's coefficients need
     them; a needed power that overflows raises ValueError naming its
     level, the first such level of the first chunk of points that has one.
+    Each block's weights are formed in three buffers of the block's shape,
+    made once per chunk (the ``spare`` bytes of harmonics._chain_blocks),
+    so the block and its temporaries stay within harmonics._CACHE.
     """
     if angles.d != expansion.d:
         raise ValueError(
@@ -225,15 +231,21 @@ def eval_expansion(expansion, r, angles):
             need.append((l, need_a, need_b))
     total = np.zeros(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for at, start, y in _chain_blocks(labels, angles, shape):
-            if start == 0:  # a new chunk of points: its powers as (level, ...)
-                part = _part(r, at, len(shape))
-                grow, decay = np.zeros((2, levels.max() + 1) + part.shape)
+        # per entry, a gathered power and two weight terms
+        for at, start, y in _chain_blocks(labels, angles, shape, spare=48):
+            if start == 0:  # a new chunk of points: its powers as (level, ...), and buffers
+                part = np.broadcast_to(_part(r, at, len(shape)), y.shape[1:])
+                # complex, as the weights' products would cast them
+                grow, decay = np.zeros((2, levels.max() + 1) + part.shape, dtype=complex)
                 for l, need_a, need_b in need:
                     grow[l], decay[l] = _radial_powers(l, d, part, need_a, need_b)
+                power, weights, other = np.empty_like(y), np.empty_like(y), np.empty_like(y)
             rows = slice(start, start + len(y))
-            weights = a[rows] * grow[levels[rows]] + b[rows] * decay[levels[rows]]
-            np.multiply(weights, y, out=y)  # weights first, as the per-index sum
+            p, w, v = power[: len(y)], weights[: len(y)], other[: len(y)]
+            np.multiply(a[rows], np.take(grow, levels[rows], axis=0, out=p, mode="clip"), out=w)
+            np.multiply(b[rows], np.take(decay, levels[rows], axis=0, out=p, mode="clip"), out=v)
+            np.add(w, v, out=w)
+            np.multiply(w, y, out=y)  # weights first, as the per-index sum
             y[0] += total[at]  # the running total leads the block's row sum
             total[at] = np.sum(y, axis=0)
     _check_finite(total)
@@ -397,40 +409,47 @@ def project_boundary(data, grid, lmax):
 _BRANCHES = {"interior": [0], "exterior": [1], "annulus": [0, 1]}
 
 
-def _solve_level(l, d, radii, branches, rhs):
-    """Solve M_l x = rhs for a level's tensor slice, one row of rhs per sphere.
+def _solve_levels(d, radii, branches, rhs):
+    """Solve M_l x_l = rhs[l] for every level l by one stacked solve, one row of rhs[l] per sphere.
 
     A zero or non-finite entry or determinant of M_l, or a non-finite
-    solution, raises ValueError; |det| below 1e-12 of its largest term warns.
+    solution, raises ValueError naming the first such level; |det| below
+    1e-12 of its largest term warns, once per level below it.
     """
-    where = f"radial system of level {l} for radii {tuple(radii.tolist())}"
     with np.errstate(all="ignore"):
-        m = np.stack(_radial_pair(l, d, radii), axis=1)[:, branches]
+        m = np.stack([np.stack(_radial_pair(l, d, radii), axis=1)[:, branches]
+                      for l in range(len(rhs))])
         # the terms of det M_l: one for a single sphere, two for the annulus
-        terms = np.array([m.diagonal().prod(), -m[::-1].diagonal().prod()])[: len(m)]
-        det = terms.sum()
-        if not (np.isfinite(m).all() and m.all() and np.isfinite(det) and det != 0):
-            raise ValueError(f"{where} leaves the double range")
-        x = np.linalg.solve(m, rhs.reshape(len(m), -1)).reshape(rhs.shape)
-    if not np.isfinite(x).all():
-        raise ValueError(f"{where} leaves the double range")
-    scale = np.abs(terms).max()
-    if abs(det) < 1e-12 * scale:
-        warnings.warn(f"{where} is nearly singular: |det| = {abs(det):.3e} against scale "
-                      f"{scale:.3e}", stacklevel=4)
+        terms = np.stack([np.diagonal(m, axis1=1, axis2=2).prod(axis=1),
+                          -np.diagonal(m[:, ::-1], axis1=1, axis2=2).prod(axis=1)])[: len(radii)]
+        det = terms.sum(axis=0)
+        ok = np.isfinite(m).all(axis=(1, 2)) & m.all(axis=(1, 2)) & np.isfinite(det) & (det != 0)
+        x = np.zeros(rhs.shape, dtype=complex)
+        x[ok] = np.linalg.solve(m[ok], rhs[ok])
+    ok &= np.isfinite(x).all(axis=(1, 2))
+    failed = len(ok) if ok.all() else int(ok.argmin())
+    scale = np.abs(terms).max(axis=0)
+    for l in np.flatnonzero(np.abs(det[:failed]) < 1e-12 * scale[:failed]).tolist():
+        warnings.warn(f"radial system of level {l} for radii {tuple(radii.tolist())} is nearly "
+                      f"singular: |det| = {abs(det[l]):.3e} against scale {scale[l]:.3e}",
+                      stacklevel=4)
+    if failed < len(ok):
+        raise ValueError(f"radial system of level {failed} for radii {tuple(radii.tolist())} "
+                         "leaves the double range")
     return x
 
 
 def _fit(problem, kind):
-    """(A, B) for every index, by one radial solve per level."""
+    """(A, B) for every index, by one stacked radial solve over the levels."""
     if problem.kind != kind:
         raise ValueError(f"expected an {kind} problem, got {problem.kind!r}")
     d, lmax = problem.d, problem.lmax
     coef = _project(problem.data, sphere_grid(d, lmax), lmax)
     branches, radii = _BRANCHES[kind], np.array(problem.radii)
+    # the right-hand sides as (level, sphere, rest of the level's tensor slice)
+    x = _solve_levels(d, radii, branches, np.moveaxis(coef, 1, 0).reshape(lmax + 1, len(radii), -1))
     solved = np.zeros((2,) + coef.shape[1:], dtype=complex)
-    for l in range(lmax + 1):
-        solved[branches, l] = _solve_level(l, d, radii, branches, coef[:, l])
+    solved[branches] = np.moveaxis(x.reshape((lmax + 1, len(branches)) + coef.shape[2:]), 0, 1)
     return HarmonicExpansion._of(d, lmax, *_read_off(solved, d, lmax))
 
 

@@ -175,6 +175,8 @@ _USAGE_ERRORS = {
     "norm-underflow": ["tabulate", "norm", "--d", "3", "--l", "100", "--n", "100"],
     "tol-inf": ["verify", "--d", "3", "--lmax", "1", "--tol", "inf"],
     "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],
+    # refused before the range's list of dimensions is built
+    "verify-huge-d-range": ["verify", "--d", "3-100000000000", "--lmax", "1"],
 }
 
 
@@ -449,6 +451,16 @@ class TestEvalCommand:
         assert rc == 2
         assert "dimension mismatch" in err
 
+    def test_huge_dimension_without_records_is_a_mismatch(self, tmp_path, capsys):
+        # no index row to sort, so nothing is built per dimension
+        coeffs = write_json(tmp_path / "coeffs.json", {
+            "format": "ultrasph-coefficients", "d": 10**12, "lmax": 2, "coefficients": []})
+        points = write_json(tmp_path / "points.json", {"points": [{"cartesian": [0.1, 0.2, 0.3]}]})
+        rc = main(["eval", coeffs, points])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and "Traceback" not in err
+        assert "coefficients have d=1000000000000" in err
+
 
 class TestFormats:
     def test_parse_harmonic_specs(self):
@@ -641,6 +653,8 @@ _MALFORMED = {
     "coefficients-empty-index": ("coefficients", _coefficients_doc([]), "invalid index []"),
     "coefficients-float-entry": ("coefficients", _coefficients_doc([1, 0.7, 0]),
                                  "must be an integer"),
+    "coefficients-huge-d": ("coefficients", dict(_coefficients_doc([0, 0]), d=10**8),
+                            "expected 99999998 chain entries for d=100000000, got 1"),
 }
 
 

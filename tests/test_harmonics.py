@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from ultrasph import harmonics, verify
+from ultrasph import harmonics, solver, verify
 from ultrasph.gegenbauer import assoc, norm_factor, poly
 from ultrasph.geometry import UltrasphericalPoint, cos_gamma, solid_angle
 from ultrasph.harmonics import (
@@ -398,7 +398,7 @@ def assert_bitwise(got, want):
 class TestBlockGather:
     """harmonic_values and eval_expansion against the per-index chain product."""
 
-    # a point count at which every d's rows span several blocks
+    # a point count at which every d's rows span several blocks (_CACHE)
     SPLIT = 2000
     BUDGET = harmonics._BUDGET
 
@@ -425,9 +425,12 @@ class TestBlockGather:
         rng = np.random.default_rng(60 + d)
         lmax = _VALUE_LMAX[d]
         indices = [i for l in range(lmax + 1) for i in enumerate_indices(d, l)]
-        assert len(indices) * self.SPLIT > 2 * harmonics._BLOCK
         for name, point in self.points(rng, d).items():
             self.budget(monkeypatch, name)
+            if name == "split":
+                labels = harmonics._labels(d, lmax, 0)
+                blocks = harmonics._chain_blocks(labels, point, (self.SPLIT,))
+                assert len([start for _, start, _ in blocks]) > 2
             want = np.array(list(chain_products_reference(indices, point)))
             assert_bitwise(harmonic_values(point, lmax), want)
 
@@ -447,11 +450,22 @@ class TestBlockGather:
     def test_eval_expansion_is_the_sequential_sum(self, d, monkeypatch):
         rng = np.random.default_rng(70 + d)
         expansion = shuffled_expansion(rng, d, _VALUE_LMAX[d])
+        starts = []
+
+        def blocks(*args, **kwargs):  # the gather eval_expansion runs, its blocks counted
+            for block in harmonics._chain_blocks(*args, **kwargs):
+                starts.append(block[1])
+                yield block
+
+        monkeypatch.setattr(solver, "_chain_blocks", blocks)
         for name, point in self.points(rng, d).items():
             self.budget(monkeypatch, name)
             shape = np.broadcast_shapes(*(np.shape(t) for t in point.theta), np.shape(point.phi))
             r = rng.uniform(0.5, 2.0, shape)
+            starts.clear()
             got = eval_expansion(expansion, r, point)
+            if name == "split" or name.startswith("chunked"):
+                assert len(starts) > 2
             want = eval_expansion_reference(expansion, r, point)
             if name == "scalar":
                 # a vector's row sum is numpy's pairwise sum, not the sequential one
@@ -482,9 +496,31 @@ class TestBlockGather:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # a row's product takes 16 bytes per node, its gathered factors one axis
+        blocks = harmonics._chain_blocks(harmonics._labels(8, 2, 0), point, grid.shape, values)
+        assert [start for _, start, _ in blocks] == list(range(0, len(values), 2))
         block = 2 * grid.size * 16
-        assert harmonics._BLOCK // grid.size == 2 and block == 786_432
+        assert block <= harmonics._CACHE < 3 * grid.size * 16 and block == 786_432
         assert peak <= values.nbytes + block
+
+    def test_scattered_working_set_stays_in_the_cache_budget(self):
+        # eval-scatter's size, d = 5, lmax 6 (336 rows) at 100 points: one block of
+        # every row and the seven temporaries made beside it peaked at 2.46 MiB
+        rng = np.random.default_rng(83)
+        d, lmax, n = 5, 6, 100
+        expansion = shuffled_expansion(rng, d, lmax)
+        point, r = random_point_array(rng, d, (n,)), rng.uniform(0.5, 2.0, n)
+        eval_expansion(expansion, r, point)  # warm: the steps and label rows are cached
+        tracemalloc.start()
+        try:
+            eval_expansion(expansion, r, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beside the blocks, the chunk's tables and phases (and, smaller, its powers)
+        tables = 8 * (lmax + 1) ** 2 * (d - 2) * n + 16 * (2 * lmax + 1) * n
+        assert peak < harmonics._CACHE + 2 * tables
+        assert peak < 1.25 * 2**20
 
     def test_memory_stays_near_the_per_index_loop(self):
         # d = 5, lmax = 6: 336 indices; one rows x points array would take 269 MB
