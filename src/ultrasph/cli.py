@@ -15,7 +15,7 @@ import numpy as np
 from . import formats
 from .gegenbauer import assoc, norm_factor, poly
 from .harmonics import count
-from .quadrature import _D_LIMITS, _LMAX_LIMITS
+from .quadrature import _D_LIMITS, _DEGREE_LIMIT, _LMAX_LIMITS
 from .solver import eval_expansion, fit_annulus, fit_exterior, fit_interior
 from .verify import HARMONICITY_FLOOR, run_verification
 
@@ -92,9 +92,9 @@ def _build_parser():
     )
     p_tab.add_argument("kind", choices=["poly", "assoc", "norm", "count"])
     p_tab.add_argument("--d", type=int, required=True, choices=d_range, help="dimension")
-    p_tab.add_argument("--l", type=int, help="degree (poly, assoc, norm)")
-    p_tab.add_argument("--m", type=int, help="order (assoc)")
-    p_tab.add_argument("--n", type=int, help="order (norm)")
+    p_tab.add_argument("--l", type=int, help=f"degree (poly, assoc, norm), <= {_DEGREE_LIMIT}")
+    p_tab.add_argument("--m", type=int, help=f"order (assoc), <= {_DEGREE_LIMIT}")
+    p_tab.add_argument("--n", type=int, help=f"order (norm), <= {_DEGREE_LIMIT}")
     p_tab.add_argument("--x", type=_parse_floats,
                        help="comma-separated arguments in [-1, 1] (poly)")
     p_tab.add_argument("--theta", type=_parse_floats,
@@ -154,6 +154,9 @@ def _finite(value, what):
 def _cmd_tabulate(args, parser):
     """Print one table; every row is computed first, so a failing call prints nothing."""
     kind = args.kind
+    for option, value in (("--l", args.l), ("--m", args.m), ("--n", args.n)):
+        if value is not None and value > _DEGREE_LIMIT:  # refused before any value is computed
+            parser.error(f"{option} {value} is above the limit {_DEGREE_LIMIT}")
     # an overflow is reported by the finiteness check, not as a numpy warning
     with np.errstate(all="ignore"):
         if kind == "poly":

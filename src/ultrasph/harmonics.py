@@ -24,19 +24,19 @@ e^(i m_1 phi) times one normalized factor per polar axis, read from the
 per-axis tables of :func:`axis_factors`, which gegenbauer's orthonormal
 recurrence (the one the Gauss rules run) fills with no normalization
 constant.  :func:`harmonic_values` (and
-through it :func:`addition_sum` and the verify Gram check) and
+through it :func:`addition_sum`) and
 ``solver.eval_expansion`` share one block gather over those tables
 (_chain_blocks) on integer label rows (_labels).  It takes the points
 one chunk of the leading axis at a time, sized so that the chunk's
-phases and tables fit one working budget (_BUDGET, split by _slices,
-the rule the verify Gram check and SphereGrid.total_weight also slab
-by), and the label rows one block at a time, sized so that the block's
+phases and tables fit one working budget (_BUDGET, split by _slices),
+and the label rows one block at a time, sized so that the block's
 temporaries, the caller's included, fit a cache budget (_CACHE) in
 buffers reused by each block of the chunk; only the caller's result
 grows with the point count.
 ``solver.project_boundary`` contracts grid samples against the same
-tables.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by index)
-is the independent reference the tests compare the table path to.
+tables, and the verify Gram check multiplies their per-axis Gram
+matrices.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by
+index) is the independent reference the tests compare the table path to.
 """
 
 import math
@@ -206,9 +206,8 @@ def axis_factors(k, lmax, theta):
 # caller's included: half of a core's 2 MiB L2 cache on the host it was tuned
 # on, the rest left to the chunk's tables and phases
 _CACHE = 1 << 20
-# working bytes one slice of a leading point or node axis may hold: a chunk's
-# phases and per-axis tables, a slab of the Gram check or of the grid weights
-# (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4 points)
+# working bytes one chunk of the leading point axis may hold, its phases and
+# per-axis tables (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4 points)
 _BUDGET = 3 << 20
 
 

@@ -3,7 +3,9 @@
 Every identity the library implements is re-checked here against an
 independent route: generating-function coefficients against the
 recurrence, analytic derivatives against finite differences, closed-form
-normalizations against quadrature, addition theorems against brute-force
+normalizations against quadrature, orthonormality by the grid's Gram
+matrix summed axis by axis (sum factorization; the tests hold it to the
+brute-force sum over every node), addition theorems against brute-force
 index sums, solid harmonics against a finite-difference Laplacian, and
 boundary fits against manufactured solutions (whose boundary data the
 staged grid synthesis makes, itself held to the scattered evaluation).
@@ -206,29 +208,25 @@ def _quadrature_residual(d, rule_residual):
 
 
 def _gram_residual(d, lmax):
-    """max |V W V^H - I| over the grid's nodes, V the harmonic values and W the weights.
+    """max |G - I|, G the grid's weighted sums of Y_i conj(Y_j) over every label row pair.
 
-    V W V^H is summed over slabs of the leading node axis, one slab when
-    all of V fits the working budget (harmonics._slices), so only one
-    slab of V is held at a time.  Each slab is taken in column blocks, 8
-    over all of V, so only one block's conjugate is held at a time.
+    Harmonics and grid both factor over the axes, so G = P * A_d * ... * A_3
+    entrywise (sum factorization): P the phase Gram, sum over the phi nodes
+    of w_phi e^(i (m_1 - m_1') phi) / 2 pi, and A_k = T_k W_k T_k^T, T_k the
+    axis_factors of theta_k at the nodes of its rule gathered at each row's
+    (degree, order).  No array grows with the node count.
     """
     lcap = min(lmax, _LEVEL_CAP[d])
     grid = qd.sphere_grid(d, lcap)
-    rows, n = len(hr._labels(d, lcap, 0)), grid.shape[0]
-    nodes = [rule.nodes for rule in grid.theta_rules]
-    gram = 0
-    for at in hr._slices(n, 16 * rows * grid.size):
-        # the open mesh of the slab's node axes broadcasts to the slab in grid
-        # order, so the per-axis tables hold only each axis's own nodes
-        axes = np.ix_(nodes[0][at], *nodes[1:], grid.phi_nodes)
-        values = hr.harmonic_values(geo.UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]), lcap)
-        values = values.reshape(rows, -1)
-        values *= np.sqrt(grid._weights(at))  # the weights are positive
-        for b in np.array_split(values, max(1, 8 * (at.stop - at.start) // n), axis=1):
-            gram = gram + b @ b.conj().T
-        del values, b  # freed before the next slab's values are made
-    return float(np.max(np.abs(gram - np.eye(rows))))
+    labels = hr._labels(d, lcap, 0)
+    phases = np.exp(1j * np.multiply.outer(labels[:, -1], grid.phi_nodes))
+    gram = (grid.phi_weight / (2.0 * math.pi)) * phases @ phases.conj().T
+    # axis k = d, ..., 3 has degree labels[:, i] and order |labels[:, i + 1]|
+    orders = np.abs(labels)
+    for i, rule in enumerate(grid.theta_rules):
+        table = hr.axis_factors(d - i, lcap, rule.nodes)[labels[:, i], orders[:, i + 1]]
+        gram *= (table * rule.weights) @ table.T
+    return float(np.max(np.abs(gram - np.eye(len(labels)))))
 
 
 def _uniform(rng, bounds, n):

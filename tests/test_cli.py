@@ -140,6 +140,12 @@ class TestTabulateCommand:
             value = row.split()[1]
             assert float(value) == float(format(float(value), ".17g"))
 
+    def test_degree_at_the_limit_is_tabulated(self, capsys):
+        rc = main(["tabulate", "poly", "--d", "3", "--l", "10000", "--x", "0.5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert math.isfinite(float(out.splitlines()[-1].split()[1]))
+
     def test_missing_params_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["tabulate", "poly", "--d", "3"])
@@ -177,6 +183,11 @@ _USAGE_ERRORS = {
     "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],
     # refused before the range's list of dimensions is built
     "verify-huge-d-range": ["verify", "--d", "3-100000000000", "--lmax", "1"],
+    # degrees above quadrature._DEGREE_LIMIT, refused before any value is computed
+    "poly-huge-degree": ["tabulate", "poly", "--d", "3", "--l", "1000000000000", "--x", "0.5"],
+    "assoc-huge-degree": ["tabulate", "assoc", "--d", "3", "--l", "100000000000", "--m", "1",
+                          "--theta", "0.5"],
+    "norm-huge-degree": ["tabulate", "norm", "--d", "3", "--l", "100000000", "--n", "0"],
 }
 
 

@@ -557,27 +557,45 @@ class TestBlockGather:
             tracemalloc.stop()
         assert peak < 1.25 * harmonics._BUDGET + values.nbytes
 
-    def test_gram_check_holds_one_slab_of_values(self):
-        # d = 8 at its level cap 2: V is 44 rows x 24,576 nodes, 17.3 MB of complex
-        d = 8
+
+class TestGramCheck:
+    """verify's sum-factorized Gram check against the brute-force V W V^H."""
+
+    @staticmethod
+    def brute_force_residual(d):
+        """max |V W V^H - I|, V every harmonic of levels <= the level cap on the whole grid."""
         lcap = verify._LEVEL_CAP[d]
         grid = sphere_grid(d, lcap)
         axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
         values = harmonic_values(UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]), lcap)
-        values = values.reshape(len(values), -1) * np.sqrt(grid.weights)
-        gram = sum(b @ b.conj().T for b in np.array_split(values, 8, axis=1))
-        want = float(np.max(np.abs(gram - np.eye(len(values)))))
-        nbytes = values.nbytes
-        del values, gram
+        values = values.reshape(len(values), -1)
+        gram = (values * grid.weights) @ values.conj().T
+        return float(np.max(np.abs(gram - np.eye(len(values)))))
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_factorized_gram_matches_the_brute_force_residual(self, d):
+        assert abs(verify._gram_residual(d, 8) - self.brute_force_residual(d)) <= 4e-15
+
+    def test_factorized_gram_sees_a_perturbed_table(self, monkeypatch):
+        def perturbed(k, lmax, theta):
+            table = axis_factors(k, lmax, theta)
+            table[:, 1] *= 1.0 + 1e-6  # the order-1 column
+            return table
+
+        assert verify._gram_residual(5, 8) < 1e-13
+        monkeypatch.setattr(harmonics, "axis_factors", perturbed)
+        assert verify._gram_residual(5, 8) > 1e-7
+
+    def test_gram_check_holds_no_grid_sized_array(self):
+        # d = 8 at its level cap 2: 44 rows x 24,576 nodes of V would take 17.3 MB
+        verify._gram_residual(8, 8)  # warm: the grid, steps and label rows are cached
         tracemalloc.start()
         try:
-            got = verify._gram_residual(d, 8)
+            verify._gram_residual(8, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one slab of V (a quarter) and one column block's conjugate (an eighth)
-        assert nbytes == 17_301_504 and peak < 0.5 * nbytes
-        assert got == want
+        assert peak < 256 * 2**10
 
 
 class TestAdditionSum:

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -17,6 +18,18 @@ def test_every_exported_name_resolves():
 def test_module_exports_are_package_exports(module):
     exported = importlib.import_module(f"ultrasph.{module}").__all__
     assert sorted(set(exported) - set(ultrasph.__all__)) == []
+
+
+def test_quadrature_imports_nothing_from_harmonics():
+    # grids and rules sit below the harmonics in the layering
+    source = Path(importlib.import_module("ultrasph.quadrature").__file__).read_text()
+    modules = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert [name for name in modules if "harmonics" in name.split(".")] == []
 
 
 def test_failing_hypothesis_test_reports_its_falsifying_example(tmp_path):
