@@ -74,6 +74,18 @@ def _log_mass(delta):
     return 0.5 * math.log(math.pi) + math.lgamma(delta + 1.0) - math.lgamma(delta + 1.5)
 
 
+def _starts(delta, n):
+    """mu_0^(-1/2) of (1-x^2)^delta, ..., (1-x^2)^(delta+n-1), stepped up from delta mod 1.
+
+    mu_0(delta+1) = mu_0(delta) (delta+1) / (delta+3/2) keeps them within
+    1e-15 of mpmath up to delta = 1000, where _log_mass at delta itself
+    loses digits in lgamma (5.8e-14 at delta = 300.5); 2 delta is an integer.
+    """
+    steps = np.arange(delta % 1.0, delta + n - 1)  # delta mod 1, ..., delta + n - 2
+    mass = math.exp(_log_mass(delta % 1.0)) * np.cumprod(np.append(1.0, (steps + 1.0) / (steps + 1.5)))
+    return 1.0 / np.sqrt(mass[len(mass) - n :])
+
+
 def _orthonormal(x, q, a):
     """Yield q_0(x) = q, q_1(x), ..., q_N(x), N = len(a), orthonormal for (1-x^2)^delta.
 
@@ -97,7 +109,7 @@ def _steps(k, lmax):
     """
     delta = np.arange(lmax + 1) + (k - 3) / 2.0  # per column
     a = np.sqrt(_jacobi_b(np.arange(1, lmax + 1).reshape(-1, 1), delta))
-    start = np.exp([-0.5 * _log_mass(v) for v in delta])
+    start = _starts(delta[0], lmax + 1)
     a.flags.writeable = start.flags.writeable = False  # shared by every later call
     return a, start
 

@@ -30,9 +30,10 @@ through it :func:`addition_sum`) and
 one chunk of the leading axis at a time, sized so that the chunk's
 phases and tables fit one working budget (_BUDGET, split by _slices),
 and the label rows one block at a time, sized so that the block's
-temporaries, the caller's included, fit a cache budget (_CACHE) in
-buffers reused by each block of the chunk; only the caller's result
-grows with the point count.
+temporaries, the caller's included, fit a cache budget (_CACHE).  Each
+block is built in place in its destination, its rows of the result or
+one buffer of the chunk, so only the caller's result grows with the
+point count.
 ``solver.project_boundary`` contracts grid samples against the same
 tables, and the verify Gram check multiplies their per-axis Gram
 matrices.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by
@@ -266,12 +267,12 @@ def _chain_blocks(labels, angles, shape, out=None, spare=0):
     point count.  Each block starts as its rows' e^(i m_1 phi) / sqrt(2 pi)
     and is multiplied by the gathered T_k[deg_k, ord_k] for
     k = d, ..., 3, the order of the per-index chain product, so each row
-    is bitwise that product whatever the chunks and blocks.  Given
-    ``out``, an array of (len(labels),) + shape, the last product of each
-    block is written straight into its rows of ``out`` and Y is that view.
-    Otherwise Y is a buffer of the chunk that the next block overwrites,
-    so the caller may change it in place; ``spare`` is the bytes per
-    entry the caller's own temporaries take beside it (_chunk_blocks).
+    is bitwise that product whatever the chunks and blocks.  Each block
+    is built in place: given ``out``, an array of (len(labels),) + shape,
+    in its rows of ``out``, and Y is that view.  Otherwise Y is a buffer
+    of the chunk that the next block overwrites, so the caller may change
+    it in place; ``spare`` is the bytes per entry the caller's own
+    temporaries take beside it (_chunk_blocks).
     """
     top = int(labels[:, 0].max(initial=0))
     chunks = [()]
@@ -291,64 +292,49 @@ def _chunk_blocks(labels, top, angles, at, shape, out, spare):
     """The blocks of _chain_blocks at the chunk ``at`` of ``shape``, from its own tables.
 
     A block takes as many rows as keep its temporaries within _CACHE
-    bytes: per row, the running product (complex) and ``spare`` bytes
-    per entry of the caller's, and the largest gathered table factor
-    (float), which has the row's full shape at scattered points.  The
-    blocks are near-equal, the first the largest.  A block grows by
-    broadcasting until it has its full shape (an open mesh grows from the
-    phase outward, its partial products within the product's share).
-    What has the full shape is written into one buffer per dtype, made
-    for the chunk and reused by each block, so scattered points allocate
-    nothing per block.
+    bytes: per row, the product (complex) and ``spare`` bytes per entry
+    of the caller's, and the largest gathered table factor (float), which
+    has the row's full shape at scattered points.  The blocks are
+    near-equal, the first the largest.  A block's phases are gathered or
+    broadcast into its rows of ``out`` or one complex buffer of the chunk,
+    and its table factors multiplied in there, each one of the full shape
+    by way of one float buffer of the chunk, so no block allocates more.
     """
     ndim = len(shape)
     part = (at[0].stop - at[0].start,) + shape[1:] if at else shape
     m1 = np.arange(-top, top + 1).reshape((-1,) + (1,) * ndim)
     thetas = (_part(t, at, ndim) for t in angles.theta)
-    # the phases, then each table with its (degree, order) axes as one
-    sources = [np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)]
-    sources += [axis_factors(k, top, t).reshape((-1,) + t.shape)
-                for k, t in zip(range(angles.d, 2, -1), thetas)]
-    # the point shape of the running product after each source (each axis of
-    # a source is 1 or full, so the larger broadcasts); the last product has
-    # the full shape, in ``out`` or in the buffer
-    grown = [sources[0].shape[1:]]
-    for table in sources[1:-1]:
-        grown.append(tuple(map(max, grown[-1], table.shape[1:])))
-    grown.append(part)
-    if out is not None:
-        out = out[(slice(None),) + at]
+    # the phases, and each table with its (degree, order) axes as one
+    phases = np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)
+    tables = [axis_factors(k, top, t).reshape((-1,) + t.shape)
+              for k, t in zip(range(angles.d, 2, -1), thetas)]
     # a row's temporaries: its product (complex) and the caller's spare bytes
     # per entry, and its largest gathered factor (float)
-    row = (16 + spare) * math.prod(part) + 8 * max(math.prod(t.shape[1:]) for t in sources[1:])
+    row = (16 + spare) * math.prod(part) + 8 * max(math.prod(t.shape[1:]) for t in tables)
     rows = len(labels)
     count = max(1, -(-rows // max(1, _CACHE // row)))
     step = max(1, -(-rows // count))
-    buffers = {}
-
-    def full(dtype, n):
-        """The first n rows of the chunk's buffer of ``dtype``, made on first use."""
-        if dtype not in buffers:
-            buffers[dtype] = np.empty((step,) + part, dtype)
-        return buffers[dtype][:n]
-
+    # a block's destination: its rows of out, or the chunk's one buffer
+    if out is not None:
+        out = out[(slice(None),) + at]
+    buffer = np.empty((step,) + part, dtype=complex) if out is None else None
+    gathered = np.empty((step,) + part) if any(t.shape[1:] == part for t in tables) else None
     for start in range(0, rows, step):
         block = labels[start : start + step]
         n = len(block)
+        y = buffer[:n] if out is None else out[start : start + n]
         orders = np.abs(block)  # only m_1 may be negative; its axis has order |m_1|
-        # each row's phase, then its flat (degree, order) entry of each table
-        index = [block[:, -1] + top, *(orders[:, :-1] * (top + 1) + orders[:, 1:]).T]
-        factors = (np.take(source, i, axis=0, out=full(source.dtype, n), mode="clip")
-                   if source.shape[1:] == part else source[i]
-                   for source, i in zip(sources, index))
-        y = next(factors)
-        for i, factor in enumerate(factors, 1):
-            if out is not None and i == len(sources) - 1:
-                y = np.multiply(y, factor, out=out[start : start + n])
-            elif y.shape[1:] == part:
-                y *= factor
+        if phases.shape[1:] == part:
+            np.take(phases, block[:, -1] + top, axis=0, out=y, mode="clip")
+        else:
+            y[...] = phases[block[:, -1] + top]
+        # each row's flat (degree, order) entry of each table, multiplied in the
+        # order of the per-index chain product
+        for table, i in zip(tables, (orders[:, :-1] * (top + 1) + orders[:, 1:]).T):
+            if table.shape[1:] == part:
+                y *= np.take(table, i, axis=0, out=gathered[:n], mode="clip")
             else:
-                y = np.multiply(y, factor, out=full(y.dtype, n) if grown[i] == part else None)
+                y *= table[i]
         yield at, start, y
 
 
@@ -359,9 +345,8 @@ def harmonic_values(angles, lmax, lmin=0):
     the result has shape (rows,) + the broadcast shape of the angles, so a
     scalar point gives a vector.  Equal to :func:`eval_harmonic` per index
     up to roundoff, from per-axis tables built one chunk of points at a
-    time (_chain_blocks), so beyond the result only one chunk's tables
-    and one block are held.  Each block's last chain product is written
-    straight into the result.
+    time (_chain_blocks) and multiplied out in place in the result, so
+    beyond it only one chunk's tables and one block's factor are held.
     """
     lmax = _check_int(lmax, "lmax", 0)
     lmin = _check_int(lmin, "lmin", 0)

@@ -23,10 +23,11 @@ Each rule is solved once per process: :func:`theta_rule` keeps the
 recently used (alpha, n) rules (up to 256) and returns the same
 read-only ThetaRule on a repeated call.  Grids are shared the same way:
 :func:`sphere_grid` keeps the recently used (d, lmax) grids (up to 64),
-which share their rules, and the transforms keep each grid's per-axis
-tables with it (solver._tables).  A shared grid holds only its axes;
-its node mesh and weight tensor are formed on each read, and its total
-weight is the product of the per-axis sums.
+which share their rules, and the transforms keep the per-axis tables
+of the recently used (grid, lmax) pairs (up to 8, solver._tables).  A
+shared grid holds only its axes; its node mesh and weight tensor are
+formed on each read, and its total weight is the product of the
+per-axis sums.
 """
 
 import math
@@ -36,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gegenbauer import _jacobi_b, _log_mass, _orthonormal
+from .gegenbauer import _jacobi_b, _orthonormal, _starts
 from .geometry import UltrasphericalPoint, _check_int
 
 __all__ = [
@@ -59,7 +60,7 @@ def _gauss_rule(n, delta):
     """
     a = np.sqrt(_jacobi_b(np.arange(1, n + 1), delta))  # a_1, ..., a_n
     x = np.linalg.eigvalsh(np.diag(a[:-1], 1) + np.diag(a[:-1], -1))
-    q0 = np.full_like(x, math.exp(-0.5 * _log_mass(delta)))
+    q0 = np.full_like(x, _starts(delta, 1)[0])
     q_prev, q = deque(_orthonormal(x, q0, a), maxlen=2)  # q_{n-1}, q_n
     x = x - (1.0 - x * x) * q / ((2 * n + 2 * delta + 1) * a[-1] * q_prev - n * x * q)
     x = 0.5 * (x - x[::-1])

@@ -16,9 +16,9 @@ Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
 (harmonics.axis_factors, an orthonormal recurrence with no normalization
 constant), the one table path that harmonics.harmonic_values and verify
-also use.  Each table is built once per grid and lmax (_tables), and
-sphere_grid shares one grid per (d, lmax), so repeated fits and
-syntheses on a grid reuse its tables.
+also use.  Each table is built once per grid and lmax (_tables, which
+keeps the 8 most recently used), and sphere_grid shares one grid per
+(d, lmax), so repeated fits and syntheses on a grid reuse its tables.
 
 * Forward (project_boundary) is a staged contraction on the product grid.
   The samples, as the node tensor (n_d, ..., n_3, n_phi), are contracted
@@ -43,9 +43,9 @@ syntheses on a grid reuse its tables.
   bitwise the index-by-index sum at array points).  The gather builds
   the phases and tables, and eval_expansion the radial powers, for one
   chunk of points at a time within harmonics._BUDGET, so beyond the
-  output its memory does not grow with the point count; the blocks and
-  their weights stay within harmonics._CACHE, in buffers each block of
-  the chunk reuses.  Scattered
+  output its memory does not grow with the point count; each block is
+  built in one buffer of the chunk and its weights in two more, all
+  within harmonics._CACHE.  Scattered
   points share no grid structure, so staging there would carry a
   points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
   the output.
@@ -63,9 +63,8 @@ both contractions come from one helper (_tables).
 
 import math
 import warnings
-import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -210,7 +209,7 @@ def eval_expansion(expansion, r, angles):
     once per level and chunk of points, as the level's coefficients need
     them; a needed power that overflows raises ValueError naming its
     level, the first such level of the first chunk of points that has one.
-    Each block's weights are formed in three buffers of the block's shape,
+    Each block's weights are formed in two buffers of the block's shape,
     made once per chunk (the ``spare`` bytes of harmonics._chain_blocks),
     so the block and its temporaries stay within harmonics._CACHE.
     """
@@ -231,20 +230,20 @@ def eval_expansion(expansion, r, angles):
             need.append((l, need_a, need_b))
     total = np.zeros(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        # per entry, a gathered power and two weight terms
-        for at, start, y in _chain_blocks(labels, angles, shape, spare=48):
+        # per entry, a gathered power (then the B term) and the weight
+        for at, start, y in _chain_blocks(labels, angles, shape, spare=32):
             if start == 0:  # a new chunk of points: its powers as (level, ...), and buffers
                 part = np.broadcast_to(_part(r, at, len(shape)), y.shape[1:])
                 # complex, as the weights' products would cast them
                 grow, decay = np.zeros((2, levels.max() + 1) + part.shape, dtype=complex)
                 for l, need_a, need_b in need:
                     grow[l], decay[l] = _radial_powers(l, d, part, need_a, need_b)
-                power, weights, other = np.empty_like(y), np.empty_like(y), np.empty_like(y)
+                power, weights = np.empty_like(y), np.empty_like(y)
             rows = slice(start, start + len(y))
-            p, w, v = power[: len(y)], weights[: len(y)], other[: len(y)]
+            p, w = power[: len(y)], weights[: len(y)]
             np.multiply(a[rows], np.take(grow, levels[rows], axis=0, out=p, mode="clip"), out=w)
-            np.multiply(b[rows], np.take(decay, levels[rows], axis=0, out=p, mode="clip"), out=v)
-            np.add(w, v, out=w)
+            np.multiply(b[rows], np.take(decay, levels[rows], axis=0, out=p, mode="clip"), out=p)
+            np.add(w, p, out=w)
             np.multiply(w, y, out=y)  # weights first, as the per-index sum
             y[0] += total[at]  # the running total leads the block's row sum
             total[at] = np.sum(y, axis=0)
@@ -269,10 +268,7 @@ def _positions(labels, lmax):
     return np.ravel_multi_index((*labels[:, :-1].T, labels[:, -1] + lmax), shape)
 
 
-# the phase and tables of each grid, by lmax, kept while the grid lives
-_GRID_TABLES = weakref.WeakKeyDictionary()
-
-
+@lru_cache(maxsize=8)
 def _tables(grid, lmax):
     """The phase and per-axis tables of both transforms on ``grid``, up to lmax.
 
@@ -281,23 +277,20 @@ def _tables(grid, lmax):
     contractions' matmul batched over the order, with the orders at
     theta_3 gathered as |m_1| for m_1 = -lmax, ..., lmax.  They carry
     neither the (2 pi)^(-1/2) factor nor quadrature weights; the callers
-    apply those.  Each grid builds them once per lmax and shares them
-    read-only.
+    apply those.  Each (grid, lmax) builds them once, shared read-only,
+    and the 8 most recently used are kept.
     """
-    by_lmax = _GRID_TABLES.setdefault(grid, {})
-    if lmax not in by_lmax:
-        m1 = np.arange(-lmax, lmax + 1)
-        phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
-        tables = []
-        for k, rule in zip(range(3, grid.d + 1), reversed(grid.theta_rules)):
-            table = axis_factors(k, lmax, rule.nodes)
-            if k == 3:
-                table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
-            tables.append(np.ascontiguousarray(table.transpose(1, 0, 2)))
-        for array in (phase, *tables):
-            array.flags.writeable = False
-        by_lmax[lmax] = phase, tuple(tables)
-    return by_lmax[lmax]
+    m1 = np.arange(-lmax, lmax + 1)
+    phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))
+    tables = []
+    for k, rule in zip(range(3, grid.d + 1), reversed(grid.theta_rules)):
+        table = axis_factors(k, lmax, rule.nodes)
+        if k == 3:
+            table = table[:, np.abs(m1)]  # the order on theta_3 is |m_1|
+        tables.append(np.ascontiguousarray(table.transpose(1, 0, 2)))
+    for array in (phase, *tables):
+        array.flags.writeable = False
+    return phase, tuple(tables)
 
 
 def _stage(table, coef, i):

@@ -479,6 +479,16 @@ class TestOrthonormalRecurrence:
         axis_factors(5, 7, np.linspace(0.1, 3.0, 4))
         assert calls == [31, 30, 7]
 
+    @pytest.mark.parametrize("k", (3, 5, 8))
+    def test_high_order_columns_keep_their_norm(self, k):
+        # starts from lgamma at each delta = ord + (k-3)/2 put 1.5e-13 to 2.1e-13
+        # into these norms; stepped from delta mod 1 they hold to about 1e-14
+        lmax = 150
+        rule = theta_rule(k - 2, lmax + 2)
+        table = axis_factors(k, lmax, rule.nodes)
+        norms = np.einsum("dot,dot,t->do", table, table, rule.weights)
+        assert np.max(np.abs(norms - np.tri(lmax + 1))) <= 3e-14  # 1 where deg >= ord
+
     @pytest.mark.parametrize("k", (3, 4, 8))  # delta = (k-3)/2 = 0, 1/2, 5/2
     @pytest.mark.parametrize("n", (1, 3, 8))
     def test_derivative_from_the_last_two_values(self, k, n):

@@ -503,6 +503,23 @@ class TestBlockGather:
         assert block <= harmonics._CACHE < 3 * grid.size * 16 and block == 786_432
         assert peak <= values.nbytes + block
 
+    @pytest.mark.parametrize("d, lmax", [(8, 2), (6, 3)])
+    def test_open_mesh_products_are_built_in_the_result(self, d, lmax):
+        # each block's phases are broadcast into its rows of the result and the
+        # factors multiplied in there; growing each product from the phase
+        # outward beside the result held 472 kB (d = 8) and 518 kB (d = 6)
+        grid = sphere_grid(d, lmax)
+        axes = np.ix_(*(rule.nodes for rule in grid.theta_rules), grid.phi_nodes)
+        point = UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1])
+        harmonic_values(point, lmax)  # warm: tables' steps and label rows cached
+        tracemalloc.start()
+        try:
+            values = harmonic_values(point, lmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= values.nbytes + 256 * 2**10
+
     def test_scattered_working_set_stays_in_the_cache_budget(self):
         # eval-scatter's size, d = 5, lmax 6 (336 rows) at 100 points: one block of
         # every row and the seven temporaries made beside it peaked at 2.46 MiB

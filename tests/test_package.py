@@ -32,6 +32,27 @@ def test_quadrature_imports_nothing_from_harmonics():
     assert [name for name in modules if "harmonics" in name.split(".")] == []
 
 
+def test_module_caches_are_bounded():
+    # a module-level cache keeps what it holds for the life of the process, so
+    # each names a finite size; a weakref-keyed one lives as long as its keys
+    bad = []
+    for path in sorted(Path(ultrasph.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bounded = {id(node.func) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and not node.args and len(node.keywords) == 1
+                   and node.keywords[0].arg == "maxsize"
+                   and isinstance(node.keywords[0].value, ast.Constant)
+                   and type(node.keywords[0].value.value) is int and node.keywords[0].value.value > 0}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in ("lru_cache", "cache") and id(node) not in bounded:
+                bad.append(f"{path.name}:{node.lineno} {name} without a finite maxsize")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                bad += [f"{path.name}:{node.lineno} imports {m}" for m in modules if m.split(".")[0] == "weakref"]
+    assert bad == []
+
+
 def test_failing_hypothesis_test_reports_its_falsifying_example(tmp_path):
     # under the project's warning filters, a failing hypothesis test must
     # report its example, not an INTERNALERROR from the plugin's report hook

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ class TestThetaRule:
         # mpmath: 0.12525310615320497864...
         assert_allclose(weight_total(400), 0.12525310615320498, rtol=1e-13)
         assert_allclose(theta_rule(400, 3).total_weight(), weight_total(400), rtol=1e-13)
+
+    @pytest.mark.parametrize("alpha", (60, 61, 400, 601, 1000))
+    def test_total_weight_at_large_alpha_is_exact_to_rounding(self, alpha):
+        # (alpha-1)!!/alpha!! times pi (alpha even) or 2 (odd), rounded twice; a
+        # mass from lgamma at (alpha-1)/2 was off by 2.1e-14 at 60 and 7.4e-14 at 601
+        ratio = Fraction(math.prod(range(alpha - 1, 0, -2)), math.prod(range(alpha, 0, -2)))
+        exact = float(ratio) * (math.pi if alpha % 2 == 0 else 2.0)
+        for n in (1, 5, 40):
+            assert abs(theta_rule(alpha, n).total_weight() / exact - 1.0) <= 3e-15
 
     @pytest.mark.parametrize("alpha", range(1, 7))
     @pytest.mark.parametrize("n", range(1, 13))
