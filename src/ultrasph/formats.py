@@ -33,7 +33,7 @@ import re
 import numpy as np
 
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, to_ultraspherical
-from .harmonics import MultiIndex
+from .harmonics import MultiIndex, _chain_ok
 from .quadrature import _D_LIMITS, _LMAX_LIMITS, grid_shape, sphere_grid
 from .solver import BoundaryProblem, HarmonicExpansion, _synthesize
 
@@ -295,9 +295,9 @@ def _label_rows(rows, d):
     """(labels, bad): the int-list rows of ``rows`` as one array, in order, and a mask.
 
     ``bad`` marks each row that is not a list of d - 1 ints, breaks the
-    chain rule l >= m_{d-2} >= ... >= m_2 >= |m_1| >= 0 or repeats an
-    earlier row.  Integers beyond int64 stay Python ints (an object
-    array), so every comparison is exact.
+    chain rule (harmonics._chain_ok) or repeats an earlier row.  Integers
+    beyond int64 stay Python ints (an object array), so every comparison
+    is exact.
     """
     width, keep = d - 1, None
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}
@@ -310,9 +310,7 @@ def _label_rows(rows, d):
         labels = np.array(rows, dtype=np.int64).reshape(len(rows), width)
     except OverflowError:
         labels = np.array(rows, dtype=object).reshape(len(rows), width)
-    # (l, m_{d-2}, ..., m_2, |m_1|) must not increase; abs(-2^63) < 0 fails the last test
-    chain = np.concatenate([labels[:, :-1], np.abs(labels[:, -1:])], axis=1)
-    bad = ~((chain[:, :-1] >= chain[:, 1:]).all(axis=1) & (chain[:, -1] >= 0))
+    bad = ~_chain_ok(labels)
     if len(labels) > 1:  # a repeat needs two rows; lexsort takes one key per column
         order = np.lexsort(labels.T)  # stable: a repeated row follows its first, file order kept
         bad[order[1:]] |= (labels[order[1:]] == labels[order[:-1]]).all(axis=1)

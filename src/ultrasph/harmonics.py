@@ -6,8 +6,10 @@ A harmonic on the (d-1)-sphere is labeled by the integer chain
     l >= m_{d-2} >= ... >= m_2 >= |m_1|,
 
 all entries nonnegative except m_1, whose negative branch is the complex
-conjugate of the positive one.  The unnormalized eigenfunction is the
-product over the angle chain
+conjugate of the positive one.  This module alone builds label rows
+(_labels) and checks them, in bulk (_chain_ok) or one MultiIndex at a
+time, by one rule.  The unnormalized eigenfunction is the product over
+the angle chain
 
     Psi = P^{m_{d-2}}_{l,d}(cos theta_d)
           P^{m_{d-3}}_{m_{d-2},d-1}(cos theta_{d-1}) ...
@@ -23,9 +25,8 @@ All bulk evaluation takes one table path: Y_idx is (2 pi)^(-1/2)
 e^(i m_1 phi) times one normalized factor per polar axis, read from the
 per-axis tables of :func:`axis_factors`, which gegenbauer's orthonormal
 recurrence (the one the Gauss rules run) fills with no normalization
-constant.  :func:`harmonic_values` (and
-through it :func:`addition_sum`) and
-``solver.eval_expansion`` share one block gather over those tables
+constant.  :func:`harmonic_values` (and through it :func:`addition_sum`)
+and ``solver.eval_expansion`` share one block gather over those tables
 (_chain_blocks) on integer label rows (_labels).  It takes the points
 one chunk of the leading axis at a time, sized so that the chunk's
 phases and tables fit one working budget (_BUDGET, split by _slices),
@@ -78,29 +79,16 @@ class MultiIndex:
     m: tuple
 
     def __post_init__(self):
-        # _check_int only where a value is not already a plain int in range
-        d, l = self.d, self.l
-        if type(d) is not int or d < 3:
-            d = _check_int(d, "dimension", 3)
-        if type(l) is not int or l < 0:
-            l = _check_int(l, "level", 0)
-        # no entry of a chain is below -l, whatever its place
-        m = self.m
-        if type(m) is not tuple or not all([type(v) is int and v >= -l for v in m]):
-            m = tuple(_check_int(v, "chain entry", -l) for v in m)
+        d, l = _check_int(self.d, "dimension", 3), _check_int(self.l, "level", 0)
+        m = tuple(_check_int(v, "chain entry", -l) for v in self.m)  # no entry is below -l
         if len(m) != d - 2:
             raise ValueError(f"expected {d - 2} chain entries for d={d}, got {len(m)}")
-        bound = l
-        for v in m[:-1]:
-            if not 0 <= v <= bound:
-                raise ValueError(f"chain violation in {m}: {v} not in [0, {bound}]")
-            bound = v
-        if abs(m[-1]) > bound:
-            raise ValueError(f"chain violation in {m}: |{m[-1]}| > {bound}")
-        if d is not self.d or l is not self.l or m is not self.m:
-            object.__setattr__(self, "d", d)
-            object.__setattr__(self, "l", l)
-            object.__setattr__(self, "m", m)
+        for name, value in (("d", d), ("l", l), ("m", m)):
+            object.__setattr__(self, name, value)
+        # the rule of _chain_ok, one polar axis at a time
+        for _, degree, order in self.axis_terms():
+            if not 0 <= order <= degree:
+                raise ValueError(f"chain violation in {m}: order {order} not in [0, {degree}]")
 
     def axis_terms(self):
         """Per-axis factors as (dimension k, degree, order), k = d, ..., 3."""
@@ -122,23 +110,25 @@ def count(d, l):
     return math.comb(l + d - 2, d - 2) + math.comb(l + d - 3, d - 2)
 
 
-def _chains(bound, length):
-    if length == 1:
-        for m1 in range(-bound, bound + 1):
-            yield (m1,)
-        return
-    for v in range(bound + 1):
-        for rest in _chains(v, length - 1):
-            yield (v,) + rest
-
-
 def enumerate_indices(d, l):
     """All MultiIndex at level l, in deterministic lexicographic order.
 
     The outer entries ascend from 0 to their chain bound and m_1 ascends
     over [-m_2, m_2]; the result has length count(d, l).
     """
-    return [MultiIndex(d, l, m) for m in _chains(l, d - 2)]
+    d = _check_int(d, "dimension", 3)
+    l = _check_int(l, "level", 0)
+    return _indices(d, _labels(d, l, l))
+
+
+def _chain_ok(labels):
+    """Mask of the int64 or object (beyond int64) label rows that obey the chain rule.
+
+    Every polar axis i has 0 <= order |labels[:, i + 1]| <= degree labels[:, i];
+    orders[:, -1] >= 0 fails abs(-2**63), which stays negative in int64.
+    """
+    orders = np.abs(labels[:, 1:])
+    return (labels[:, :-1] >= orders).all(axis=1) & (orders[:, -1] >= 0)
 
 
 def eval_psi(idx, angles):
@@ -227,10 +217,23 @@ def _slices(n, nbytes, least=1):
 def _labels(d, lmax, lmin):
     """Int label rows (l, m_{d-2}, ..., m_1) of levels lmin..lmax, in enumerate_indices order.
 
-    Built once per (d, lmax, lmin) and shared, so the array is read-only.
+    Built one chain entry at a time: each row is repeated once per value its
+    last entry allows the next (0..bound above m_1, -bound..bound at m_1).
+    An entry keeps the rows of its own step and is read out through the rows
+    they extend, so the cost is linear in d.  Cached and shared, so read-only.
     """
-    rows = [(l, *m) for l in range(lmin, lmax + 1) for m in _chains(l, d - 2)]
-    labels = np.array(rows, dtype=int).reshape(-1, d - 1)
+    columns, parents = [np.arange(lmin, lmax + 1)], []
+    for j in range(d - 2):
+        low = -columns[-1] if j == d - 3 else 0
+        counts = columns[-1] - low + 1
+        parents.append(np.repeat(np.arange(len(counts)), counts))
+        # the new entry counts up from low along each row's run
+        columns.append(np.arange(len(parents[-1])) - (np.cumsum(counts) - counts - low)[parents[-1]])
+    labels, rows = np.empty((len(columns[-1]), d - 1), dtype=np.int64), slice(None)
+    for j in range(d - 2, 0, -1):
+        labels[:, j] = columns[j][rows]
+        rows = parents[j - 1][rows]
+    labels[:, 0] = columns[0][rows]
     labels.flags.writeable = False
     return labels
 

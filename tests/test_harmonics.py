@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -112,6 +113,64 @@ class TestEnumerate:
 
     def test_order_is_deterministic(self):
         assert enumerate_indices(5, 3) == enumerate_indices(5, 3)
+
+    @pytest.mark.parametrize("d, l", [(2, 1), (3, -1), (3, 1.0), (True, 1), (3, True)])
+    def test_bad_arguments_rejected(self, d, l):
+        with pytest.raises(ValueError, match="must be an integer"):
+            enumerate_indices(d, l)
+
+
+def reference_chains(bound, length):
+    """The chains (m_{d-2}, ..., m_1) under ``bound``, by recursion on their length."""
+    if length == 1:
+        for m1 in range(-bound, bound + 1):
+            yield (m1,)
+        return
+    for v in range(bound + 1):
+        for rest in reference_chains(v, length - 1):
+            yield (v,) + rest
+
+
+class TestLabelRows:
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_rows_are_the_recursive_enumeration(self, d):
+        for lmax in range(9):
+            for lmin in range(lmax + 2):
+                want = [[l, *m] for l in range(lmin, lmax + 1) for m in reference_chains(l, d - 2)]
+                got = harmonics._labels(d, lmax, lmin)
+                assert got.dtype == np.int64 and got.shape == (len(want), d - 1)
+                assert got.tolist() == want
+
+    def test_high_dimension_builds_without_recursion(self):
+        labels = harmonics._labels.__wrapped__(1200, 1, 0)  # not kept in the cache
+        assert len(labels) == 1 + count(1200, 1)
+        assert labels[1].tolist() == [1] + [0] * 1198 and labels[-1].tolist() == [1] * 1199
+
+    @pytest.mark.parametrize("d", range(3, 6))
+    def test_bulk_and_scalar_rules_agree(self, d):
+        rows = np.array(list(itertools.product(range(-3, 4), repeat=d - 1)))
+        self.assert_rules_agree(d, rows)
+
+    @pytest.mark.parametrize("d", (3, 4))
+    @pytest.mark.parametrize("dtype, extremes", [
+        (np.int64, (-2**63, 2**63 - 1)), (object, (-2**70, 2**70)),
+    ])
+    def test_bulk_and_scalar_rules_agree_at_the_extremes(self, d, dtype, extremes):
+        values = (extremes[0], -1, 0, 1, 2, extremes[1])
+        rows = np.array(list(itertools.product(values, repeat=d - 1)), dtype=dtype)
+        self.assert_rules_agree(d, rows)
+
+    @staticmethod
+    def assert_rules_agree(d, rows):
+        ok = harmonics._chain_ok(rows)
+        assert ok.dtype == bool and ok.any() and not ok.all()
+        for row, accepted in zip(rows.tolist(), ok):
+            try:
+                MultiIndex(d, row[0], tuple(row[1:]))
+            except ValueError:
+                assert not accepted, row
+            else:
+                assert accepted, row
 
 
 class TestEvalPsi:

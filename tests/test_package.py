@@ -53,6 +53,25 @@ def test_module_caches_are_bounded():
     assert bad == []
 
 
+def _callee(func):
+    """The name ``func`` calls a function by: f(...), self.f(...) or cls.f(...)."""
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("self", "cls"):
+        return func.attr
+    return getattr(func, "id", None)
+
+
+def test_no_function_calls_itself():
+    # a recursion's depth grows with its input (the chain of a label has d - 2
+    # entries), so at large d it raises RecursionError; loops over arrays do not
+    bad = []
+    for path in sorted(Path(ultrasph.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad += [f"{path.name}:{node.lineno} {func.name}" for node in ast.walk(func)
+                        if isinstance(node, ast.Call) and _callee(node.func) == func.name]
+    assert bad == []
+
+
 def test_failing_hypothesis_test_reports_its_falsifying_example(tmp_path):
     # under the project's warning filters, a failing hypothesis test must
     # report its example, not an INTERNALERROR from the plugin's report hook
