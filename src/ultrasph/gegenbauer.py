@@ -69,20 +69,16 @@ def _jacobi_b(n, delta):
     return n * (n + 2.0 * delta) / ((2.0 * n + 2.0 * delta) ** 2 - 1.0)
 
 
-def _log_mass(delta):
-    """log mu_0, mu_0 = int_{-1}^{1} (1-x^2)^delta dx = sqrt(pi) Gamma(delta+1) / Gamma(delta+3/2)."""
-    return 0.5 * math.log(math.pi) + math.lgamma(delta + 1.0) - math.lgamma(delta + 1.5)
-
-
 def _starts(delta, n):
     """mu_0^(-1/2) of (1-x^2)^delta, ..., (1-x^2)^(delta+n-1), stepped up from delta mod 1.
 
-    mu_0(delta+1) = mu_0(delta) (delta+1) / (delta+3/2) keeps them within
-    1e-15 of mpmath up to delta = 1000, where _log_mass at delta itself
-    loses digits in lgamma (5.8e-14 at delta = 300.5); 2 delta is an integer.
+    2 delta is an integer, so mu_0 = int (1-x^2)^delta dx starts at exactly 2
+    (delta mod 1 = 0) or pi/2 (1/2), and mu_0(delta+1) = mu_0(delta) (delta+1) / (delta+3/2)
+    keeps the rest within 1e-15 of mpmath up to delta = 1000, where lgamma at
+    delta itself loses digits (5.8e-14 at delta = 300.5).
     """
     steps = np.arange(delta % 1.0, delta + n - 1)  # delta mod 1, ..., delta + n - 2
-    mass = math.exp(_log_mass(delta % 1.0)) * np.cumprod(np.append(1.0, (steps + 1.0) / (steps + 1.5)))
+    mass = (math.pi / 2.0 if delta % 1.0 else 2.0) * np.cumprod(np.append(1.0, (steps + 1.0) / (steps + 1.5)))
     return 1.0 / np.sqrt(mass[len(mass) - n :])
 
 

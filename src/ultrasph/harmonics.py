@@ -80,13 +80,14 @@ class MultiIndex:
 
     def __post_init__(self):
         d, l = _check_int(self.d, "dimension", 3), _check_int(self.l, "level", 0)
-        m = tuple(_check_int(v, "chain entry", -l) for v in self.m)  # no entry is below -l
+        m = tuple([_check_int(v, "chain entry", -l) for v in self.m])  # no entry is below -l
         if len(m) != d - 2:
             raise ValueError(f"expected {d - 2} chain entries for d={d}, got {len(m)}")
-        for name, value in (("d", d), ("l", l), ("m", m)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
         # the rule of _chain_ok, one polar axis at a time
-        for _, degree, order in self.axis_terms():
+        for degree, order in zip((l,) + m[:-1], m[:-1] + (abs(m[-1]),)):
             if not 0 <= order <= degree:
                 raise ValueError(f"chain violation in {m}: order {order} not in [0, {degree}]")
 
@@ -350,14 +351,18 @@ def harmonic_values(angles, lmax, lmin=0):
     up to roundoff, from per-axis tables built one chunk of points at a
     time (_chain_blocks) and multiplied out in place in the result, so
     beyond it only one chunk's tables and one block's factor are held.
+    A value beyond the double range raises ValueError, checked block by
+    block as each is made (Y_0 = Omega_d^(-1/2) overflows from d = 751 on).
     """
     lmax = _check_int(lmax, "lmax", 0)
     lmin = _check_int(lmin, "lmin", 0)
     d, shape = angles.d, _point_shape(angles)
     labels = _labels(d, lmax, lmin)
     out = np.empty((len(labels),) + shape, dtype=complex)
-    for _ in _chain_blocks(labels, angles, shape, out):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, _, y in _chain_blocks(labels, angles, shape, out):
+            if not np.isfinite(y).all():
+                raise ValueError(f"a harmonic value at d={d} is beyond the double range")
     return out
 
 

@@ -28,7 +28,7 @@ rows the chain enumeration behind every table path builds.
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -54,15 +54,6 @@ class CheckResult:
     tolerance: float
     passed: bool
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "params": self.params,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 @dataclass
 class VerifyReport:
@@ -79,7 +70,7 @@ class VerifyReport:
         )
 
     def to_dict(self):
-        return {"passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
+        return {"passed": self.passed, **asdict(self)}
 
 
 def _x_grid():

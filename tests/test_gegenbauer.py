@@ -497,7 +497,7 @@ class TestOrthonormalRecurrence:
         delta = (k - 3) / 2
         x = np.linspace(-0.95, 0.95, 11)
         a = np.sqrt(ultrasph.gegenbauer._jacobi_b(np.arange(1, n + 1), delta))
-        q0 = math.exp(-0.5 * ultrasph.gegenbauer._log_mass(delta))
+        q0 = ultrasph.gegenbauer._starts(delta, 1)[0]
         *_, q_prev, q = ultrasph.gegenbauer._orthonormal(x, np.full_like(x, q0), a)
         scale = q[-1] / poly(n, k, x[-1])
         want = (1 - x * x) * scale * poly_deriv(n, 1, k, x)
