@@ -220,16 +220,18 @@ def _labels(d, lmax, lmin):
 
     Built one chain entry at a time: each row is repeated once per value its
     last entry allows the next (0..bound above m_1, -bound..bound at m_1).
-    An entry keeps the rows of its own step and is read out through the rows
-    they extend, so the cost is linear in d.  Cached and shared, so read-only.
+    A step keeps only its new entry and the row each new row extends; the
+    entries are read out through those links at the end, so a row costs O(d)
+    and no step copies the earlier entries.  Cached and shared, so read-only.
     """
     columns, parents = [np.arange(lmin, lmax + 1)], []
     for j in range(d - 2):
         low = -columns[-1] if j == d - 3 else 0
         counts = columns[-1] - low + 1
-        parents.append(np.repeat(np.arange(len(counts)), counts))
-        # the new entry counts up from low along each row's run
-        columns.append(np.arange(len(parents[-1])) - (np.cumsum(counts) - counts - low)[parents[-1]])
+        parent = np.repeat(np.arange(len(counts)), counts)  # the row each new row extends
+        start = np.cumsum(counts) - counts - low  # each run's first row, less its first value
+        columns.append(np.arange(len(parent)) - start[parent])
+        parents.append(parent)
     labels, rows = np.empty((len(columns[-1]), d - 1), dtype=np.int64), slice(None)
     for j in range(d - 2, 0, -1):
         labels[:, j] = columns[j][rows]
