@@ -203,14 +203,14 @@ _CACHE = 1 << 20
 _BUDGET = 3 << 20
 
 
-def _slices(n, nbytes, least=1):
+def _slices(n, nbytes):
     """The fewest near-equal slices of range(n) whose share of ``nbytes`` fits _BUDGET.
 
-    One slice when all of nbytes fits.  No slice is shorter than ``least``
-    indices (or n), even where that many take more than the budget.
+    One slice when all of nbytes fits.  No slice is shorter than one
+    index, even where one takes more than the budget.
     """
-    step = max(least, _BUDGET * n // max(nbytes, 1))
-    count = max(1, min(-(-n // step), n // least))
+    step = max(1, _BUDGET * n // max(nbytes, 1))
+    count = max(1, -(-n // step))
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
@@ -286,10 +286,7 @@ def _chain_blocks(labels, angles, shape, out=None, spare=0):
         # the tables and phases of all the points
         nbytes = (8 * (top + 1) ** 2 * sum(map(np.size, angles.theta))
                   + 16 * (2 * top + 1) * np.size(angles.phi))
-        # a chunk of one point would sum its rows pairwise, as numpy reduces a
-        # single column, where the points of a larger chunk sum theirs in order
-        least = 2 if math.prod(shape[1:]) == 1 else 1
-        chunks = [(s,) for s in _slices(shape[0], nbytes, least)]
+        chunks = [(s,) for s in _slices(shape[0], nbytes)]
     for at in chunks:
         yield from _chunk_blocks(labels, top, angles, at, shape, out, spare)
 

@@ -32,30 +32,33 @@ keeps the 8 most recently used), and sphere_grid shares one grid per
   order of the axis below (_stage), so BLAS sees few large products;
   _read_off gathers each label row's entries, the arrays HarmonicExpansion keeps.
 * Inverse, two routes.  On a grid, _synthesize is the staged adjoint of
-  the forward contraction without the weights: A and B are combined per
-  level with the radial pair, scattered into the coefficient tensor, and
-  contracted over theta_d, ..., theta_3 against T_k, then over m_1
-  against e^(i m_1 phi) / sqrt(2 pi); each stage swaps a degree axis for
-  a node axis, so again no intermediate is larger than the grid.  At
-  scattered points, eval_expansion weights the row blocks of the gather
-  it shares with harmonics.harmonic_values by A r^l + B r^-(l+d-2) and
-  adds each block's row sum, the running total first (in row order, so
-  bitwise the index-by-index sum at array points).  The gather builds
-  the phases and tables, and eval_expansion the radial powers, for one
-  chunk of points at a time within harmonics._BUDGET, so beyond the
-  output its memory does not grow with the point count; each block is
-  built in one buffer of the chunk and its weights in two more, all
-  within harmonics._CACHE.  Scattered
-  points share no grid structure, so staging there would carry a
+  the forward contraction without the weights: each row's A and B are
+  weighted by its level's powers and scattered into the coefficient
+  tensor in one step, which is contracted over theta_d, ..., theta_3
+  against T_k, then over m_1 against e^(i m_1 phi) / sqrt(2 pi); each
+  stage swaps a degree axis for a node axis, so again no intermediate is
+  larger than the grid.  At scattered points, eval_expansion weights the
+  row blocks of the gather it shares with harmonics.harmonic_values by
+  A r^l + B r^-(l+d-2) and adds each block's rows by one in-place
+  cumulative sum, the running total first, so in row order: bitwise the
+  index-by-index sum at every chunk shape, one point included.  The
+  gather builds the phases and tables, and eval_expansion the radial
+  powers, for one chunk of points at a time within harmonics._BUDGET, so
+  beyond the output its memory does not grow with the point count; each
+  block is built in one buffer of the chunk and its weights in two more,
+  all within harmonics._CACHE.  Scattered points share no grid
+  structure, so staging there would carry a
   points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
   the output.
 
-Both inverse routes and radial_eval form the radial powers once per
-level by one rule (_radial_powers): a nonzero A needs r^l finite and a
-nonzero B needs r^-(l+d-2) finite, else the call raises ValueError; a
-power no coefficient of the level needs is replaced by 0, so 0 * inf
-never appears.  A sum that overflows although its powers are finite
-raises ValueError too (_check_finite), so no route returns inf or NaN.
+The radial factor depends on the level alone, so both inverse routes
+and radial_eval form the powers of every level at once by one rule
+(_radial_powers, on the mask _need makes in one pass over the rows): a
+nonzero A needs r^l finite and a nonzero B needs r^-(l+d-2) finite,
+else the call raises ValueError naming the first such level; a power no
+coefficient of the level needs is left 0, so 0 * inf never appears.  A
+sum that overflows although its powers are finite raises ValueError too
+(_check_finite), so no route returns inf or NaN.
 The label row -> tensor-position formula is written once (_positions),
 for _read_off's gather and _synthesize's scatter, and the tables of
 both contractions come from one helper (_tables).
@@ -168,25 +171,29 @@ class BoundaryProblem:
         object.__setattr__(self, "data", tuple(self.data))
 
 
-def _radial_pair(l, d, r):
-    """(r^l, r^-(l+d-2)) for an array r; inf where a power overflows (the second also at r = 0)."""
-    with np.errstate(divide="ignore", over="ignore"):
-        return r**l, r ** -(l + d - 2)
+def _radial_powers(d, r, need):
+    """The powers (r^l, r^-(l+d-2)) of every level, as (2, levels) + shape of r, by one rule.
 
-
-def _radial_powers(l, d, r, need_a, need_b):
-    """The powers (r^l, r^-(l+d-2)) a level's coefficients need, by one finiteness rule.
-
-    Some A != 0 (``need_a``) needs r^l finite and some B != 0
-    (``need_b``) needs r^-(l+d-2) finite, so r > 0; else ValueError.  A
-    power no coefficient needs is returned as 0, so 0 * inf never appears.
+    ``need`` is a (2, levels) mask, "some A != 0" and "some B != 0" per
+    level: a needed r^l must be finite, and a needed r^-(l+d-2) too, so
+    r > 0; else ValueError naming the first such level, A before B.  A
+    power no coefficient needs is left 0, so 0 * inf never appears.  Each
+    power is r ** (a Python int), complex, as the callers' products cast it.
     """
-    grow, decay = _radial_pair(l, d, r)
-    for need, power, where in ((need_a, grow, "A != 0 where r^l"),
-                               (need_b, decay, "B != 0 at r = 0 or where r^-(l+d-2)")):
-        if need and not np.isfinite(power).all():
-            raise ValueError(f"singular evaluation: {where} overflows (level {l})")
-    return (grow if need_a else 0.0), (decay if need_b else 0.0)
+    powers = np.zeros(need.shape + np.shape(r), dtype=complex)
+    with np.errstate(divide="ignore", over="ignore"):
+        for l, branch in np.argwhere(need.T).tolist():
+            power = r ** (-(l + d - 2) if branch else l)
+            if not np.isfinite(power).all():
+                where = ("A != 0 where r^l", "B != 0 at r = 0 or where r^-(l+d-2)")[branch]
+                raise ValueError(f"singular evaluation: {where} overflows (level {l})")
+            powers[branch, l] = power
+    return powers
+
+
+def _need(levels, values, lmax):
+    """The (2, lmax + 1) mask of _radial_powers: some A != 0, some B != 0 at each level."""
+    return np.stack([np.bincount(levels, c != 0, minlength=lmax + 1) for c in values.T]) > 0
 
 
 def radial_eval(a, b, l, d, r):
@@ -195,7 +202,9 @@ def radial_eval(a, b, l, d, r):
     d = _check_int(d, "dimension", 3)
     ra = np.asarray(r, dtype=float)
     a, b = complex(a), complex(b)
-    grow, decay = _radial_powers(l, d, ra, a != 0, b != 0)
+    need = np.zeros((2, l + 1), dtype=bool)  # the levels below l are left 0
+    need[:, l] = a != 0, b != 0
+    grow, decay = _radial_powers(d, ra, need)[:, l]
     val = a * grow + b * decay
     return complex(val) if ra.ndim == 0 else val
 
@@ -205,9 +214,9 @@ def eval_expansion(expansion, r, angles):
 
     ``r`` and the angles may be arrays of any common broadcast shape; a
     scalar evaluation returns a complex number, and an expansion without
-    coefficients gives zeros of that shape.  The radial powers are formed
-    once per level and chunk of points, as the level's coefficients need
-    them; a needed power that overflows raises ValueError naming its
+    coefficients gives zeros of that shape.  The radial powers of every
+    level are formed once per chunk of points, as the levels' coefficients
+    need them; a needed power that overflows raises ValueError naming its
     level, the first such level of the first chunk of points that has one.
     Each block's weights are formed in two buffers of the block's shape,
     made once per chunk (the ``spare`` bytes of harmonics._chain_blocks),
@@ -223,21 +232,14 @@ def eval_expansion(expansion, r, angles):
     # the coefficients as (rows, 1, ...), to broadcast over shape
     a, b = (c.reshape((-1,) + (1,) * len(shape)) for c in expansion.values.T)
     levels = labels[:, 0]
-    need = []
-    for l in range(levels.max(initial=0) + 1):
-        need_a, need_b = a[levels == l].any(), b[levels == l].any()
-        if need_a or need_b:  # a level no coefficient needs keeps zero powers
-            need.append((l, need_a, need_b))
+    need = _need(levels, expansion.values, expansion.lmax)
     total = np.zeros(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         # per entry, a gathered power (then the B term) and the weight
         for at, start, y in _chain_blocks(labels, angles, shape, spare=32):
             if start == 0:  # a new chunk of points: its powers as (level, ...), and buffers
                 part = np.broadcast_to(_part(r, at, len(shape)), y.shape[1:])
-                # complex, as the weights' products would cast them
-                grow, decay = np.zeros((2, levels.max() + 1) + part.shape, dtype=complex)
-                for l, need_a, need_b in need:
-                    grow[l], decay[l] = _radial_powers(l, d, part, need_a, need_b)
+                grow, decay = _radial_powers(d, part, need)
                 power, weights = np.empty_like(y), np.empty_like(y)
             rows = slice(start, start + len(y))
             p, w = power[: len(y)], weights[: len(y)]
@@ -245,8 +247,8 @@ def eval_expansion(expansion, r, angles):
             np.multiply(b[rows], np.take(decay, levels[rows], axis=0, out=p, mode="clip"), out=p)
             np.add(w, p, out=w)
             np.multiply(w, y, out=y)  # weights first, as the per-index sum
-            y[0] += total[at]  # the running total leads the block's row sum
-            total[at] = np.sum(y, axis=0)
+            y[0] += total[at]  # the running total leads the block's rows, added in order
+            total[at] = np.cumsum(y, axis=0, out=y)[-1]
     _check_finite(total)
     return complex(total) if np.ndim(total) == 0 else total
 
@@ -345,11 +347,11 @@ def _project(datasets, grid, lmax):
 def _synthesize(expansion, r, grid):
     """Values of ``expansion`` at radius r on the grid's nodes, in grid order.
 
-    The adjoint of _project without the weights: each level's A and B
-    are combined with the radial pair (_radial_powers) and scattered into the
-    coefficient tensor, which is contracted over theta_d, ..., theta_3
-    against T_k, each stage swapping a degree axis for a node axis, then
-    over m_1 against e^(i m_1 phi) / sqrt(2 pi).
+    The adjoint of _project without the weights: each row's A and B are
+    weighted by its level's powers (_radial_powers, formed once) and
+    scattered into the coefficient tensor, which is contracted over
+    theta_d, ..., theta_3 against T_k, each stage swapping a degree axis
+    for a node axis, then over m_1 against e^(i m_1 phi) / sqrt(2 pi).
     """
     d, lmax = expansion.d, expansion.lmax
     if grid.d != d:
@@ -360,10 +362,8 @@ def _synthesize(expansion, r, grid):
     coef = np.zeros(math.prod(shape), dtype=complex)
     phase, tables = _tables(grid, lmax)
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(lmax + 1):
-            at = levels == l
-            grow, decay = _radial_powers(l, d, np.float64(r), a[at].any(), b[at].any())
-            coef[flat[at]] = a[at] * grow + b[at] * decay
+        grow, decay = _radial_powers(d, np.float64(r), _need(levels, expansion.values, lmax))
+        coef[flat] = a * grow[levels] + b * decay[levels]
         coef = coef.reshape(shape)
         for k, table in zip(range(d, 2, -1), reversed(tables)):
             # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
@@ -410,7 +410,7 @@ def _solve_levels(d, radii, branches, rhs):
     1e-12 of its largest term warns, once per level below it.
     """
     with np.errstate(all="ignore"):
-        m = np.stack([np.stack(_radial_pair(l, d, radii), axis=1)[:, branches]
+        m = np.stack([np.stack((radii**l, radii ** -(l + d - 2)), axis=1)[:, branches]
                       for l in range(len(rhs))])
         # the terms of det M_l: one for a single sphere, two for the annulus
         terms = np.stack([np.diagonal(m, axis1=1, axis2=2).prod(axis=1),

@@ -14,7 +14,7 @@ from ultrasph.geometry import (
     to_ultraspherical,
 )
 from ultrasph.harmonics import MultiIndex, enumerate_indices, eval_harmonic
-from ultrasph import formats, solver
+from ultrasph import formats, harmonics, solver
 from ultrasph.quadrature import SphereGrid, ThetaRule, sphere_grid
 from ultrasph.solver import (
     BoundaryProblem,
@@ -136,6 +136,59 @@ class TestEvalExpansion:
         exp = HarmonicExpansion(4, 0, {MultiIndex(4, 0, (0, 0)): (1.0, 0.0)})
         with pytest.raises(ValueError):
             eval_expansion(exp, 1.0, random_angles(rng, 5))
+
+
+class TestRadialRule:
+    """One radial rule over all levels: _radial_powers, once per chunk or synthesis."""
+
+    @staticmethod
+    def two_levels():
+        """B != 0 at level 2 and A != 0 at level 5 (d = 3), the rows shuffled."""
+        rng = np.random.default_rng(21)
+        rows = [(idx, (0, 1.5)) for idx in enumerate_indices(3, 2)]
+        rows += [(idx, (0.5j, 0)) for idx in enumerate_indices(3, 5)]
+        return HarmonicExpansion(3, 5, dict(rows[i] for i in rng.permutation(len(rows))))
+
+    @pytest.mark.parametrize("r", [[0.0, 1e100], [1e100, 0.0]])
+    def test_eval_names_the_first_singular_level(self, r):
+        exp = self.two_levels()
+        p = UltrasphericalPoint(3, 1.0, (np.array([0.4, 2.1]),), np.array([1.0, 5.0]))
+        with pytest.raises(ValueError, match=r"B != 0 at r = 0 .* overflows \(level 2\)"):
+            eval_expansion(exp, np.array(r), p)
+
+    def test_synthesis_names_the_singular_level(self):
+        exp, grid = self.two_levels(), sphere_grid(3, 5)
+        with pytest.raises(ValueError, match=r"B != 0 at r = 0 .* overflows \(level 2\)"):
+            solver._synthesize(exp, 0.0, grid)
+        with pytest.raises(ValueError, match=r"A != 0 where r\^l overflows \(level 5\)"):
+            solver._synthesize(exp, 1e100, grid)
+
+    def counted(self, monkeypatch):
+        calls = []
+        powers = solver._radial_powers
+        monkeypatch.setattr(solver, "_radial_powers",
+                            lambda *args: calls.append(args) or powers(*args))
+        return calls
+
+    def test_eval_forms_the_powers_once_per_chunk(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        exp = manufactured(rng, 4, 3, "annulus")
+        n = 7
+        p = UltrasphericalPoint(4, 1.0, tuple(rng.uniform(0.3, 2.8, (2, n))), rng.uniform(0, 6, n))
+        r = rng.uniform(0.5, 2.0, n)
+        calls = self.counted(monkeypatch)
+        want = eval_expansion(exp, r, p)
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(harmonics, "_BUDGET", 1)  # one point per chunk
+        assert_bitwise(eval_expansion(exp, r, p), want)
+        assert len(calls) == n
+
+    def test_synthesis_forms_the_powers_once(self, monkeypatch):
+        exp = manufactured(np.random.default_rng(23), 4, 3, "annulus")
+        calls = self.counted(monkeypatch)
+        solver._synthesize(exp, 1.3, sphere_grid(4, 3))
+        assert len(calls) == 1
 
 
 class TestProjectBoundary:
