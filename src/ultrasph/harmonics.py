@@ -214,7 +214,7 @@ def _slices(n, nbytes):
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def _labels(d, lmax, lmin):
     """Int label rows (l, m_{d-2}, ..., m_1) of levels lmin..lmax, in enumerate_indices order.
 
@@ -309,13 +309,13 @@ def _chunk_blocks(labels, top, angles, at, shape, out, spare):
     thetas = (_part(t, at, ndim) for t in angles.theta)
     # the phases, and each table with its (degree, order) axes as one
     phases = np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)
-    tables = [axis_factors(k, top, t).reshape((-1,) + t.shape)
+    tables = [axis_factors(k, top, t).reshape(((top + 1) ** 2,) + t.shape)
               for k, t in zip(range(angles.d, 2, -1), thetas)]
     # a row's temporaries: its product (complex) and the caller's spare bytes
     # per entry, and its largest gathered factor (float)
     row = (16 + spare) * math.prod(part) + 8 * max(math.prod(t.shape[1:]) for t in tables)
     rows = len(labels)
-    count = max(1, -(-rows // max(1, _CACHE // row)))
+    count = max(1, -(-rows // max(1, _CACHE // max(row, 1))))  # a row of no points takes 0 bytes
     step = max(1, -(-rows // count))
     # a block's destination: its rows of out, or the chunk's one buffer
     if out is not None:

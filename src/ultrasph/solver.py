@@ -98,8 +98,9 @@ class HarmonicExpansion:
 
     ``labels`` holds int rows (l, m_{d-2}, ..., m_1) and ``values`` rows
     (A, B), in one kept order; absent labels mean (0, 0).  The constructor
-    checks a {MultiIndex: (A, B)} dict and leaves it untouched; ``coeffs``
-    is a read-only view of that kind, made on first read.
+    checks a {MultiIndex: (A, B)} dict, A and B finite, and leaves it
+    untouched; ``coeffs`` is a read-only view of that kind, made on first
+    read.  _of, behind the fits and the file loader, checks nothing.
     """
 
     d: int
@@ -117,6 +118,7 @@ class HarmonicExpansion:
                 raise ValueError(f"index level {idx.l} exceeds lmax={lmax}")
         labels = np.array([(idx.l, *idx.m) for idx in coeffs], dtype=int).reshape(-1, d - 1)
         values = np.array([(complex(a), complex(b)) for a, b in coeffs.values()], dtype=complex)
+        _check_pairs(values.reshape(-1, 2), list(coeffs))
         vars(self).update(vars(self._of(d, lmax, labels, values.reshape(-1, 2))))
 
     @classmethod
@@ -196,12 +198,21 @@ def _need(levels, values, lmax):
     return np.stack([np.bincount(levels, c != 0, minlength=lmax + 1) for c in values.T]) > 0
 
 
+def _check_pairs(values, names):
+    """Raise ValueError naming the first non-finite A or B of the (A, B) rows ``values``."""
+    rows, branches = np.nonzero(~np.isfinite(values))
+    if len(rows):
+        i, j = rows[0], branches[0]
+        raise ValueError(f"coefficient {'AB'[j]} of {names[i]} is not finite: {values[i, j]}")
+
+
 def radial_eval(a, b, l, d, r):
-    """A r^l + B r^-(l+d-2); a nonzero coefficient needs its power of r finite."""
+    """A r^l + B r^-(l+d-2); A and B finite, and a nonzero one needs its power of r finite."""
     l = _check_int(l, "level", 0)
     d = _check_int(d, "dimension", 3)
     ra = np.asarray(r, dtype=float)
     a, b = complex(a), complex(b)
+    _check_pairs(np.array([[a, b]]), [f"level {l}"])
     need = np.zeros((2, l + 1), dtype=bool)  # the levels below l are left 0
     need[:, l] = a != 0, b != 0
     grow, decay = _radial_powers(d, ra, need)[:, l]
@@ -270,7 +281,7 @@ def _positions(labels, lmax):
     return np.ravel_multi_index((*labels[:, :-1].T, labels[:, -1] + lmax), shape)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _tables(grid, lmax):
     """The phase and per-axis tables of both transforms on ``grid``, up to lmax.
 

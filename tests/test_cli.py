@@ -763,7 +763,9 @@ def test_synthesis_overflow_raises():
 
 @pytest.mark.parametrize("bad", (math.inf, -math.inf, math.nan))
 def test_writers_refuse_non_finite_numbers(bad):
-    expansion = HarmonicExpansion(3, 0, {MultiIndex(3, 0, (0,)): (complex(bad, 0.0), 0j)})
+    # built unchecked, as a fit's arrays are: the constructor refuses a non-finite A
+    expansion = HarmonicExpansion._of(3, 0, np.zeros((1, 2), dtype=int),
+                                      np.array([[complex(bad, 0.0), 0j]]))
     out = io.StringIO()
     with pytest.raises(ValueError, match="non-finite"):
         formats.save_coefficients(out, expansion)

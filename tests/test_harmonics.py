@@ -547,6 +547,19 @@ class TestBlockGather:
         assert eval_expansion(empty, 1.5, random_angles(rng, 4)) == 0j
         assert harmonic_values(point, 1, 2).shape == (0, 2)
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 3)])
+    def test_points_without_entries_give_empty_results(self, shape):
+        # a chunk of no points takes 0 bytes per row
+        rng = np.random.default_rng(84)
+        point = random_point_array(rng, 4, shape)
+        assert harmonic_values(point, 2).shape == (14,) + shape
+        idx = MultiIndex(4, 2, (1, -1))
+        want = eval_harmonic(idx, point)
+        assert want.shape == shape
+        got = eval_expansion(shuffled_expansion(rng, 4, 2), np.ones(shape), point)
+        assert got.shape == shape and got.dtype == complex
+        assert addition_sum(4, 2, point, point).shape == shape
+
     def test_gram_mesh_is_written_once(self):
         # d = 8, lmax 2 on its grid's open mesh: blocks of 2 rows x 24,576 nodes
         grid = sphere_grid(8, 2)

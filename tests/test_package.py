@@ -53,6 +53,36 @@ def test_module_caches_are_bounded():
     assert bad == []
 
 
+def _module_private_names(tree):
+    """The private functions, classes and assigned names at the top of a module, no dunders."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_private_name_is_read_in_the_package():
+    # code that only its own tests reach is dead weight: each module-level
+    # private name is read in src/ultrasph as a name, an attribute or an import
+    defined, read = [], set()
+    for path in sorted(Path(ultrasph.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [(path.name, name) for name in _module_private_names(tree)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    assert len(defined) > 50
+    assert [f"{module}: {name}" for module, name in defined if name not in read] == []
+
+
 def _callee(func):
     """The name ``func`` calls a function by: f(...), self.f(...) or cls.f(...)."""
     if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("self", "cls"):

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,14 @@ class TestRadialEval:
         r = np.array([0.5, 1.0, 2.0])
         got = radial_eval(2.0, 1.0, 1, 3, r)
         assert_allclose(got, 2.0 * r + r**-2.0)
+
+    @pytest.mark.parametrize("a, b, name", [
+        (math.nan, 0, "A"), (math.inf, 1, "A"), (complex(0, -math.inf), 0, "A"),
+        (0, math.nan, "B"), (1, -math.inf, "B"), (0, complex(math.nan, 1), "B"),
+    ])
+    def test_rejects_non_finite_coefficients(self, a, b, name):
+        with pytest.raises(ValueError, match=f"coefficient {name} of level 2 is not finite"):
+            radial_eval(a, b, 2, 3, np.array([0.5, 1.0]))
 
     @pytest.mark.parametrize("l, d, name", [
         (-1, 3, "level"), (True, 3, "level"), (1.0, 3, "level"), (1, 2, "dimension"),
@@ -675,6 +684,17 @@ class TestCoefficientArrays:
             formats.save_coefficients(out, exp)
             written.append(out.getvalue())
         assert written[0] == written[1]
+
+    @pytest.mark.parametrize("pair, name", [
+        ((math.nan, 0), "A"), ((math.inf, 0), "A"), ((-math.inf, 1), "A"),
+        ((0, math.nan), "B"), ((1, math.inf), "B"), ((0, complex(0, -math.inf)), "B"),
+    ])
+    def test_constructor_rejects_non_finite_coefficients(self, pair, name):
+        # the rule load_coefficients holds a file to; the first bad entry is named
+        bad = MultiIndex(3, 1, (0,))
+        coeffs = {MultiIndex(3, 0, (0,)): (1, 2), bad: pair, MultiIndex(3, 1, (1,)): (math.nan, 0)}
+        with pytest.raises(ValueError, match=rf"coefficient {name} of {re.escape(repr(bad))} is not finite"):
+            HarmonicExpansion(3, 1, coeffs)
 
     def test_constructor_leaves_the_callers_dict_untouched(self):
         idx = MultiIndex(4, 1, (1, 0))
