@@ -29,12 +29,13 @@ constant.  :func:`harmonic_values` (and through it :func:`addition_sum`)
 and ``solver.eval_expansion`` share one block gather over those tables
 (_chain_blocks) on integer label rows (_labels).  It takes the points
 one chunk of the leading axis at a time, sized so that the chunk's
-phases and tables fit one working budget (_BUDGET, split by _slices),
-and the label rows one block at a time, sized so that the block's
-temporaries, the caller's included, fit a cache budget (_CACHE).  Each
-block is built in place in its destination, its rows of the result or
-one buffer of the chunk, so only the caller's result grows with the
-point count.
+phases and tables fit one working budget (_BUDGET, split by _slices;
+a chunk is one point at the least), and the label rows one block at a
+time, sized so that the block's temporaries, the caller's included, fit
+a cache budget (_CACHE).  Each block is built in place in its
+destination, its rows of the result or one buffer of the chunk, so only
+the caller's result grows with the point count.  A point set with no
+entries gives blocks with no entries.
 ``solver.project_boundary`` contracts grid samples against the same
 tables, and the verify Gram check multiplies their per-axis Gram
 matrices.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by
@@ -199,7 +200,8 @@ def axis_factors(k, lmax, theta):
 # on, the rest left to the chunk's tables and phases
 _CACHE = 1 << 20
 # working bytes one chunk of the leading point axis may hold, its phases and
-# per-axis tables (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4 points)
+# per-axis tables (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4
+# points; one point fits up to lmax = 624)
 _BUDGET = 3 << 20
 
 
@@ -222,7 +224,8 @@ def _labels(d, lmax, lmin):
     last entry allows the next (0..bound above m_1, -bound..bound at m_1).
     A step keeps only its new entry and the row each new row extends; the
     entries are read out through those links at the end, so a row costs O(d)
-    and no step copies the earlier entries.  Cached and shared, so read-only.
+    and no step copies the earlier entries.  Cached (the 8 most recently
+    used, all a verify run reuses) and shared, so read-only.
     """
     columns, parents = [np.arange(lmin, lmax + 1)], []
     for j in range(d - 2):

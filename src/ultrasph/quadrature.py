@@ -24,7 +24,7 @@ recently used (alpha, n) rules (up to 256) and returns the same
 read-only ThetaRule on a repeated call.  Grids are shared the same way:
 :func:`sphere_grid` keeps the recently used (d, lmax) grids (up to 64),
 which share their rules, and the transforms keep the per-axis tables
-of the recently used (grid, lmax) pairs (up to 8, solver._tables).  A
+of the last (grid, lmax) pair (solver._tables).  A
 shared grid holds only its axes; its node mesh and weight tensor are
 formed on each read, and its total weight is the product of the
 per-axis sums.

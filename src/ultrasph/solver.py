@@ -17,8 +17,9 @@ times one normalized factor T_k[deg, ord](theta_k) per polar axis
 (harmonics.axis_factors, an orthonormal recurrence with no normalization
 constant), the one table path that harmonics.harmonic_values and verify
 also use.  Each table is built once per grid and lmax (_tables, which
-keeps the 8 most recently used), and sphere_grid shares one grid per
-(d, lmax), so repeated fits and syntheses on a grid reuse its tables.
+keeps the last one: the calls of a verify run come in one run per key),
+and sphere_grid shares one grid per (d, lmax), so repeated fits and
+syntheses on a grid reuse its tables.
 
 * Forward (project_boundary) is a staged contraction on the product grid.
   The samples, as the node tensor (n_d, ..., n_3, n_phi), are contracted
@@ -40,8 +41,9 @@ keeps the 8 most recently used), and sphere_grid shares one grid per
   larger than the grid.  At scattered points, eval_expansion weights the
   row blocks of the gather it shares with harmonics.harmonic_values by
   A r^l + B r^-(l+d-2) and adds each block's rows by one in-place
-  cumulative sum, the running total first, so in row order: bitwise the
-  index-by-index sum at every chunk shape, one point included.  The
+  cumulative sum, the running total first, so in row order: at array
+  points bitwise the index-by-index sum at every chunk shape, one point
+  included.  The
   gather builds the phases and tables, and eval_expansion the radial
   powers, for one chunk of points at a time within harmonics._BUDGET, so
   beyond the output its memory does not grow with the point count; each
@@ -291,7 +293,7 @@ def _tables(grid, lmax):
     theta_3 gathered as |m_1| for m_1 = -lmax, ..., lmax.  They carry
     neither the (2 pi)^(-1/2) factor nor quadrature weights; the callers
     apply those.  Each (grid, lmax) builds them once, shared read-only,
-    and the 8 most recently used are kept.
+    and the last one is kept (442.8 MB at d = 3, lmax = 300).
     """
     m1 = np.arange(-lmax, lmax + 1)
     phase = np.exp(-1j * np.outer(grid.phi_nodes, m1))

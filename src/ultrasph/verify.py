@@ -13,9 +13,14 @@ staged grid synthesis makes, itself held to the scattered evaluation).
 Each check reports its maximum residual and the tolerance it was held
 to.  Algebraic identities use the caller's tolerance directly; the
 finite-difference harmonicity check has an O(h^2) method floor of 1e-4
-(h = 1e-3), so its effective tolerance is max(tol, 1e-4).  Checks over
-harmonic levels cap the level per dimension to keep grids desk-sized;
-one-dimensional polynomial checks honor the full requested lmax.
+(h = 1e-3), so its effective tolerance is max(tol, 1e-4).  Every check
+caps the level, whatever lmax is asked.  Those over harmonic levels cap
+it per dimension to keep grids desk-sized (_LEVEL_CAP for the Gram and
+boundary-fit checks, l <= 4 for the addition theorems, l <= 3 for
+harmonicity).  The one-dimensional ones stop at l <= min(lmax, cap): the
+derivative shift at l <= 6 and m <= 3, the Sturm-Liouville,
+normalization and level-count checks at l <= 6, and the endpoint
+derivatives at l <= 8; the binomial oracle runs l <= 10 for every lmax.
 
 Random points and coefficients are drawn from ``random.Random`` with a
 fixed seed per check and dimension (uniform draws by ``uniform``, normal
