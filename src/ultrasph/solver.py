@@ -43,13 +43,12 @@ syntheses on a grid reuse its tables.
   A r^l + B r^-(l+d-2) and adds each block's rows by one in-place
   cumulative sum, the running total first, so in row order: at array
   points bitwise the index-by-index sum at every chunk shape, one point
-  included.  The
-  gather builds the phases and tables, and eval_expansion the radial
-  powers, for one chunk of points at a time within harmonics._BUDGET, so
-  beyond the output its memory does not grow with the point count; each
-  block is built in one buffer of the chunk and its weights in two more,
-  all within harmonics._CACHE.  Scattered points share no grid
-  structure, so staging there would carry a
+  included.  The gather builds the phases and tables, and eval_expansion
+  the radial powers, for one chunk of points at a time within
+  harmonics._BUDGET, so beyond the output its memory does not grow with
+  the point count; each block is built in one buffer of the chunk and
+  its weights in two more, all within harmonics._CACHE.  Scattered
+  points share no grid structure, so staging there would carry a
   points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
   the output.
 
@@ -119,9 +118,10 @@ class HarmonicExpansion:
             if idx.l > lmax:
                 raise ValueError(f"index level {idx.l} exceeds lmax={lmax}")
         labels = np.array([(idx.l, *idx.m) for idx in coeffs], dtype=int).reshape(-1, d - 1)
-        values = np.array([(complex(a), complex(b)) for a, b in coeffs.values()], dtype=complex)
-        _check_pairs(values.reshape(-1, 2), list(coeffs))
-        vars(self).update(vars(self._of(d, lmax, labels, values.reshape(-1, 2))))
+        values = np.array([(complex(a), complex(b)) for a, b in coeffs.values()],
+                          dtype=complex).reshape(-1, 2)
+        _check_pairs(values, list(coeffs))
+        vars(self).update(vars(self._of(d, lmax, labels, values)))
 
     @classmethod
     def _of(cls, d, lmax, labels, values):
