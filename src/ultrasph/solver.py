@@ -175,23 +175,25 @@ class BoundaryProblem:
         object.__setattr__(self, "data", tuple(self.data))
 
 
-def _radial_powers(d, r, need):
-    """The powers (r^l, r^-(l+d-2)) of every level, as (2, levels) + shape of r, by one rule.
+def _radial_powers(d, r, need, first=0):
+    """The powers (r^l, r^-(l+d-2)) of levels first, first + 1, ..., as (2, levels) + shape of r.
 
     ``need`` is a (2, levels) mask, "some A != 0" and "some B != 0" per
-    level: a needed r^l must be finite, and a needed r^-(l+d-2) too, so
-    r > 0; else ValueError naming the first such level, A before B.  A
-    power no coefficient needs is left 0, so 0 * inf never appears.  Each
-    power is r ** (a Python int), complex, as the callers' products cast it.
+    level, and one rule holds: a needed r^l must be finite, and a needed
+    r^-(l+d-2) too, so r > 0; else ValueError naming the first such
+    level, A before B.  A power no coefficient needs is left 0, so
+    0 * inf never appears.  Each power is r ** (a Python int), complex,
+    as the callers' products cast it.
     """
     powers = np.zeros(need.shape + np.shape(r), dtype=complex)
     with np.errstate(divide="ignore", over="ignore"):
-        for l, branch in np.argwhere(need.T).tolist():
+        for j, branch in np.argwhere(need.T).tolist():
+            l = first + j
             power = r ** (-(l + d - 2) if branch else l)
             if not np.isfinite(power).all():
                 where = ("A != 0 where r^l", "B != 0 at r = 0 or where r^-(l+d-2)")[branch]
                 raise ValueError(f"singular evaluation: {where} overflows (level {l})")
-            powers[branch, l] = power
+            powers[branch, j] = power
     return powers
 
 
@@ -215,9 +217,7 @@ def radial_eval(a, b, l, d, r):
     ra = np.asarray(r, dtype=float)
     a, b = complex(a), complex(b)
     _check_pairs(np.array([[a, b]]), [f"level {l}"])
-    need = np.zeros((2, l + 1), dtype=bool)  # the levels below l are left 0
-    need[:, l] = a != 0, b != 0
-    grow, decay = _radial_powers(d, ra, need)[:, l]
+    grow, decay = _radial_powers(d, ra, np.array([[a != 0], [b != 0]]), l)[:, 0]
     val = a * grow + b * decay
     return complex(val) if ra.ndim == 0 else val
 
