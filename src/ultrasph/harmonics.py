@@ -29,13 +29,12 @@ constant.  :func:`harmonic_values` (and through it :func:`addition_sum`)
 and ``solver.eval_expansion`` share one block gather over those tables
 (_chain_blocks) on integer label rows (_labels).  It takes the points
 one chunk of the leading axis at a time, sized so that the chunk's
-phases and tables fit one working budget (_BUDGET, split by _slices;
-a chunk is one point at the least), and the label rows one block at a
-time, sized so that the block's temporaries, the caller's included, fit
-a cache budget (_CACHE).  Each block is built in place in its
-destination, its rows of the result or one buffer of the chunk, so only
-the caller's result grows with the point count.  A point set with no
-entries gives blocks with no entries.
+phases and tables fit one working budget (_BUDGET, split by _slices),
+and the label rows one block at a time, sized so that the block's
+temporaries, the caller's included, fit a cache budget (_CACHE).  Each
+block is built in place in its destination, its rows of the result or
+one buffer of the chunk, so only the caller's result grows with the
+point count.  A point set with no entries gives blocks with no entries.
 ``solver.project_boundary`` contracts grid samples against the same
 tables, and the verify Gram check multiplies their per-axis Gram
 matrices.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by
@@ -200,19 +199,18 @@ def axis_factors(k, lmax, theta):
 # on, the rest left to the chunk's tables and phases
 _CACHE = 1 << 20
 # working bytes one chunk of the leading point axis may hold, its phases and
-# per-axis tables (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4
-# points; one point fits up to lmax = 624)
+# per-axis tables (3 MiB, so that a chunk at d = 3, lmax = 300 still holds 4 points)
 _BUDGET = 3 << 20
 
 
-def _slices(n, nbytes):
+def _slices(n, nbytes, least=1):
     """The fewest near-equal slices of range(n) whose share of ``nbytes`` fits _BUDGET.
 
-    One slice when all of nbytes fits.  No slice is shorter than one
-    index, even where one takes more than the budget.
+    One slice when all of nbytes fits.  No slice is shorter than ``least``
+    indices (or n), even where that many take more than the budget.
     """
-    step = max(1, _BUDGET * n // max(nbytes, 1))
-    count = max(1, -(-n // step))
+    step = max(least, _BUDGET * n // max(nbytes, 1))
+    count = max(1, min(-(-n // step), n // least))
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
@@ -289,7 +287,10 @@ def _chain_blocks(labels, angles, shape, out=None, spare=0):
         # the tables and phases of all the points
         nbytes = (8 * (top + 1) ** 2 * sum(map(np.size, angles.theta))
                   + 16 * (2 * top + 1) * np.size(angles.phi))
-        chunks = [(s,) for s in _slices(shape[0], nbytes)]
+        # a chunk of one point would sum its rows pairwise, as numpy reduces a
+        # single column, where the points of a larger chunk sum theirs in order
+        least = 2 if math.prod(shape[1:]) == 1 else 1
+        chunks = [(s,) for s in _slices(shape[0], nbytes, least)]
     for at in chunks:
         yield from _chunk_blocks(labels, top, angles, at, shape, out, spare)
 

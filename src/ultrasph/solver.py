@@ -40,14 +40,14 @@ syntheses on a grid reuse its tables.
   stage swaps a degree axis for a node axis, so again no intermediate is
   larger than the grid.  At scattered points, eval_expansion weights the
   row blocks of the gather it shares with harmonics.harmonic_values by
-  A r^l + B r^-(l+d-2) and adds each block's rows by one in-place
-  cumulative sum, the running total first, so in row order: at array
-  points bitwise the index-by-index sum at every chunk shape, one point
-  included.  The gather builds the phases and tables, and eval_expansion
-  the radial powers, for one chunk of points at a time within
-  harmonics._BUDGET, so beyond the output its memory does not grow with
-  the point count; each block is built in one buffer of the chunk and
-  its weights in two more, all within harmonics._CACHE.  Scattered
+  A r^l + B r^-(l+d-2) and adds each block's row sum, the running total
+  first (in row order, so bitwise the index-by-index sum at array
+  points).  The gather builds the phases and tables, and eval_expansion
+  the radial powers up to the top level with rows, for one chunk of
+  points at a time within harmonics._BUDGET, so beyond the output its
+  memory does not grow with the point count; each block is built in one
+  buffer of the chunk and its weights in two more, all within
+  harmonics._CACHE.  Scattered
   points share no grid structure, so staging there would carry a
   points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
   the output.
@@ -228,8 +228,8 @@ def eval_expansion(expansion, r, angles):
     ``r`` and the angles may be arrays of any common broadcast shape; a
     scalar evaluation returns a complex number, and an expansion without
     coefficients gives zeros of that shape.  The radial powers of every
-    level are formed once per chunk of points, as the levels' coefficients
-    need them; a needed power that overflows raises ValueError naming its
+    level up to the top one with rows (not lmax) are formed once per chunk
+    of points, as the levels' coefficients need them; a needed power that overflows raises ValueError naming its
     level, the first such level of the first chunk of points that has one.
     Each block's weights are formed in two buffers of the block's shape,
     made once per chunk (the ``spare`` bytes of harmonics._chain_blocks),
@@ -245,7 +245,8 @@ def eval_expansion(expansion, r, angles):
     # the coefficients as (rows, 1, ...), to broadcast over shape
     a, b = (c.reshape((-1,) + (1,) * len(shape)) for c in expansion.values.T)
     levels = labels[:, 0]
-    need = _need(levels, expansion.values, expansion.lmax)
+    # the mask, and so each chunk's powers, reach the top level with rows, not lmax
+    need = _need(levels, expansion.values, int(levels.max(initial=0)))
     total = np.zeros(shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         # per entry, a gathered power (then the B term) and the weight
@@ -260,8 +261,8 @@ def eval_expansion(expansion, r, angles):
             np.multiply(b[rows], np.take(decay, levels[rows], axis=0, out=p, mode="clip"), out=p)
             np.add(w, p, out=w)
             np.multiply(w, y, out=y)  # weights first, as the per-index sum
-            y[0] += total[at]  # the running total leads the block's rows, added in order
-            total[at] = np.cumsum(y, axis=0, out=y)[-1]
+            y[0] += total[at]  # the running total leads the block's row sum
+            total[at] = np.sum(y, axis=0)
     _check_finite(total)
     return complex(total) if np.ndim(total) == 0 else total
 

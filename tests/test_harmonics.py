@@ -474,7 +474,7 @@ class TestBlockGather:
             "array": random_point_array(rng, d, (2, 5)),
             "mesh": UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]),
             "split": random_point_array(rng, d, (self.SPLIT,)),
-            # 7 flat points in one-point chunks, the mesh in one theta_d node per chunk
+            # 7 flat points in chunks of 2, 2 and 3, the mesh in one theta_d node per chunk
             "chunked flat": random_point_array(rng, d, (7,)),
             "chunked mesh": UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]),
         }
@@ -502,7 +502,7 @@ class TestBlockGather:
         self.budget(monkeypatch, "chunked flat")
         labels = harmonics._labels(4, 2, 0)
         blocks = harmonics._chain_blocks(labels, point, (7,))
-        assert [y.shape[1:] for _, start, y in blocks if start == 0] == [(1,)] * 7
+        assert [y.shape[1:] for _, start, y in blocks if start == 0] == [(2,), (2,), (3,)]
         mesh = self.points(np.random.default_rng(69), 4)["chunked mesh"]
         shape = harmonics._point_shape(mesh)
         blocks = harmonics._chain_blocks(labels, mesh, shape)

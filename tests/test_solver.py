@@ -189,9 +189,19 @@ class TestRadialRule:
         want = eval_expansion(exp, r, p)
         assert len(calls) == 1
         calls.clear()
-        monkeypatch.setattr(harmonics, "_BUDGET", 1)  # one point per chunk
+        monkeypatch.setattr(harmonics, "_BUDGET", 1)  # chunks of 2, 2 and 3 points
         assert_bitwise(eval_expansion(exp, r, p), want)
-        assert len(calls) == n
+        assert len(calls) == 3
+
+    def test_eval_sizes_its_powers_by_the_levels_present(self, monkeypatch):
+        # an lmax far above the rows' levels: the mask and powers stop at level 1
+        idx = MultiIndex(3, 1, (0,))
+        huge, small = (HarmonicExpansion(3, lmax, {idx: (1, 0)}) for lmax in (10**6, 1))
+        p = UltrasphericalPoint(3, 1.0, (np.array([0.4, 2.1, 1.3]),), np.array([1.0, 5.0, 2.0]))
+        r = np.array([0.5, 1.0, 2.0])
+        calls = self.counted(monkeypatch)
+        assert_bitwise(eval_expansion(huge, r, p), eval_expansion(small, r, p))
+        assert [need.shape for _, _, need in calls] == [(2, 2)] * 2
 
     def test_synthesis_forms_the_powers_once(self, monkeypatch):
         exp = manufactured(np.random.default_rng(23), 4, 3, "annulus")
