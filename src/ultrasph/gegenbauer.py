@@ -54,7 +54,7 @@ def _maybe_scalar(values, scalar_in):
 
 
 def _recurrence(lmax, d, x):
-    """Yield P_{0,d}(x), ..., P_{lmax,d}(x) for an array x; the one copy of the recurrence."""
+    """Yield P_{0,d}(x), ..., P_{lmax,d}(x) for an array or numpy scalar x; the one recurrence."""
     p_prev, p = None, np.ones_like(x)
     for k in range(lmax + 1):
         if k == 1:
@@ -111,11 +111,11 @@ def _steps(k, lmax):
 
 
 def poly(l, d, x):
-    """Ultraspherical polynomial P_{l,d}(x) by three-term recurrence."""
+    """P_{l,d}(x) by three-term recurrence; a scalar x runs as a numpy scalar (``xa[()]``)."""
     l = _check_int(l, "degree", 0)
     d = _check_int(d, "dimension", 3)
     xa = np.asarray(x, dtype=float)
-    for p in _recurrence(l, d, xa):
+    for p in _recurrence(l, d, xa[()]):
         pass
     return _maybe_scalar(p, xa.ndim == 0)
 
@@ -193,9 +193,7 @@ def poly_deriv(l, m, d, x):
     scalar_in = xa.ndim == 0
     if m > l:
         return _maybe_scalar(np.zeros_like(xa), scalar_in)
-    if m == 0:
-        return poly(l, d, x)
-    alpha = float(math.prod(range(d - 2, d + 2 * m - 2, 2)))  # exact, rounded once
+    alpha = float(math.prod(range(d - 2, d + 2 * m - 2, 2)))  # exact, rounded once; 1.0 at m = 0
     val = alpha * np.asarray(poly(l - m, d + 2 * m, xa))
     return _maybe_scalar(val, scalar_in)
 

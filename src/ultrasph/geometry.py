@@ -46,11 +46,11 @@ def _as_field(value):
 def _within(field, low, high, closed=True):
     """True if every entry of a field lies in [low, high] (or [low, high)); NaN lies nowhere.
 
-    A float field is checked by plain comparisons, an array field by numpy.
+    A float field is checked by plain comparisons, an array field by one reduction.
     """
     if type(field) is float:
         return low <= field and (field <= high if closed else field < high)
-    return bool(np.all(field >= low) and np.all(field <= high if closed else field < high))
+    return bool(((field >= low) & (field <= high if closed else field < high)).all())
 
 
 def _check_int(value, name, minimum):

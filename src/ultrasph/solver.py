@@ -183,8 +183,10 @@ def _radial_powers(d, r, need, first=0):
     r^-(l+d-2) too, so r > 0; else ValueError naming the first such
     level, A before B.  A power no coefficient needs is left 0, so
     0 * inf never appears.  Each power is r ** (a Python int), complex,
-    as the callers' products cast it.
+    as the callers' products cast it.  A negative or NaN r raises first.
     """
+    if not (r >= 0).all():
+        raise ValueError("radius must be nonnegative")
     powers = np.zeros(need.shape + np.shape(r), dtype=complex)
     with np.errstate(divide="ignore", over="ignore"):
         for j, branch in np.argwhere(need.T).tolist():
@@ -490,6 +492,8 @@ def green_expansion(x_a, x_b, lmax):
     lmax = _check_int(lmax, "lmax", 0)
     if x_a.d != x_b.d:
         raise ValueError(f"dimension mismatch: {x_a.d} vs {x_b.d}")
+    if x_a.x.ndim != 1 or x_b.x.ndim != 1:
+        raise ValueError("green_expansion takes single points, of shape (d,)")
     d = x_a.d
     ra, rb = x_a.norm(), x_b.norm()
     if ra == rb:
@@ -499,6 +503,6 @@ def green_expansion(x_a, x_b, lmax):
         return r_hi ** (-(d - 2))
     cg = cos_gamma(to_ultraspherical(x_a), to_ultraspherical(x_b))
     total = 0.0
-    for l, p in enumerate(_recurrence(lmax, d, np.asarray(cg))):
+    for l, p in enumerate(_recurrence(lmax, d, np.float64(cg))):
         total += r_lo**l / r_hi ** (l + d - 2) * float(p)
     return total

@@ -503,3 +503,40 @@ class TestOrthonormalRecurrence:
         want = (1 - x * x) * scale * poly_deriv(n, 1, k, x)
         got = -n * x * q + (2 * n + 2 * delta + 1) * a[-1] * q_prev
         assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+
+def _first_of_array(f, *args):
+    """f with its last argument as a one-element array, read back as a float."""
+    *head, x = args
+    return float(np.asarray(f(*head, np.array([x])))[0])
+
+
+class TestScalarRoute:
+    """A scalar x runs the recurrence as a numpy scalar, an array x as an array."""
+
+    X_SCALARS = (0.5, -0.0, 1.0, -1.0, 5e-324, math.nan)
+
+    @pytest.mark.parametrize("d", range(3, 13))
+    def test_scalar_matches_one_element_array(self, d):
+        for x in self.X_SCALARS:
+            for l in range(41):
+                assert _outcome(poly, l, d, x) == \
+                    _outcome(_first_of_array, poly, l, d, x)
+                for m in range(4):
+                    assert _outcome(poly_deriv, l, m, d, x) == \
+                        _outcome(_first_of_array, poly_deriv, l, m, d, x)
+
+    @pytest.mark.parametrize("x", [0.5, np.array([0.5])], ids=["scalar", "array"])
+    def test_overflow_warns_for_scalar_and_array(self, x):
+        # pyproject.toml turns warnings into errors; a Python float would give NaN silently
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            poly(3, 10**200, x)
+
+    def test_recurrence_gets_a_numpy_scalar(self, monkeypatch):
+        seen = []
+        recurrence = ultrasph.gegenbauer._recurrence
+        monkeypatch.setattr(ultrasph.gegenbauer, "_recurrence",
+                            lambda lmax, d, x: seen.append(type(x)) or recurrence(lmax, d, x))
+        want = poly(8, 5, np.array([0.3]))
+        assert poly(8, 5, 0.3) == want[0]
+        assert seen == [np.ndarray, np.float64]  # not a 0-d ndarray for the scalar

@@ -155,8 +155,10 @@ class TestCosGamma:
 _POINT_RULES = [
     ("r", -0.5, "radius must be nonnegative"),
     ("r", math.nan, "radius must be nonnegative"),
+    ("r", -1e-300, "radius must be nonnegative"),
     ("theta", -0.1, "polar angles must lie in"),
     ("theta", math.pi + 1e-9, "polar angles must lie in"),
+    ("theta", math.pi + 1e-15, "polar angles must lie in"),
     ("theta", math.nan, "polar angles must lie in"),
     ("phi", -1e-12, "azimuth must lie in"),
     ("phi", 2.0 * math.pi, "azimuth must lie in"),

@@ -209,6 +209,32 @@ class TestRadialRule:
         solver._synthesize(exp, 1.3, sphere_grid(4, 3))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("r", [-2.0, -1e-300, math.nan])
+    def test_every_caller_refuses_a_negative_or_nan_radius(self, r):
+        # as UltrasphericalPoint does, before any power is formed
+        exp = HarmonicExpansion(3, 1, {MultiIndex(3, 1, (0,)): (1, 0)})
+        p = UltrasphericalPoint(3, 1.0, (np.array([0.4, 2.1]),), np.array([1.0, 5.0]))
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            radial_eval(1, 1, 1, 3, r)
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            radial_eval(1, 0, 1, 3, np.array([0.5, r]))
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            eval_expansion(exp, np.array([r, 2.0]), p)
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            solver._synthesize(exp, r, sphere_grid(3, 1))
+
+    def test_signed_zero_and_infinity_keep_their_rule(self):
+        exp = HarmonicExpansion(3, 1, {MultiIndex(3, 1, (0,)): (1, 0)})
+        p = UltrasphericalPoint(3, 1.0, (0.4,), 1.0)
+        assert radial_eval(1, 0, 1, 3, -0.0) == radial_eval(1, 0, 1, 3, 0.0) == 0
+        assert eval_expansion(exp, -0.0, p) == eval_expansion(exp, 0.0, p) == 0
+        assert radial_eval(0, 2, 1, 3, math.inf) == 0
+        for r in (-0.0, 0.0):
+            with pytest.raises(ValueError, match=r"B != 0 at r = 0 .* \(level 1\)"):
+                radial_eval(1, 1, 1, 3, r)
+        with pytest.raises(ValueError, match=r"A != 0 where r\^l overflows \(level 1\)"):
+            eval_expansion(exp, math.inf, p)
+
 
 class TestProjectBoundary:
     def test_recovers_single_harmonic(self):
@@ -763,16 +789,24 @@ class TestGreenExpansion:
         assert ratio**10 / 5 <= measured <= ratio**10 * 5
 
     def test_matches_the_per_level_sum(self):
+        # bitwise the sum over the array route of poly, one level per call
         rng = np.random.default_rng(91)
-        for d in (3, 5, 8):
+        for d in (3, 4, 5, 6, 8, 3, 5, 7, 8, 12):
             xa = CartesianPoint(d, 0.4 * rng.normal(size=d))
             xb = CartesianPoint(d, rng.normal(size=d))
             r_lo, r_hi = sorted((xa.norm(), xb.norm()))
-            cg = cos_gamma(to_ultraspherical(xa), to_ultraspherical(xb))
+            cg = np.array([cos_gamma(to_ultraspherical(xa), to_ultraspherical(xb))])
             want = 0.0
             for l in range(31):
-                want += r_lo**l / r_hi ** (l + d - 2) * poly(l, d, cg)
+                want += r_lo**l / r_hi ** (l + d - 2) * float(poly(l, d, cg)[0])
             assert green_expansion(xa, xb, 30) == want
+
+    def test_rejects_array_points(self):
+        xa = CartesianPoint(3, np.full((3, 2), 0.1))
+        xb = CartesianPoint(3, np.array([0.0, 1.0, 0.0]))
+        for a, b in ((xa, xb), (xb, xa)):
+            with pytest.raises(ValueError, match=r"single points, of shape \(d,\)"):
+                green_expansion(a, b, 5)
 
     @pytest.mark.parametrize("lmax", (-1, True, 2.0))
     def test_rejects_bad_lmax(self, lmax):
