@@ -54,7 +54,7 @@ def _maybe_scalar(values, scalar_in):
 
 
 def _recurrence(lmax, d, x):
-    """Yield P_{0,d}(x), ..., P_{lmax,d}(x) for an array or numpy scalar x; the one recurrence."""
+    """Yield P_{0,d}(x), ..., P_{lmax,d}(x); a numpy scalar x runs an array's operations and warnings."""
     p_prev, p = None, np.ones_like(x)
     for k in range(lmax + 1):
         if k == 1:
