@@ -96,9 +96,9 @@ def _build_parser():
     p_tab.add_argument("--m", type=int, help=f"order (assoc), <= {_DEGREE_LIMIT}")
     p_tab.add_argument("--n", type=int, help=f"order (norm), <= {_DEGREE_LIMIT}")
     p_tab.add_argument("--x", type=_parse_floats,
-                       help="comma-separated arguments in [-1, 1] (poly)")
+                       help="comma-separated finite numbers, any value, evaluated as given (poly)")
     p_tab.add_argument("--theta", type=_parse_floats,
-                       help="comma-separated angles in [0, pi] (assoc)")
+                       help="comma-separated finite angles, any value, evaluated as given (assoc)")
     p_tab.add_argument("--lmax", type=int, choices=lmax_range, help="top level (count)")
 
     p_solve = sub.add_parser(

@@ -105,7 +105,9 @@ def load_config(path):
 
     Only the file's syntax is checked here, plus the supported size limits;
     the rules of a problem (kind, radius count and order) are
-    BoundaryProblem's, applied by :func:`build_problem`.
+    BoundaryProblem's, applied by :func:`build_problem`.  A relative
+    'samples-file' path is read, by build_problem, from the current
+    directory, not from the config's.
     """
     obj = _load_json(path)
     if not isinstance(obj, dict):

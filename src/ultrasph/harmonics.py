@@ -27,14 +27,16 @@ per-axis tables of :func:`axis_factors`, which gegenbauer's orthonormal
 recurrence (the one the Gauss rules run) fills with no normalization
 constant.  :func:`harmonic_values` (and through it :func:`addition_sum`)
 and ``solver.eval_expansion`` share one block gather over those tables
-(_chain_blocks) on integer label rows (_labels).  It takes the points
-one chunk of the leading axis at a time, sized so that the chunk's
-phases and tables fit one working budget (_BUDGET, split by _slices),
-and the label rows one block at a time, sized so that the block's
-temporaries, the caller's included, fit a cache budget (_CACHE).  Each
-block is built in place in its destination, its rows of the result or
-one buffer of the chunk, so only the caller's result grows with the
-point count.  A point set with no entries gives blocks with no entries.
+(_chain_blocks) on integer label rows (_labels).  It broadcasts each
+angle field to the full point shape, an open mesh's too, and takes the
+points one chunk of the leading axis at a time, sized so that the
+chunk's phases and tables fit one working budget (_BUDGET, split by
+_slices), and the label rows one block at a time, sized so that the
+block's temporaries, the caller's included, fit a cache budget
+(_CACHE).  Each block is built in place in its destination, its rows
+of the result or one buffer of the chunk, so only the caller's result
+grows with the point count.  A point set with no entries gives blocks
+with no entries.
 ``solver.project_boundary`` contracts grid samples against the same
 tables, and the verify Gram check multiplies their per-axis Gram
 matrices.  :func:`eval_harmonic` (norm_coeff times eval_psi, index by
@@ -252,15 +254,15 @@ def _point_shape(angles):
     return np.broadcast_shapes(*(np.shape(t) for t in angles.theta), np.shape(angles.phi))
 
 
-def _part(a, at, ndim):
-    """``a`` as an ndim-dimensional float array, cut to the chunk ``at`` of the leading axis.
+def _part(a, at, shape):
+    """``a`` broadcast to ``shape`` as a float view, cut to the chunk ``at`` of the leading axis.
 
-    ``at`` is () or a 1-tuple of a slice; an axis of length 1 broadcasts
-    and is kept whole.
+    ``at`` is () or a 1-tuple of a slice; the cut is taken from the view,
+    so only the chunk's entries are read.  A field of the full shape is
+    cut as it is, sparing verify's one-point calls np.broadcast_to's ~3 us.
     """
     a = np.asarray(a, dtype=float)
-    a = a.reshape((1,) * (ndim - a.ndim) + a.shape)
-    return a[at] if at and len(a) > 1 else a
+    return (a if a.shape == shape else np.broadcast_to(a, shape))[at]
 
 
 def _chain_blocks(labels, angles, shape, out=None, spare=0):
@@ -269,24 +271,24 @@ def _chain_blocks(labels, angles, shape, out=None, spare=0):
     ``shape`` is one the angles broadcast to.  The points are taken one
     chunk of the leading axis at a time, ``at`` being () or (slice,), and
     Y is (rows,) + the chunk's shape.  A chunk's phases and per-axis
-    tables are built for it alone and freed before the next chunk's, in
-    one chunk whenever they fit _BUDGET, so they do not grow with the
-    point count.  Each block starts as its rows' e^(i m_1 phi) / sqrt(2 pi)
-    and is multiplied by the gathered T_k[deg_k, ord_k] for
-    k = d, ..., 3, the order of the per-index chain product, so each row
-    is bitwise that product whatever the chunks and blocks.  Each block
-    is built in place: given ``out``, an array of (len(labels),) + shape,
-    in its rows of ``out``, and Y is that view.  Otherwise Y is a buffer
-    of the chunk that the next block overwrites, so the caller may change
-    it in place; ``spare`` is the bytes per entry the caller's own
-    temporaries take beside it (_chunk_blocks).
+    tables have its shape, from the angle fields broadcast to ``shape``
+    (_part); they are built for it alone and freed before the next
+    chunk's, in one chunk whenever they fit _BUDGET, so they do not grow
+    with the point count.  Each block starts as its rows'
+    e^(i m_1 phi) / sqrt(2 pi) and is multiplied by the gathered
+    T_k[deg_k, ord_k] for k = d, ..., 3, the order of the per-index chain
+    product, so each row is bitwise that product whatever the chunks and
+    blocks.  Each block is built in place: given ``out``, an array of
+    (len(labels),) + shape, in its rows of ``out``, and Y is that view.
+    Otherwise Y is a buffer of the chunk that the next block overwrites,
+    so the caller may change it in place; ``spare`` is the bytes per
+    entry the caller's own temporaries take beside it (_chunk_blocks).
     """
     top = int(labels[:, 0].max(initial=0))
     chunks = [()]
     if shape:
         # the tables and phases of all the points
-        nbytes = (8 * (top + 1) ** 2 * sum(map(np.size, angles.theta))
-                  + 16 * (2 * top + 1) * np.size(angles.phi))
+        nbytes = (8 * (top + 1) ** 2 * (angles.d - 2) + 16 * (2 * top + 1)) * math.prod(shape)
         # a chunk of one point would sum its rows pairwise, as numpy reduces a
         # single column, where the points of a larger chunk sum theirs in order
         least = 2 if math.prod(shape[1:]) == 1 else 1
@@ -299,25 +301,22 @@ def _chunk_blocks(labels, top, angles, at, shape, out, spare):
     """The blocks of _chain_blocks at the chunk ``at`` of ``shape``, from its own tables.
 
     A block takes as many rows as keep its temporaries within _CACHE
-    bytes: per row, the product (complex) and ``spare`` bytes per entry
-    of the caller's, and the largest gathered table factor (float), which
-    has the row's full shape at scattered points.  The blocks are
-    near-equal, the first the largest.  A block's phases are gathered or
-    broadcast into its rows of ``out`` or one complex buffer of the chunk,
-    and its table factors multiplied in there, each one of the full shape
+    bytes: per entry of a row, the product (complex), the gathered table
+    factor (float), which has the row's full shape, and ``spare`` bytes
+    of the caller's.  The blocks are near-equal, the first the largest.
+    A block's phases are gathered into its rows of ``out`` or one complex
+    buffer of the chunk, and its table factors multiplied in there, each
     by way of one float buffer of the chunk, so no block allocates more.
     """
-    ndim = len(shape)
     part = (at[0].stop - at[0].start,) + shape[1:] if at else shape
-    m1 = np.arange(-top, top + 1).reshape((-1,) + (1,) * ndim)
-    thetas = (_part(t, at, ndim) for t in angles.theta)
+    m1 = np.arange(-top, top + 1).reshape((-1,) + (1,) * len(shape))
     # the phases, and each table with its (degree, order) axes as one
-    phases = np.exp(1j * m1 * _part(angles.phi, at, ndim)) / math.sqrt(2.0 * math.pi)
-    tables = [axis_factors(k, top, t).reshape(((top + 1) ** 2,) + t.shape)
-              for k, t in zip(range(angles.d, 2, -1), thetas)]
-    # a row's temporaries: its product (complex) and the caller's spare bytes
-    # per entry, and its largest gathered factor (float)
-    row = (16 + spare) * math.prod(part) + 8 * max(math.prod(t.shape[1:]) for t in tables)
+    phases = np.exp(1j * m1 * _part(angles.phi, at, shape)) / math.sqrt(2.0 * math.pi)
+    tables = [axis_factors(k, top, _part(t, at, shape)).reshape(((top + 1) ** 2,) + part)
+              for k, t in zip(range(angles.d, 2, -1), angles.theta)]
+    # a row's temporaries: its product (complex), its gathered factor (float)
+    # and the caller's spare bytes per entry
+    row = (24 + spare) * math.prod(part)
     rows = len(labels)
     count = max(1, -(-rows // max(1, _CACHE // max(row, 1))))  # a row of no points takes 0 bytes
     step = max(1, -(-rows // count))
@@ -325,23 +324,17 @@ def _chunk_blocks(labels, top, angles, at, shape, out, spare):
     if out is not None:
         out = out[(slice(None),) + at]
     buffer = np.empty((step,) + part, dtype=complex) if out is None else None
-    gathered = np.empty((step,) + part) if any(t.shape[1:] == part for t in tables) else None
+    gathered = np.empty((step,) + part)
     for start in range(0, rows, step):
         block = labels[start : start + step]
         n = len(block)
         y = buffer[:n] if out is None else out[start : start + n]
         orders = np.abs(block)  # only m_1 may be negative; its axis has order |m_1|
-        if phases.shape[1:] == part:
-            np.take(phases, block[:, -1] + top, axis=0, out=y, mode="clip")
-        else:
-            y[...] = phases[block[:, -1] + top]
+        np.take(phases, block[:, -1] + top, axis=0, out=y, mode="clip")
         # each row's flat (degree, order) entry of each table, multiplied in the
         # order of the per-index chain product
         for table, i in zip(tables, (orders[:, :-1] * (top + 1) + orders[:, 1:]).T):
-            if table.shape[1:] == part:
-                y *= np.take(table, i, axis=0, out=gathered[:n], mode="clip")
-            else:
-                y *= table[i]
+            y *= np.take(table, i, axis=0, out=gathered[:n], mode="clip")
         yield at, start, y
 
 

@@ -42,12 +42,13 @@ syntheses on a grid reuse its tables.
   row blocks of the gather it shares with harmonics.harmonic_values by
   A r^l + B r^-(l+d-2) and adds each block's row sum, the running total
   first (in row order, so bitwise the index-by-index sum at array
-  points).  The gather builds the phases and tables, and eval_expansion
-  the radial powers up to the top level with rows, for one chunk of
-  points at a time within harmonics._BUDGET, so beyond the output its
-  memory does not grow with the point count; each block is built in one
-  buffer of the chunk and its weights in two more, all within
-  harmonics._CACHE.  Scattered
+  points).  The angles and r are broadcast to the full point shape and
+  cut to one chunk of points at a time (harmonics._part); the gather
+  builds the chunk's phases and tables, and eval_expansion its radial
+  powers up to the top level with rows, within harmonics._BUDGET, so
+  beyond the output its memory does not grow with the point count.
+  Each block is built in one buffer of the chunk and its weights in two
+  more, all within harmonics._CACHE.  Scattered
   points share no grid structure, so staging there would carry a
   points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
   the output.
@@ -254,7 +255,7 @@ def eval_expansion(expansion, r, angles):
         # per entry, a gathered power (then the B term) and the weight
         for at, start, y in _chain_blocks(labels, angles, shape, spare=32):
             if start == 0:  # a new chunk of points: its powers as (level, ...), and buffers
-                part = np.broadcast_to(_part(r, at, len(shape)), y.shape[1:])
+                part = _part(r, at, shape)
                 grow, decay = _radial_powers(d, part, need)
                 power, weights = np.empty_like(y), np.empty_like(y)
             rows = slice(start, start + len(y))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ultrasph import formats
 from ultrasph.cli import main
+from ultrasph.gegenbauer import assoc, poly
 from ultrasph.geometry import UltrasphericalPoint, solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices
 from ultrasph.quadrature import SphereGrid, sphere_grid
@@ -139,6 +140,17 @@ class TestTabulateCommand:
         for row in rows:
             value = row.split()[1]
             assert float(value) == float(format(float(value), ".17g"))
+
+    def test_arguments_outside_the_natural_ranges_are_evaluated_as_given(self, capsys):
+        # --x and --theta take any finite number: x = 2 is off [-1, 1], theta = 4 off [0, pi]
+        for argv, want in (
+            (["poly", "--d", "3", "--l", "5", "--x", "2"], poly(5, 3, 2.0)),
+            (["assoc", "--d", "3", "--l", "5", "--m", "2", "--theta", "4"], assoc(5, 2, 3, 4.0)),
+        ):
+            rc = main(["tabulate", *argv])
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert out.splitlines()[1:] == [f"{float(argv[-1]):.17g} {want:.17g}"]
 
     def test_degree_at_the_limit_is_tabulated(self, capsys):
         rc = main(["tabulate", "poly", "--d", "3", "--l", "10000", "--x", "0.5"])
@@ -574,6 +586,21 @@ def test_samples_file_must_be_a_string(tmp_path, capsys, samples_file):
         formats.load_config(config)
     assert main(["solve", config]) == 2
     assert "samples-file" in capsys.readouterr().err
+
+
+def test_relative_samples_file_is_read_from_the_current_directory(tmp_path, monkeypatch, capsys):
+    # the path is not resolved against the config's directory
+    cfgdir = tmp_path / "cfgdir"
+    cfgdir.mkdir()
+    n = math.prod(sphere_grid(3, 1).shape)
+    write_json(cfgdir / "s.json", {"values": [[1.0, 0.0]] * n})
+    _samples_config(cfgdir, "s.json")
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve", str(Path("cfgdir") / "cfg.json")]) == 2
+    assert "cannot read s.json" in capsys.readouterr().err
+    monkeypatch.chdir(cfgdir)
+    assert main(["solve", "cfg.json"]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"),
