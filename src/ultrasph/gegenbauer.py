@@ -262,8 +262,8 @@ def ode_residual(l, m, d, theta):
         P'' + (d-2) cot(theta) P'
         + ( l(l+d-2) - m(m+d-3)/sin^2(theta) ) P,
 
-    which vanishes identically in exact arithmetic.  theta must stay at
-    least 1e-3 away from the endpoint singularities.
+    which vanishes identically in exact arithmetic.  theta must stay no
+    closer than 1e-3 to the endpoint singularities.
     """
     l = _check_int(l, "degree", 0)
     m = _check_int(m, "order", 0)

@@ -205,14 +205,14 @@ _CACHE = 1 << 20
 _BUDGET = 3 << 20
 
 
-def _slices(n, nbytes, least=1):
+def _slices(n, nbytes):
     """The fewest near-equal slices of range(n) whose share of ``nbytes`` fits _BUDGET.
 
-    One slice when all of nbytes fits.  No slice is shorter than ``least``
-    indices (or n), even where that many take more than the budget.
+    One slice when all of nbytes fits, one index per slice when one index's
+    share does not.  A point's value does not depend on the slice it is in.
     """
-    step = max(least, _BUDGET * n // max(nbytes, 1))
-    count = max(1, min(-(-n // step), n // least))
+    step = max(1, _BUDGET * n // max(nbytes, 1))
+    count = max(1, -(-n // step))
     return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
@@ -257,42 +257,39 @@ def _point_shape(angles):
 def _part(a, at, shape):
     """``a`` broadcast to ``shape`` as a float view, cut to the chunk ``at`` of the leading axis.
 
-    ``at`` is () or a 1-tuple of a slice; the cut is taken from the view,
-    so only the chunk's entries are read.  A field of the full shape is
-    cut as it is, sparing verify's one-point calls np.broadcast_to's ~3 us.
+    ``at`` is () or a 1-tuple of a slice, cut from the view so only the
+    chunk's entries are read; a scalar point's cut is a 0-d array, the
+    route of every other shape.  A field of the full shape is cut as it
+    is, sparing verify's one-point calls np.broadcast_to's ~3 us.
     """
     a = np.asarray(a, dtype=float)
-    return (a if a.shape == shape else np.broadcast_to(a, shape))[at]
+    return (a if a.shape == shape else np.broadcast_to(a, shape))[at + (...,)]
 
 
 def _chain_blocks(labels, angles, shape, out=None, spare=0):
     """Yield (at, start, Y): Y_idx at the points ``at`` of ``shape``, label rows from start on.
 
     ``shape`` is one the angles broadcast to.  The points are taken one
-    chunk of the leading axis at a time, ``at`` being () or (slice,), and
-    Y is (rows,) + the chunk's shape.  A chunk's phases and per-axis
-    tables have its shape, from the angle fields broadcast to ``shape``
-    (_part); they are built for it alone and freed before the next
-    chunk's, in one chunk whenever they fit _BUDGET, so they do not grow
-    with the point count.  Each block starts as its rows'
-    e^(i m_1 phi) / sqrt(2 pi) and is multiplied by the gathered
-    T_k[deg_k, ord_k] for k = d, ..., 3, the order of the per-index chain
-    product, so each row is bitwise that product whatever the chunks and
-    blocks.  Each block is built in place: given ``out``, an array of
-    (len(labels),) + shape, in its rows of ``out``, and Y is that view.
-    Otherwise Y is a buffer of the chunk that the next block overwrites,
-    so the caller may change it in place; ``spare`` is the bytes per
-    entry the caller's own temporaries take beside it (_chunk_blocks).
+    chunk of the leading axis at a time (``at`` is () or (slice,)), as few
+    as fit their phases and per-axis tables in _BUDGET (_slices); each
+    chunk's are built for it alone from the fields cut by _part, so they
+    do not grow with the point count, and Y is (rows,) + the chunk's
+    shape.  Each block starts as its rows' e^(i m_1 phi) / sqrt(2 pi) and
+    is multiplied by the gathered T_k[deg_k, ord_k] for k = d, ..., 3, the
+    order of the per-index chain product, so each row is bitwise that
+    product whatever the point shape, chunks and blocks.  Each block is
+    built in place: given ``out``, an array of (len(labels),) + shape, in
+    its rows of ``out``, and Y is that view.  Otherwise Y is a buffer of
+    the chunk that the next block overwrites, so the caller may change it
+    in place; ``spare`` is the bytes per entry the caller's own
+    temporaries take beside it (_chunk_blocks).
     """
     top = int(labels[:, 0].max(initial=0))
     chunks = [()]
     if shape:
         # the tables and phases of all the points
         nbytes = (8 * (top + 1) ** 2 * (angles.d - 2) + 16 * (2 * top + 1)) * math.prod(shape)
-        # a chunk of one point would sum its rows pairwise, as numpy reduces a
-        # single column, where the points of a larger chunk sum theirs in order
-        least = 2 if math.prod(shape[1:]) == 1 else 1
-        chunks = [(s,) for s in _slices(shape[0], nbytes, least)]
+        chunks = [(s,) for s in _slices(shape[0], nbytes)]
     for at in chunks:
         yield from _chunk_blocks(labels, top, angles, at, shape, out, spare)
 

@@ -40,18 +40,17 @@ syntheses on a grid reuse its tables.
   stage swaps a degree axis for a node axis, so again no intermediate is
   larger than the grid.  At scattered points, eval_expansion weights the
   row blocks of the gather it shares with harmonics.harmonic_values by
-  A r^l + B r^-(l+d-2) and adds each block's row sum, the running total
-  first (in row order, so bitwise the index-by-index sum at array
-  points).  The angles and r are broadcast to the full point shape and
-  cut to one chunk of points at a time (harmonics._part); the gather
-  builds the chunk's phases and tables, and eval_expansion its radial
-  powers up to the top level with rows, within harmonics._BUDGET, so
-  beyond the output its memory does not grow with the point count.
-  Each block is built in one buffer of the chunk and its weights in two
-  more, all within harmonics._CACHE.  Scattered
-  points share no grid structure, so staging there would carry a
-  points x (lmax+1)^(d-3) x (2 lmax+1) intermediate, far larger than
-  the output.
+  A r^l + B r^-(l+d-2) and adds each block's rows, the running total
+  first, in row order as (re, im) floats at every shape: a point's value
+  does not depend on its shape or on the points evaluated with it, and is
+  bitwise the index-by-index sum at array points.  The angles and r are
+  broadcast to the full point shape and cut to one chunk of points at a
+  time (harmonics._part); the chunk's phases and tables fit
+  harmonics._BUDGET, and a block and its two weight buffers
+  harmonics._CACHE, so beyond the output memory does not grow with the
+  point count.  Scattered points share no grid structure, so staging
+  there would carry a points x (lmax+1)^(d-3) x (2 lmax+1) intermediate,
+  far larger than the output.
 
 The radial factor depends on the level alone, so both inverse routes
 and radial_eval form the powers of every level at once by one rule
@@ -230,13 +229,14 @@ def eval_expansion(expansion, r, angles):
 
     ``r`` and the angles may be arrays of any common broadcast shape; a
     scalar evaluation returns a complex number, and an expansion without
-    coefficients gives zeros of that shape.  The radial powers of every
-    level up to the top one with rows (not lmax) are formed once per chunk
-    of points, as the levels' coefficients need them; a needed power that overflows raises ValueError naming its
-    level, the first such level of the first chunk of points that has one.
-    Each block's weights are formed in two buffers of the block's shape,
-    made once per chunk (the ``spare`` bytes of harmonics._chain_blocks),
-    so the block and its temporaries stay within harmonics._CACHE.
+    coefficients gives zeros of that shape.  A point's value is the same
+    bytes whether it is a scalar, a one-point array or one of many.  The
+    radial powers of every level up to the top one with rows (not lmax)
+    are formed once per chunk of points, as the coefficients need them; a
+    needed power that overflows raises ValueError naming its level, the
+    first such level of the first chunk of points that has one.  Each
+    block's weights take two buffers made once per chunk (the ``spare``
+    bytes of harmonics._chain_blocks), within harmonics._CACHE.
     """
     if angles.d != expansion.d:
         raise ValueError(
@@ -264,8 +264,8 @@ def eval_expansion(expansion, r, angles):
             np.multiply(b[rows], np.take(decay, levels[rows], axis=0, out=p, mode="clip"), out=p)
             np.add(w, p, out=w)
             np.multiply(w, y, out=y)  # weights first, as the per-index sum
-            y[0] += total[at]  # the running total leads the block's row sum
-            total[at] = np.sum(y, axis=0)
+            y[0] += total[at]  # the total leads the rows, summed in order as (re, im) floats
+            total[at] = np.add.reduce(y[..., None].view(float), axis=0).view(complex)[..., 0]
     _check_finite(total)
     return complex(total) if np.ndim(total) == 0 else total
 
@@ -379,7 +379,7 @@ def _synthesize(expansion, r, grid):
     coef = np.zeros(math.prod(shape), dtype=complex)
     phase, tables = _tables(grid, lmax)
     with np.errstate(over="ignore", invalid="ignore"):
-        grow, decay = _radial_powers(d, np.float64(r), _need(levels, expansion.values, lmax))
+        grow, decay = _radial_powers(d, np.asarray(r, dtype=float), _need(levels, expansion.values, lmax))
         coef[flat] = a * grow[levels] + b * decay[levels]
         coef = coef.reshape(shape)
         for k, table in zip(range(d, 2, -1), reversed(tables)):

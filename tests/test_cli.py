@@ -428,9 +428,9 @@ class TestEvalCommand:
             want = eval_harmonic(target, p)
             assert abs(complex(re, im) - want) <= 1e-8
 
-    def test_batched_eval_matches_per_point(self, tmp_path, capsys):
-        rng = np.random.default_rng(56)
-        d, lmax = 5, 3
+    @staticmethod
+    def _scatter(tmp_path, rng, d, lmax, n):
+        """A coefficients file of every index up to lmax and n point entries, half cartesian."""
         truth = HarmonicExpansion(d, lmax, {
             idx: (complex(rng.normal(), rng.normal()), complex(rng.normal(), rng.normal()))
             for l in range(lmax + 1) for idx in enumerate_indices(d, l)
@@ -439,7 +439,7 @@ class TestEvalCommand:
         with open(coeffs, "w") as fp:
             formats.save_coefficients(fp, truth)
         entries = []
-        for i in range(50):
+        for i in range(n):
             if i % 2:
                 entries.append({"cartesian": list(rng.uniform(-1.5, 1.5, d))})
             else:
@@ -448,11 +448,22 @@ class TestEvalCommand:
                     "theta": list(rng.uniform(0.0, math.pi, d - 2)),
                     "phi": rng.uniform(0.0, 2.0 * math.pi),
                 }})
-        points = write_json(tmp_path / "points.json", {"points": entries})
-        out_path = tmp_path / "values.json"
+        return coeffs, entries
+
+    @staticmethod
+    def _eval_values(tmp_path, coeffs, entries, name):
+        """The "values" rows ``ultrasph eval`` writes for the point entries."""
+        points = write_json(tmp_path / f"{name}.json", {"points": entries})
+        out_path = tmp_path / f"{name}-values.json"
         assert main(["eval", str(coeffs), points, "-o", str(out_path)]) == 0
+        return points, json.loads(out_path.read_text())["values"]
+
+    def test_batched_eval_matches_per_point(self, tmp_path, capsys):
+        rng = np.random.default_rng(56)
+        d = 5
+        coeffs, entries = self._scatter(tmp_path, rng, d, 3, 50)
+        points, values = self._eval_values(tmp_path, coeffs, entries, "points")
         capsys.readouterr()
-        values = json.loads(out_path.read_text())["values"]
         _, loaded = formats.load_points(points)
         expansion = formats.load_coefficients(str(coeffs))
         assert len(values) == 50
@@ -462,6 +473,16 @@ class TestEvalCommand:
             )
             want = eval_expansion(expansion, p.r, p)
             assert abs(complex(re, im) - want) <= 1e-14 * max(1.0, abs(want))
+
+    def test_a_point_evaluated_alone_writes_the_bytes_of_the_batch(self, tmp_path, capsys):
+        # each point of a 20-point file, read alone from a one-point file
+        coeffs, entries = self._scatter(tmp_path, np.random.default_rng(57), 5, 6, 20)
+        _, values = self._eval_values(tmp_path, coeffs, entries, "batch")
+        for i, entry in enumerate(entries):
+            _, alone = self._eval_values(tmp_path, coeffs, [entry], f"point{i}")
+            assert [[float.hex(v) for v in pair] for pair in alone] == \
+                [[float.hex(v) for v in values[i]]]
+        capsys.readouterr()
 
     def test_dimension_mismatch_exit_2(self, tmp_path, capsys):
         coeffs = self._solve_constant(tmp_path, capsys)

@@ -6,6 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ultrasph import harmonics, solver, verify
@@ -453,6 +455,25 @@ def shuffled_expansion(rng, d, lmax):
     })
 
 
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(st.integers(0, 3000), st.integers(0, 10**10))
+def test_slices_are_the_fewest_near_equal_ones_that_fit_the_budget(n, nbytes):
+    slices = harmonics._slices(n, nbytes)
+    lengths = [s.stop - s.start for s in slices]
+    # a partition of range(n) in order, near-equal, with no empty slice but n = 0's one
+    assert slices[0].start == 0 and slices[-1].stop == n
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    assert max(lengths) - min(lengths) <= 1
+    assert min(lengths) > 0 or lengths == [0]
+    budget, count = harmonics._BUDGET, len(slices)
+    if nbytes <= budget * n:
+        # each slice's share of nbytes fits, and one slice fewer would not
+        assert max(lengths) * nbytes <= budget * n
+        assert count == 1 or -(-n // (count - 1)) * nbytes > budget * n
+    else:
+        assert lengths == [1] * n or lengths == [0]
+
+
 def assert_bitwise(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -477,8 +498,9 @@ class TestBlockGather:
             "scalar phi": UltrasphericalPoint(
                 d, 1.0, random_point_array(rng, d, (2, 5)).theta, rng.uniform(0.0, 2.0 * math.pi)
             ),
+            "one point": random_point_array(rng, d, (1,)),
             "split": random_point_array(rng, d, (self.SPLIT,)),
-            # 7 flat points in chunks of 2, 2 and 3, the mesh in one theta_d node per chunk
+            # 7 flat points in chunks of one point, the mesh in one theta_d node per chunk
             "chunked flat": random_point_array(rng, d, (7,)),
             "chunked mesh": UltrasphericalPoint(d, 1.0, axes[:-1], axes[-1]),
         }
@@ -506,7 +528,7 @@ class TestBlockGather:
         self.budget(monkeypatch, "chunked flat")
         labels = harmonics._labels(4, 2, 0)
         blocks = harmonics._chain_blocks(labels, point, (7,))
-        assert [y.shape[1:] for _, start, y in blocks if start == 0] == [(2,), (2,), (3,)]
+        assert [y.shape[1:] for _, start, y in blocks if start == 0] == [(1,)] * 7
         mesh = self.points(np.random.default_rng(69), 4)["chunked mesh"]
         shape = harmonics._point_shape(mesh)
         blocks = harmonics._chain_blocks(labels, mesh, shape)
@@ -537,12 +559,30 @@ class TestBlockGather:
                 assert len(starts) > 2
             want = eval_expansion_reference(expansion, r, point)
             if name == "scalar":
-                # a vector's row sum is numpy's pairwise sum, not the sequential one
+                # the reference forms each term of numpy scalars, the gather of
+                # arrays, and at d = 3 the two differ in their last bits
                 assert isinstance(got, complex)
                 assert abs(got - want) <= 1e-14 * abs(want)
             else:
                 # rows are added in order, the running total first, in one block or several
                 assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_a_points_value_does_not_depend_on_its_shape(self, d):
+        # each of 9 points alone, as a scalar and as a one-point array, against the batch
+        rng = np.random.default_rng(90 + d)
+        expansion = shuffled_expansion(rng, d, _VALUE_LMAX[d])
+        batch, r = random_point_array(rng, d, (9,)), rng.uniform(0.5, 2.0, 9)
+        values, rows = eval_expansion(expansion, r, batch), harmonic_values(batch, _VALUE_LMAX[d])
+        for i in range(9):
+            cut = (slice(i, i + 1),)
+            one = UltrasphericalPoint(d, 1.0, tuple(t[cut] for t in batch.theta), batch.phi[cut])
+            scalar = UltrasphericalPoint(
+                d, 1.0, tuple(float(t[i]) for t in batch.theta), float(batch.phi[i]))
+            assert_bitwise(eval_expansion(expansion, r[cut], one), values[cut])
+            assert_bitwise(eval_expansion(expansion, float(r[i]), scalar), values[i])
+            assert_bitwise(harmonic_values(one, _VALUE_LMAX[d]), rows[:, cut[0]])
+            assert_bitwise(harmonic_values(scalar, _VALUE_LMAX[d]), rows[:, i])
 
     def test_empty_expansion_gives_zeros_of_the_point_shape(self):
         rng = np.random.default_rng(80)

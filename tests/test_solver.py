@@ -189,9 +189,9 @@ class TestRadialRule:
         want = eval_expansion(exp, r, p)
         assert len(calls) == 1
         calls.clear()
-        monkeypatch.setattr(harmonics, "_BUDGET", 1)  # chunks of 2, 2 and 3 points
+        monkeypatch.setattr(harmonics, "_BUDGET", 1)  # seven chunks of one point
         assert_bitwise(eval_expansion(exp, r, p), want)
-        assert len(calls) == 3
+        assert len(calls) == 7
 
     def test_eval_sizes_its_powers_by_the_levels_present(self, monkeypatch):
         # an lmax far above the rows' levels: the mask and powers stop at level 1
@@ -202,6 +202,15 @@ class TestRadialRule:
         calls = self.counted(monkeypatch)
         assert_bitwise(eval_expansion(huge, r, p), eval_expansion(small, r, p))
         assert [need.shape for _, _, need in calls] == [(2, 2)] * 2
+
+    def test_every_route_takes_the_radius_as_an_array(self, monkeypatch):
+        # a scalar radius too, so every route takes numpy's array power
+        exp = manufactured(np.random.default_rng(24), 4, 3, "annulus")
+        calls = self.counted(monkeypatch)
+        solver._synthesize(exp, 1.3, sphere_grid(4, 3))
+        radial_eval(1, 2, 3, 4, 1.3)
+        eval_expansion(exp, 1.3, UltrasphericalPoint(4, 1.0, (0.7, 2.1), 4.0))
+        assert [(type(args[1]), args[1].shape) for args in calls] == [(np.ndarray, ())] * 3
 
     def test_synthesis_forms_the_powers_once(self, monkeypatch):
         exp = manufactured(np.random.default_rng(23), 4, 3, "annulus")
