@@ -5,10 +5,11 @@ failure, 2 = usage or input error.  All numeric table output uses 17
 significant digits, and identical inputs produce byte-identical outputs.
 """
 
-import argparse
 import json
 import math
 import sys
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,108 +25,48 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+def _checked(convert, ok, message):
+    """A converter by ``convert`` that refuses a value ``ok`` rejects, saying ``message``."""
+    def read(text):
+        value = convert(text)
+        if not ok(value):
+            raise ValueError(message.format(value))
+        return value
+    return read
+
+
+_DIMENSION = _checked(int, lambda d: _D_LIMITS[0] <= d <= _D_LIMITS[1],
+                      "dimension {} out of range %d..%d" % _D_LIMITS)
+_LMAX = _checked(int, lambda v: _LMAX_LIMITS[0] <= v <= _LMAX_LIMITS[1],
+                 "{} out of range %d..%d" % _LMAX_LIMITS)
+_DEGREE = _checked(int, lambda v: v <= _DEGREE_LIMIT, f"{{}} is above the limit {_DEGREE_LIMIT}")
+
+
 def _parse_d_range(text):
     """Accept a single dimension ("4") or an inclusive range ("3-6")."""
     parts = text.split("-", 1)
     try:
         values = [int(p) for p in parts]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad dimension spec {text!r}")
+        raise ValueError(f"bad dimension spec {text!r}") from None
     lo, hi = values[0], values[-1]
     if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty dimension range {text!r}")
-    # checked before the list is built, so a huge range costs nothing
-    for d in (lo, hi):
-        if not _D_LIMITS[0] <= d <= _D_LIMITS[1]:
-            raise argparse.ArgumentTypeError(
-                f"dimension {d} out of range {_D_LIMITS[0]}..{_D_LIMITS[1]}")
-    return list(range(lo, hi + 1))
+        raise ValueError(f"empty dimension range {text!r}")
+    # each end is checked before the list is built, so a huge range costs nothing
+    return list(range(_DIMENSION(lo), _DIMENSION(hi) + 1))
 
 
 def _parse_floats(text):
     try:
         values = [float(v) for v in text.split(",")]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}")
+        raise ValueError(f"bad number list {text!r}") from None
     if not all(map(math.isfinite, values)):
-        raise argparse.ArgumentTypeError(f"non-finite number in {text!r}")
+        raise ValueError(f"non-finite number in {text!r}")
     return values
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="ultrasph",
-        description="Hyperspherical harmonics, sphere quadrature, and "
-        "Laplace boundary-value solving in d >= 3 dimensions.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    # the one range check of both --lmax options and of tabulate --d
-    lmax_range = range(_LMAX_LIMITS[0], _LMAX_LIMITS[1] + 1)
-    d_range = range(_D_LIMITS[0], _D_LIMITS[1] + 1)
-
-    p_verify = sub.add_parser(
-        "verify",
-        help="run the numerical identity suite",
-        description="Re-checks every identity the library implements "
-        "(generating function, derivative shifts, orthonormality, addition "
-        "theorems, harmonicity, boundary-fit roundtrips) against "
-        "independent routes.  Algebraic checks are held to --tol; the "
-        f"finite-difference harmonicity check has a method floor of "
-        f"{HARMONICITY_FLOOR:g}.  Exit 0 iff every check passes.",
-    )
-    p_verify.add_argument("--d", type=_parse_d_range, default=[4],
-                          help="dimension or inclusive range, e.g. 4 or 3-6 "
-                          f"(each in {_D_LIMITS[0]}..{_D_LIMITS[1]})")
-    p_verify.add_argument("--lmax", type=int, default=4, choices=lmax_range,
-                          help="harmonic band limit (grid-based checks cap levels per dimension)")
-    p_verify.add_argument("--tol", type=float, default=1e-8,
-                          help="tolerance for algebraic checks")
-    p_verify.add_argument("--json", metavar="PATH",
-                          help="also write the report as JSON")
-
-    p_tab = sub.add_parser(
-        "tabulate",
-        help="print values of the core functions",
-        description="Tabulates one of: poly (columns: x value), assoc "
-        "(columns: theta value), norm (columns: n value), count "
-        "(columns: l count).  Values print with 17 significant digits.",
-    )
-    p_tab.add_argument("kind", choices=["poly", "assoc", "norm", "count"])
-    p_tab.add_argument("--d", type=int, required=True, choices=d_range, help="dimension")
-    p_tab.add_argument("--l", type=int, help=f"degree (poly, assoc, norm), <= {_DEGREE_LIMIT}")
-    p_tab.add_argument("--m", type=int, help=f"order (assoc), <= {_DEGREE_LIMIT}")
-    p_tab.add_argument("--n", type=int, help=f"order (norm), <= {_DEGREE_LIMIT}")
-    p_tab.add_argument("--x", type=_parse_floats,
-                       help="comma-separated finite numbers, any value, evaluated as given (poly)")
-    p_tab.add_argument("--theta", type=_parse_floats,
-                       help="comma-separated finite angles, any value, evaluated as given (assoc)")
-    p_tab.add_argument("--lmax", type=int, choices=lmax_range, help="top level (count)")
-
-    p_solve = sub.add_parser(
-        "solve",
-        help="fit a boundary-value problem from a config file",
-        description="Reads a JSON config {d, kind, radii, lmax, boundary} "
-        "and writes the fitted coefficient file (see README for the "
-        "schemas).  Deterministic: identical configs give identical bytes.",
-    )
-    p_solve.add_argument("config", help="JSON problem description")
-    p_solve.add_argument("-o", "--output", help="coefficient file (default stdout)")
-
-    p_eval = sub.add_parser(
-        "eval",
-        help="evaluate a coefficient file at points",
-        description="Reads a coefficient file and a points file and writes "
-        "one complex value per point, order-preserving.",
-    )
-    p_eval.add_argument("coefficients", help="coefficient file from solve")
-    p_eval.add_argument("points", help="points file")
-    p_eval.add_argument("-o", "--output", help="values file (default stdout)")
-    return parser
-
-
-def _cmd_verify(args, parser):
-    if not 0 < args.tol < math.inf:
-        parser.error("tolerance must be finite and positive")
+def _cmd_verify(args):
     report = run_verification(args.d, args.lmax, args.tol)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
@@ -151,37 +92,34 @@ def _finite(value, what):
     return _fmt(value)
 
 
-def _cmd_tabulate(args, parser):
+def _cmd_tabulate(args):
     """Print one table; every row is computed first, so a failing call prints nothing."""
     kind = args.kind
-    for option, value in (("--l", args.l), ("--m", args.m), ("--n", args.n)):
-        if value is not None and value > _DEGREE_LIMIT:  # refused before any value is computed
-            parser.error(f"{option} {value} is above the limit {_DEGREE_LIMIT}")
     # an overflow is reported by the finiteness check, not as a numpy warning
     with np.errstate(all="ignore"):
         if kind == "poly":
             if args.l is None or args.x is None:
-                parser.error("tabulate poly needs --l and --x")
+                _fail("tabulate", "tabulate poly needs --l and --x")
             header = "# x  poly"
             rows = [(_fmt(x), _finite(poly(args.l, args.d, x), f"poly at x={x!r}"))
                     for x in args.x]
         elif kind == "assoc":
             if args.l is None or args.m is None or args.theta is None:
-                parser.error("tabulate assoc needs --l, --m and --theta")
+                _fail("tabulate", "tabulate assoc needs --l, --m and --theta")
             header = "# theta  assoc"
             rows = [(_fmt(t), _finite(assoc(args.l, args.m, args.d, t), f"assoc at theta={t!r}"))
                     for t in args.theta]
         elif kind == "norm":
             if args.l is None or args.n is None:
-                parser.error("tabulate norm needs --l and --n")
+                _fail("tabulate", "tabulate norm needs --l and --n")
             header = "# n  norm"
             norm = norm_factor(args.l, args.n, args.d)
             if norm < math.sqrt(sys.float_info.min):  # refused as norm_coeff refuses it
-                parser.error(f"norm at l={args.l}, n={args.n}, d={args.d} underflows")
+                _fail("tabulate", f"norm at l={args.l}, n={args.n}, d={args.d} underflows")
             rows = [(args.n, _fmt(norm))]
         else:  # count
             if args.lmax is None:
-                parser.error("tabulate count needs --lmax")
+                _fail("tabulate", "tabulate count needs --lmax")
             header = "# l  count"
             rows = [(l, count(args.d, l)) for l in range(args.lmax + 1)]
     print(header)
@@ -203,7 +141,11 @@ def _cmd_solve(args):
     problem = formats.build_problem(config)
     fit = {"interior": fit_interior, "exterior": fit_exterior,
            "annulus": fit_annulus}[problem.kind]
-    expansion = fit(problem)
+    with warnings.catch_warnings(record=True) as caught:  # nearly singular annulus levels
+        warnings.simplefilter("always")
+        expansion = fit(problem)
+    for caught_warning in caught:
+        print(f"warning: {caught_warning.message}", file=sys.stderr)
     _write_or_stdout(args.output, lambda fp: formats.save_coefficients(fp, expansion))
     return 0
 
@@ -224,17 +166,113 @@ def _cmd_eval(args):
     return 0
 
 
+_REQUIRED = object()  # the default of a value that the command line must give
+_HELP = "-h/--help"
+# command -> (handler, {key: (converter, default, help)}, what it does); a key is a
+# positional, read in table order, or an option's spellings joined by "/"
+_COMMANDS = {
+    "verify": (_cmd_verify, {
+        "--d": (_parse_d_range, [4], "dimension or range like 3-6 (each in %d..%d)" % _D_LIMITS),
+        "--lmax": (_LMAX, 4, "harmonic band limit (grid-based checks cap levels per dimension)"),
+        "--tol": (_checked(float, lambda tol: 0 < tol < math.inf,
+                           "tolerance must be finite and positive"), 1e-8,
+                  f"tolerance for algebraic checks; harmonicity's floor is {HARMONICITY_FLOOR:g}"),
+        "--json": (str, None, "also write the report as JSON"),
+    }, "re-check every identity against independent routes; exit 0 iff all pass"),
+    "tabulate": (_cmd_tabulate, {
+        "kind": (_checked(str, ("poly", "assoc", "norm", "count").__contains__,
+                          "invalid choice {!r} (choose from poly, assoc, norm, count)"), _REQUIRED,
+                 "poly (columns x value), assoc (theta value), norm (n value) or count (l count)"),
+        "--d": (_DIMENSION, _REQUIRED, "dimension (required)"),
+        "--l": (_DEGREE, None, f"degree (poly, assoc, norm), <= {_DEGREE_LIMIT}"),
+        "--m": (_DEGREE, None, f"order (assoc), <= {_DEGREE_LIMIT}"),
+        "--n": (_DEGREE, None, f"order (norm), <= {_DEGREE_LIMIT}"),
+        "--x": (_parse_floats, None, "comma-separated finite numbers, any value (poly)"),
+        "--theta": (_parse_floats, None, "comma-separated finite angles, any value (assoc)"),
+        "--lmax": (_LMAX, None, "top level (count)"),
+    }, "print values of the core functions to 17 significant digits"),
+    "solve": (_cmd_solve, {
+        "config": (str, _REQUIRED, "JSON config {d, kind, radii, lmax, boundary}"),
+        "-o/--output": (str, None, "coefficient file (default stdout)"),
+    }, "fit a boundary-value problem from a JSON config"),
+    "eval": (_cmd_eval, {
+        "coefficients": (str, _REQUIRED, "coefficient file from solve"),
+        "points": (str, _REQUIRED, "points file"),
+        "-o/--output": (str, None, "values file (default stdout)"),
+    }, "evaluate a coefficient file at points, one complex value per point"),
+}
+
+
+def _help(command):
+    """The -h text of a command, or of the program (""): the usage line, then each key or
+    command with the last field of its row, its help."""
+    table = _COMMANDS[command][1] if command else _COMMANDS
+    usage = " ".join([command, "[options]", *(key for key in table if key[0] != "-")]
+                     if command else ["{%s} ..." % ",".join(_COMMANDS)])
+    text = (_COMMANDS[command][2] if command else "Hyperspherical harmonics, sphere quadrature, "
+            "and Laplace boundary-value solving in d >= 3 dimensions.")
+    rows = [*((key, row[-1]) for key, row in table.items()), (_HELP, "show this help and exit")]
+    width = max(len(name) for name, _ in rows)
+    return "\n".join([f"usage: ultrasph {usage}", "", text, "",
+                      *(f"  {name:{width}}  {what}" for name, what in rows)])
+
+
+def _fail(command, message):
+    """A usage error: the usage line and the message on stderr, then exit 2."""
+    usage = _help(command).partition("\n")[0]
+    print(usage, f"ultrasph {command}".rstrip() + f": error: {message}", sep="\n", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv):
+    """The command and its values as attributes; the token after an option is its value."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else ""  # "": the program's own -h
+    spec = _COMMANDS[command][1] if command else {}
+    spellings = {s: key for key in [*spec, _HELP] if key[0] == "-" for s in key.split("/")}
+    values = {key: default for key, (_, default, _) in spec.items()}
+    positionals = (key for key in spec if key[0] != "-")
+    tokens, ended = iter(argv[1:] if command else argv), False
+    for token in tokens:
+        if token == "--" and not ended:
+            ended = True
+            continue
+        if len(token) > 1 and token[0] == "-" and not ended:
+            if token[1] == "-":  # --name or --name=VALUE, where a prefix may name one long option
+                name, eq, text = token.partition("=")
+                text = text if eq else None
+            else:  # -o, -oVALUE or -o=VALUE
+                name, text = token[:2], token[2:].removeprefix("=") if len(token) > 2 else None
+            names = [name] if name in spellings else [
+                s for s in spellings if len(name) > 2 and s.startswith(name)]
+            if len(names) != 1:
+                _fail(command, f"ambiguous option: {name} could match {', '.join(names)}"
+                      if names else f"unrecognized arguments: {token}")
+            if (key := spellings[names[0]]) == _HELP:
+                print(_help(command))
+                raise SystemExit(0)
+            text = next(tokens, None) if text is None else text
+            if text is None:
+                _fail(command, f"argument {key}: expected one argument")
+        else:
+            key, text = next(positionals, None), token
+            if key is None:
+                _fail(command, f"unrecognized arguments: {token}" if command else
+                      f"invalid choice {token!r} (choose from {', '.join(_COMMANDS)})")
+        try:
+            values[key] = spec[key][0](text)
+        except ValueError as exc:
+            _fail(command, f"argument {key}: {exc}")
+    for key, value in [("command", command or _REQUIRED), *values.items()]:
+        if value is _REQUIRED:
+            _fail(command, f"the following arguments are required: {key}")
+    return SimpleNamespace(command=command, **{
+        key.split("/")[-1].lstrip("-"): value for key, value in values.items()})
+
+
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, parser)
-        if args.command == "tabulate":
-            return _cmd_tabulate(args, parser)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        return _cmd_eval(args)
+        return _COMMANDS[args.command][0](args)
     except (ValueError, OverflowError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultrasph import formats
-from ultrasph.cli import main
+from ultrasph.cli import _COMMANDS, _parse, main
 from ultrasph.gegenbauer import assoc, poly
 from ultrasph.geometry import UltrasphericalPoint, solid_angle
 from ultrasph.harmonics import MultiIndex, enumerate_indices
-from ultrasph.quadrature import SphereGrid, sphere_grid
-from ultrasph.solver import HarmonicExpansion, _synthesize, eval_expansion
+from ultrasph.quadrature import _D_LIMITS, _DEGREE_LIMIT, _LMAX_LIMITS, SphereGrid, sphere_grid
+from ultrasph.solver import HarmonicExpansion, _synthesize, eval_expansion, fit_annulus
 from ultrasph.verify import run_verification
 
 
@@ -95,6 +97,24 @@ class TestVerifyCommand:
         ))
         assert result.returncode == 0, result.stderr
         assert result.stdout.endswith("OVERALL PASS (84/84 checks)\n")
+
+    def test_no_command_imports_argparse_gettext_or_locale(self, tmp_path):
+        # any argparse parser pays about 1 ms for the `import locale` of gettext
+        config = interior_config(tmp_path, d=3, lmax=1, data="harmonic:(1;0)")
+        points = write_json(tmp_path / "points.json", {"points": [{"cartesian": [0.1, 0.2, 0.3]}]})
+        coeffs = str(tmp_path / "coeffs.json")
+        result = run_python("-c", (
+            "import sys\n"
+            "from ultrasph.cli import main\n"
+            "assert main(['verify', '--d', '3', '--lmax', '2']) == 0\n"
+            "assert main(['tabulate', 'poly', '--d', '3', '--l', '2', '--x', '0.5']) == 0\n"
+            f"assert main(['solve', {config!r}, '-o', {coeffs!r}]) == 0\n"
+            f"assert main(['eval', {coeffs!r}, {points!r}]) == 0\n"
+            "loaded = [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "print(loaded, file=sys.stderr)\n"
+        ))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "[]\n"
 
     def test_report_is_the_same_in_every_process(self):
         runs = [run_python("-m", "ultrasph.cli", "verify", "--d", "3-8", "--lmax", "8")
@@ -243,6 +263,245 @@ def test_any_number_token_gives_finite_rows_or_exit_2(kind, token):
         assert "error:" in err.getvalue()
 
 
+# -- the command-line grammar, against the argparse parser it replaced ---------------------
+
+def _ref_d_range(text):
+    parts = text.split("-", 1)
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad dimension spec {text!r}")
+    lo, hi = values[0], values[-1]
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty dimension range {text!r}")
+    for d in (lo, hi):
+        if not _D_LIMITS[0] <= d <= _D_LIMITS[1]:
+            raise argparse.ArgumentTypeError(
+                f"dimension {d} out of range {_D_LIMITS[0]}..{_D_LIMITS[1]}")
+    return list(range(lo, hi + 1))
+
+
+def _ref_floats(text):
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number list {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"non-finite number in {text!r}")
+    return values
+
+
+def _reference_parse(argv):
+    """The argparse parser of the CLI before its table, with the option checks of its commands."""
+    parser = argparse.ArgumentParser(prog="ultrasph")
+    sub = parser.add_subparsers(dest="command", required=True)
+    lmax_range = range(_LMAX_LIMITS[0], _LMAX_LIMITS[1] + 1)
+    d_range = range(_D_LIMITS[0], _D_LIMITS[1] + 1)
+    p_verify = sub.add_parser("verify")
+    p_verify.add_argument("--d", type=_ref_d_range, default=[4])
+    p_verify.add_argument("--lmax", type=int, default=4, choices=lmax_range)
+    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--json", metavar="PATH")
+    p_tab = sub.add_parser("tabulate")
+    p_tab.add_argument("kind", choices=["poly", "assoc", "norm", "count"])
+    p_tab.add_argument("--d", type=int, required=True, choices=d_range)
+    p_tab.add_argument("--l", type=int)
+    p_tab.add_argument("--m", type=int)
+    p_tab.add_argument("--n", type=int)
+    p_tab.add_argument("--x", type=_ref_floats)
+    p_tab.add_argument("--theta", type=_ref_floats)
+    p_tab.add_argument("--lmax", type=int, choices=lmax_range)
+    p_solve = sub.add_parser("solve")
+    p_solve.add_argument("config")
+    p_solve.add_argument("-o", "--output")
+    p_eval = sub.add_parser("eval")
+    p_eval.add_argument("coefficients")
+    p_eval.add_argument("points")
+    p_eval.add_argument("-o", "--output")
+    args = parser.parse_args(argv)
+    if args.command == "verify" and not 0 < args.tol < math.inf:
+        parser.error("tolerance must be finite and positive")
+    if args.command == "tabulate":
+        for option, value in (("--l", args.l), ("--m", args.m), ("--n", args.n)):
+            if value is not None and value > _DEGREE_LIMIT:
+                parser.error(f"{option} {value} is above the limit {_DEGREE_LIMIT}")
+    return args
+
+
+def _outcome(parse, argv):
+    """The parsed values as a dict, or the exit code; what the parser prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+# the README examples and each form of the grammar, with some of the values they give
+_SPELLINGS = {
+    "readme-verify": ("verify --d 4 --lmax 4 --tol 1e-8", {"d": [4], "lmax": 4, "tol": 1e-8}),
+    "readme-verify-json": ("verify --d 3-6 --lmax 4 --tol 1e-8 --json report.json",
+                           {"d": [3, 4, 5, 6], "json": "report.json"}),
+    "readme-count": ("tabulate count --d 4 --lmax 3", {"kind": "count", "d": 4, "lmax": 3}),
+    "readme-poly": ("tabulate poly --d 3 --l 2 --x=-1,0,1", {"l": 2, "x": [-1.0, 0.0, 1.0]}),
+    "readme-assoc": ("tabulate assoc --d 4 --l 2 --m 1 --theta 0.7,1.1",
+                     {"m": 1, "theta": [0.7, 1.1]}),
+    "readme-norm": ("tabulate norm --d 3 --l 1 --n 0", {"l": 1, "n": 0}),
+    "readme-solve": ("solve problem.json -o coeffs.json",
+                     {"config": "problem.json", "output": "coeffs.json"}),
+    "readme-eval": ("eval coeffs.json points.json -o values.json",
+                    {"coefficients": "coeffs.json", "points": "points.json"}),
+    "defaults": ("verify", {"d": [4], "lmax": 4, "tol": 1e-8, "json": None}),
+    "positional-last": ("tabulate --d 3 --l 2 --x 0.5 poly", {"kind": "poly", "d": 3}),
+    "option-between-positionals": ("eval c.json -o v.json p.json",
+                                   {"coefficients": "c.json", "points": "p.json"}),
+    "option-first": ("eval -o v.json c.json p.json", {"output": "v.json"}),
+    "equals": ("verify --lmax=3 --d=3-4", {"lmax": 3, "d": [3, 4]}),
+    "exact-before-prefix": ("tabulate poly --d 3 --l 2 --x 0", {"l": 2, "lmax": None}),
+    "prefix": ("tabulate count --d 4 --lm 3", {"lmax": 3}),
+    "prefix-equals": ("tabulate assoc --d 4 --l 2 --m 1 --th=0.5", {"theta": [0.5]}),
+    "verify-l-is-lmax": ("verify --l 3 --t 1e-6 --j r.json",
+                         {"lmax": 3, "tol": 1e-6, "json": "r.json"}),
+    "long-prefix-output": ("solve p.json --out c.json", {"output": "c.json"}),
+    "short-attached": ("solve p.json -oc.json", {"output": "c.json"}),
+    "short-equals": ("solve p.json -o=c.json", {"output": "c.json"}),
+    "short-empty": ("solve p.json -o=", {"output": ""}),
+    "repeated-last-wins": ("verify --lmax 2 --lmax 3 --tol 1e-3 --tol 1e-4",
+                           {"lmax": 3, "tol": 1e-4}),
+    "double-dash": ("solve -- -p.json", {"config": "-p.json"}),
+    "double-dash-between": ("eval c.json -- p.json", {"points": "p.json"}),
+    "double-dash-after-options": ("eval -o v.json -- c.json p.json", {"coefficients": "c.json"}),
+    "negative-int-value": ("tabulate poly --d 3 --l -1 --x -1", {"l": -1, "x": [-1.0]}),
+    "negative-decimal-value": ("tabulate poly --d 3 --l 2 --x -.5", {"x": [-0.5]}),
+    "dash-value": ("solve p.json -o -", {"output": "-"}),
+    "degree-at-limit": (f"tabulate norm --d 3 --l {_DEGREE_LIMIT} --n 0", {"l": _DEGREE_LIMIT}),
+}
+
+
+@pytest.mark.parametrize("line,values", _SPELLINGS.values(), ids=_SPELLINGS.keys())
+def test_accepted_spellings_parse_as_argparse_did(line, values):
+    argv = line.split(" ")
+    got = _outcome(_parse, argv)
+    assert got == _outcome(_reference_parse, argv)
+    assert got["command"] == argv[0]
+    assert {k: got[k] for k in values} == values
+
+
+def test_the_token_after_an_option_is_always_its_value(capsys):
+    # argparse 3.11 refused a value that starts with "-" unless it was a plain negative number
+    argv = ["tabulate", "poly", "--d", "3", "--l", "2", "--x", "-1,0,1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "# x  poly\n-1 1\n0 -0.5\n1 1\n"
+    assert vars(_parse(["solve", "p.json", "-o", "--d"]))["output"] == "--d"
+
+
+def test_help_names_every_command_positional_and_option(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 0 and err == ""
+    assert out.startswith("usage: ultrasph ") and all(name in out for name in _COMMANDS)
+    for name, (_, table, _) in _COMMANDS.items():
+        for argv in ([name, "-h"], [name, "--help"], [name, "--he"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert exit_.value.code == 0 and err == ""
+            assert out.startswith(f"usage: ultrasph {name} ")
+            spellings = [s for key in table for s in key.split("/")]
+            assert all(re.search(rf"(^|\W){re.escape(s)}(\W|$)", out) for s in spellings)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tabulate", "poly", "--bogus", "1"],
+    ["tabulate", "poly", "--d"],
+    ["tabulate", "poly", "--d", "9"],
+    ["tabulate", "--d", "3"],
+    ["solve"],
+    ["eval", "a", "b", "c"],
+    ["verify", "--tol", "nan"],
+], ids=["unknown-option", "missing-value", "refused-value", "missing-positional",
+        "missing-config", "extra-positional", "refused-tolerance"])
+def test_usage_error_puts_the_usage_line_first(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: ultrasph {argv[0]} ")
+    assert error.startswith(f"ultrasph {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--d", "3", "verify"], ["-x"]],
+                         ids=["empty", "unknown-command", "option-before-command", "unknown"])
+def test_program_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == ""
+    assert err.startswith("usage: ultrasph {verify,tabulate,solve,eval}")
+    assert "\nultrasph: error: " in err
+
+
+# option spellings drawn by the differential test: every name, its unique prefixes,
+# and names no command knows
+_OPTION_NAMES = {
+    "verify": ["--d", "--lmax", "--lma", "--lm", "--l", "--tol", "--t", "--json", "--js"],
+    "tabulate": ["--d", "--l", "--m", "--n", "--x", "--theta", "--th", "--t", "--lmax", "--lm"],
+    "solve": ["-o", "--output", "--out", "--o"],
+    "eval": ["-o", "--output", "--ou"],
+}
+_BOGUS_NAMES = ["--bogus", "--lmaxx", "-d", "-x", "--outputs"]
+# a value token starts with "-" only as a number argparse took for a value
+_VALUE = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "8", "1e-3", "0.5", "3-5", "1,2", "-1", "-.5"]),
+    st.sampled_from(["9", "10000", "10001", "nan", "inf", "5-3", "3-100", "", "-", "x",
+                     "p.json", "poly", "a=b"]),
+    st.text(alphabet="0123456789.,-e", max_size=6).filter(
+        lambda v: not v.startswith("-") or re.fullmatch(r"-\d+|-\d*\.\d+", v)),
+)
+_POSITIONALS = ["poly", "assoc", "norm", "count", "bogus", "a.json", "b", "", "-"]
+
+
+# the positionals and the required option that each command needs
+_NEEDED = {"verify": [], "tabulate": [["count"], ["--d", "4"]], "solve": [["a.json"]],
+           "eval": [["a.json"], ["b"]]}
+
+
+@st.composite
+def _argv(draw):
+    """A command, what it needs, and up to five more units, in any order."""
+    command = draw(st.sampled_from(list(_NEEDED)))
+    names = _OPTION_NAMES[command]
+    units = list(_NEEDED[command])
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 3)) == 0:
+            units.append([draw(st.sampled_from(_POSITIONALS))])
+            continue
+        bogus = draw(st.integers(0, 7)) == 0
+        name, value = draw(st.sampled_from(_BOGUS_NAMES if bogus else names)), draw(_VALUE)
+        form = draw(st.sampled_from(["apart", "equals", "attached"]))
+        if form == "attached" and len(name) == 2 and value:  # -oVALUE
+            units.append([name + value])
+        else:
+            units.append([name, value] if form == "apart" else [f"{name}={value}"])
+    units = draw(st.permutations(units))
+    # "--" before a positional; argparse 3.11 refused a "--" after the last positional
+    # ("unrecognized arguments: --"), where the table reads it as the end of the options
+    at = [i for i, unit in enumerate(units) if len(unit) == 1 and unit[0] in _POSITIONALS]
+    if at and draw(st.booleans()):
+        units.insert(draw(st.sampled_from(at)), ["--"])
+    if draw(st.integers(0, 3)) == 0:  # an option without its value, last
+        units.append([draw(st.sampled_from(names))])
+    return [command, *(token for unit in units for token in unit)]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(argv=_argv())
+def test_parse_agrees_with_the_argparse_parser(argv):
+    assert _outcome(_parse, argv) == _outcome(_reference_parse, argv)
+
+
 class TestSolveCommand:
     def test_single_harmonic_interior(self, tmp_path, capsys):
         config = interior_config(tmp_path)
@@ -307,6 +566,27 @@ class TestSolveCommand:
         for idx, (a, b) in truth.coeffs.items():
             ga, gb = fit.coeffs[idx]
             assert abs(ga - a) <= 1e-8 and abs(gb - b) <= 1e-8
+
+    def test_nearly_singular_annulus_levels_are_warning_lines(self, tmp_path, capsys):
+        # a Python UserWarning would fail here: the suite turns warnings into errors
+        radii = (1.0, 1.00000000000001)
+        config = write_json(tmp_path / "near.json", {
+            "d": 4, "kind": "annulus", "radii": list(radii), "lmax": 2,
+            "boundary": [{"radius": r, "data": "harmonic:(1,0;0)"} for r in radii]})
+        out_path = tmp_path / "coeffs.json"
+        assert main(["solve", config, "-o", str(out_path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == "" and "UserWarning" not in err
+        lines = err.splitlines()
+        assert len(lines) == 3
+        for l, line in enumerate(lines):
+            assert line.startswith(f"warning: radial system of level {l} for radii {radii}")
+        problem = formats.build_problem(formats.load_config(config))
+        with pytest.warns(UserWarning, match="nearly singular"):
+            expansion = fit_annulus(problem)
+        want = io.StringIO()
+        formats.save_coefficients(want, expansion)
+        assert out_path.read_text() == want.getvalue()
 
     def test_malformed_radii_exit_2(self, tmp_path, capsys):
         config = write_json(
