@@ -18,11 +18,13 @@ One self-describing JSON syntax covers all four file kinds:
 * values:        {"values": [[re, im], ...]}, order-preserving
 
 Readers and writers work on whole arrays: one bulk number check
-(_finite_rows) serves samples, coefficient pairs and coordinates, and
-only the first failing record or entry, in file order, is checked alone
-to word the error.  Writers fill one %-template per row; %r is Python's
-shortest round-trip float repr, as json.dump writes it, so identical
-inputs produce byte-identical files.  A non-finite number is never written.
+(_finite_rows: one layout pass over the rows, one flat list of numbers,
+one set of their types, one np.array call and one finiteness check)
+serves samples, coefficient pairs and coordinates, and only the first
+failing record or entry, in file order, is checked alone to word the
+error.  Writers fill one %-template per row; %r is Python's shortest
+round-trip float repr, as json.dump writes it, so identical inputs
+produce byte-identical files.  A non-finite number is never written.
 """
 
 import itertools
@@ -194,25 +196,25 @@ def build_problem(config):
 def _finite_rows(raw, where, width):
     """``raw``, a list of lists of ``width`` numbers, as a (len(raw), width) float array.
 
-    Only JSON ints and floats that are finite doubles pass: a bool, a
-    string numpy would convert, an integer beyond the double range, inf,
-    NaN or another layout raises FormatError naming ``where``.
+    Another layout raises FormatError naming ``where``; then any entry
+    but a JSON int or float that is a finite double (a bool, string, list,
+    object or null, an integer beyond the double range, inf, NaN) raises
+    FormatError saying the values must be finite numbers.
     """
-    layout = f"{where}: values must be " + (
-        "[re, im] pairs" if width == 2 else f"lists of {width} numbers")
+    if not (type(raw) is list and set(map(type, raw)) <= {list}
+            and set(map(len, raw)) <= {width}):
+        raise FormatError(f"{where}: values must be " + (
+            "[re, im] pairs" if width == 2 else f"lists of {width} numbers"))
+    # one flat list for one np.array call: numpy walking nested lists costs more
+    flat = list(itertools.chain.from_iterable(raw))
     try:
-        # one pass over the entries: only JSON numbers, not bools or strings numpy would convert
-        numbers = set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FormatError(layout) from exc
-    except OverflowError as exc:  # an integer literal too large for a float
-        raise FormatError(f"{where}: values must be finite numbers") from exc
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise FormatError(layout)
-    if not (numbers and np.isfinite(arr).all()):
+        # only JSON numbers: not bools, nor strings numpy would convert
+        arr = np.array(flat, dtype=float) if set(map(type, flat)) <= {int, float} else None
+    except OverflowError:  # an integer literal too large for a float
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
         raise FormatError(f"{where}: values must be finite numbers")
-    return arr
+    return arr.reshape(len(raw), width)
 
 
 def _is_finite_number(v):
@@ -340,7 +342,7 @@ def load_coefficients(path):
     bad |= d < 3  # no index fits
     try:
         pairs = [p for rec in objects for p in (rec.get("A"), rec.get("B"))]
-        values = _finite_rows(pairs, path, 2) if pairs else np.empty((0, 2))
+        values = _finite_rows(pairs, path, 2)
     except FormatError:
         values = None
     if values is None or bad.any():

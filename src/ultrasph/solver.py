@@ -28,10 +28,12 @@ syntheses on a grid reuse its tables.
   node axis for a degree axis indexed by (degree, order of the axis
   below), so no intermediate is larger than the grid, and the last one
   holds c_idx at (l, m_{d-2}, ..., m_2, m_1).  A fit contracts all its
-  spheres' samples as one stacked tensor, through one set of d-2 tables;
-  the phi stage is one 2-D matmul and each theta stage one matmul per
-  order of the axis below (_stage), so BLAS sees few large products;
-  _read_off gathers each label row's entries, the arrays HarmonicExpansion keeps.
+  spheres' samples as one tensor, through one set of d-2 tables: each
+  sphere's phi stage is one 2-D matmul written into it, so no sample is
+  copied, and each theta stage one matmul per order of the axis below,
+  so BLAS sees few large products; every stage runs through the same two
+  buffers (_stage).  _read_off gathers each label row's entries from the
+  radial solve, the arrays HarmonicExpansion keeps.
 * Inverse, two routes.  On a grid, _synthesize is the staged adjoint of
   the forward contraction without the weights: each row's A and B are
   weighted by its level's powers and scattered into the coefficient
@@ -312,53 +314,63 @@ def _tables(grid, lmax):
     return phase, tuple(tables)
 
 
-def _stage(table, coef, i):
-    """One stage of the staged contractions: axis i of ``coef`` against ``table``.
+def _stage(coef, steps, buffers):
+    """The staged contractions: axis i of ``coef`` against ``table`` per (table, i) of ``steps``.
 
     ``table`` is (b, out, in), and axis i + 1 of ``coef`` (size b) is the
-    order the table's matrix depends on.  The stage is one matmul per
-    order, (out, in) @ (in, rest), where rest gathers every axis before i
-    and after i + 1, so BLAS sees b large products, not one per node.
+    order the table's matrix depends on.  A stage copies coef as (b, in,
+    rest) into buffers[0], rest gathering every axis before i and after
+    i + 1, and writes the matmul of each order, (out, in) @ (in, rest),
+    into buffers[1], so BLAS sees b large products, not one per node.
+    The two 1-D buffers, each the size of the largest tensor, serve every
+    stage; ``coef`` may lie in buffers[1], and so does the result.
     """
-    shape, out = coef.shape, table.shape[1]
-    # axes (b, in, before, after), contiguous, so rest is one axis
-    stack = np.ascontiguousarray(
-        coef.reshape(math.prod(shape[:i]), shape[i], shape[i + 1], -1).transpose(2, 1, 0, 3))
-    product = table @ stack.reshape(shape[i + 1], shape[i], -1)
-    product = product.reshape(shape[i + 1], out, stack.shape[2], -1).transpose(2, 1, 0, 3)
-    return product.reshape(shape[:i] + (out,) + shape[i + 1 :])
+    stack, product = buffers
+    for table, i in steps:
+        shape, (b, out, _) = coef.shape, table.shape
+        axes = (i + 1, i, *range(i), *range(i + 2, len(shape)))
+        moved = stack[: coef.size].reshape([shape[a] for a in axes])
+        np.copyto(moved, coef.transpose(axes))
+        result = product[: coef.size // shape[i] * out].reshape(b, out, -1)
+        np.matmul(table, moved.reshape(b, shape[i], -1), out=result)
+        # back to coef's axis order, with axis i now of size out
+        coef = result.reshape((b, out) + shape[:i] + shape[i + 2 :]).transpose(
+            *range(2, i + 2), 1, 0, *range(i + 2, len(shape)))
+    return coef
 
 
 def _project(datasets, grid, lmax):
     """Coefficients of the data sets, contracted against one set of tables.
 
     The tensor's axes are (data set, l, m_{d-2}, ..., m_2, m_1 + lmax).
+    Each data set's phi stage is written into _stage's second buffer, so
+    no sample is copied; no later stage's tensor is larger.
     """
     lmax = _check_int(lmax, "lmax", 0)
     if lmax > grid.lmax:
         raise ValueError(f"grid supports lmax <= {grid.lmax}, requested {lmax}")
     # the node mesh only for callable data, formed once and not kept by the grid
     points = grid.points if any(map(callable, datasets)) else None
-    samples = []
-    for data in datasets:
-        values = np.asarray(data(points)) if callable(data) else np.asarray(data)
+    phase, tables = _tables(grid, lmax)
+    phase = phase * (grid.phi_weight / math.sqrt(2.0 * math.pi))
+    shape = (len(datasets),) + grid.shape[:-1] + (2 * lmax + 1,)
+    buffers = [np.empty(math.prod(shape), dtype=complex) for _ in range(2)]
+    coef = buffers[1].reshape(shape)
+    for data, out in zip(datasets, coef):
+        values = np.ascontiguousarray(data(points) if callable(data) else data)
         if values.size != grid.size:
             raise ValueError(
                 f"expected {grid.size} boundary samples in grid order, got {values.size}"
             )
-        samples.append(values.reshape(grid.shape))
-    phase, tables = _tables(grid, lmax)
-    # the phi stage as one 2-D matmul over every other node axis
-    coef = (np.stack(samples).reshape(-1, grid.n_phi)
-            @ (phase * (grid.phi_weight / math.sqrt(2.0 * math.pi)))
-            ).reshape((len(samples),) + grid.shape[:-1] + (2 * lmax + 1,))
+        # the phi stage as one 2-D matmul over every other node axis
+        np.matmul(values.reshape(-1, grid.n_phi), phase, out=out.reshape(-1, 2 * lmax + 1))
+    del points, values  # a callable's mesh and samples are not kept through the stages
     d = grid.d
-    for k, table, rule in zip(range(3, d + 1), tables, reversed(grid.theta_rules)):
-        # coef axes are the data set, n_d, ..., n_k, then the orders
-        # m_{k-2}, ..., m_1 of the axes below; n_k becomes the degree on
-        # theta_k (l when k = d)
-        coef = _stage(table * rule.weights, coef, d - k + 1)
-    return coef
+    # coef axes are the data set, n_d, ..., n_k, then the orders m_{k-2},
+    # ..., m_1 of the axes below; stage k turns n_k into the degree on
+    # theta_k (l when k = d)
+    return _stage(coef, [(table * rule.weights, d - k + 1) for k, table, rule
+                         in zip(range(3, d + 1), tables, reversed(grid.theta_rules))], buffers)
 
 
 def _synthesize(expansion, r, grid):
@@ -369,6 +381,7 @@ def _synthesize(expansion, r, grid):
     scattered into the coefficient tensor, which is contracted over
     theta_d, ..., theta_3 against T_k, each stage swapping a degree axis
     for a node axis, then over m_1 against e^(i m_1 phi) / sqrt(2 pi).
+    The tensor and every stage lie in _stage's two buffers.
     """
     d, lmax = expansion.d, expansion.lmax
     if grid.d != d:
@@ -376,31 +389,37 @@ def _synthesize(expansion, r, grid):
     flat, shape = _positions(expansion.labels, lmax), _tensor_shape(d, lmax)
     a, b = expansion.values.T
     levels = expansion.labels[:, 0]
-    coef = np.zeros(math.prod(shape), dtype=complex)
+    # each stage turns a degree axis (lmax + 1) into a node axis (the
+    # grid's n), so the largest tensor is the first or the last
+    size = max(lmax + 1, grid.shape[0]) ** (d - 2) * shape[-1]
+    buffers = [np.empty(size, dtype=complex) for _ in range(2)]
+    coef = buffers[1][: math.prod(shape)]
+    coef.fill(0)
     phase, tables = _tables(grid, lmax)
     with np.errstate(over="ignore", invalid="ignore"):
         grow, decay = _radial_powers(d, np.asarray(r, dtype=float), _need(levels, expansion.values, lmax))
         coef[flat] = a * grow[levels] + b * decay[levels]
-        coef = coef.reshape(shape)
-        for k, table in zip(range(d, 2, -1), reversed(tables)):
-            # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
-            # then the orders below it; the degree becomes the node n_k
-            coef = _stage(table.transpose(0, 2, 1), coef, d - k)
-        values = coef.reshape(-1, 2 * lmax + 1) @ (phase * (1.0 / math.sqrt(2.0 * math.pi))).conj().T
-        values = values.reshape(-1)
+        # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
+        # then the orders below it; stage k turns the degree into the node n_k
+        coef = _stage(coef.reshape(shape), [(table.transpose(0, 2, 1), d - k) for k, table
+                                            in zip(range(d, 2, -1), reversed(tables))], buffers)
+        # the orders m_1 last and contiguous, in the free buffer, for the phi stage
+        rows = buffers[0][: coef.size].reshape(coef.shape)
+        np.copyto(rows, coef)
+        values = (rows.reshape(-1, 2 * lmax + 1)
+                  @ (phase * (1.0 / math.sqrt(2.0 * math.pi))).conj().T).reshape(-1)
     _check_finite(values)
     return values
 
 
-def _read_off(tensor, d, lmax):
-    """(labels, entries) of every level <= lmax, by one gather from ``tensor``.
+def _read_off(levels, d, lmax):
+    """(labels, entries) of every level <= lmax, by one gather from ``levels``.
 
-    ``tensor`` ends in the axes of _tensor_shape; row i of ``entries``
-    holds label row i's entries over the leading axes of ``tensor``.
+    ``levels`` is (lmax + 1, k, rest of the level's slice of the
+    _tensor_shape tensor); row i of ``entries`` holds label row i's k entries.
     """
     labels = _labels(d, lmax, 0)
-    entries = tensor.reshape(tensor.shape[: 1 - d] + (-1,))[..., _positions(labels, lmax)]
-    return labels, np.moveaxis(entries, -1, 0)
+    return labels, levels[labels[:, 0], :, _positions(labels, lmax) % levels.shape[2]]
 
 
 def project_boundary(data, grid, lmax):
@@ -410,8 +429,9 @@ def project_boundary(data, grid, lmax):
     samples at the grid nodes.  Data beyond the grid's exactness band is
     aliased; callers control the band limit through the grid.
     """
-    labels, entries = _read_off(_project((data,), grid, lmax)[0], grid.d, lmax)
-    return dict(zip(_indices(grid.d, labels), entries.tolist()))
+    levels = _project((data,), grid, lmax).reshape(lmax + 1, 1, -1)
+    labels, entries = _read_off(levels, grid.d, lmax)
+    return dict(zip(_indices(grid.d, labels), entries[:, 0].tolist()))
 
 
 # the columns of M_l each kind keeps: A r^l, regular at the origin, and
@@ -450,17 +470,19 @@ def _solve_levels(d, radii, branches, rhs):
 
 
 def _fit(problem, kind):
-    """(A, B) for every index, by one stacked radial solve over the levels."""
+    """(A, B) for every index, read straight from one stacked radial solve over the levels."""
     if problem.kind != kind:
         raise ValueError(f"expected an {kind} problem, got {problem.kind!r}")
     d, lmax = problem.d, problem.lmax
-    coef = _project(problem.data, sphere_grid(d, lmax), lmax)
     branches, radii = _BRANCHES[kind], np.array(problem.radii)
-    # the right-hand sides as (level, sphere, rest of the level's tensor slice)
-    x = _solve_levels(d, radii, branches, np.moveaxis(coef, 1, 0).reshape(lmax + 1, len(radii), -1))
-    solved = np.zeros((2,) + coef.shape[1:], dtype=complex)
-    solved[branches] = np.moveaxis(x.reshape((lmax + 1, len(branches)) + coef.shape[2:]), 0, 1)
-    return HarmonicExpansion._of(d, lmax, *_read_off(solved, d, lmax))
+    # the right-hand sides as (level, sphere, rest of the level's tensor
+    # slice); the projection is not named, so its buffers go once copied out
+    rhs = np.moveaxis(_project(problem.data, sphere_grid(d, lmax), lmax), 1, 0).reshape(
+        lmax + 1, len(radii), -1)
+    labels, entries = _read_off(_solve_levels(d, radii, branches, rhs), d, lmax)
+    values = np.zeros((len(labels), 2), dtype=complex)
+    values[:, branches] = entries  # a branch the kind does not keep is 0
+    return HarmonicExpansion._of(d, lmax, labels, values)
 
 
 def fit_interior(problem):

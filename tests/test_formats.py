@@ -428,6 +428,34 @@ def test_generated_problems_solve_or_fail_as_the_reference_loads_them(
         assert rc == 2 and out.getvalue() == "" and err.getvalue() == f"error: {want_error}\n"
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([["x", 0.25]], "values must be finite numbers"),
+    ([["1", 0.25]], "values must be finite numbers"),
+    ([[[1.0], 0.25]], "values must be finite numbers"),
+    ([[0.25, {}]], "values must be finite numbers"),
+    ([[0.25, None]], "values must be finite numbers"),
+    ([[True, 0.25]], "values must be finite numbers"),
+    ([[0.25]], "values must be [re, im] pairs"),
+    ([[0.25, "x"], [0.25]], "values must be [re, im] pairs"),  # the layout is checked first
+    ([{"re": 0.25, "im": 0.0}], "values must be [re, im] pairs"),
+    ([], "expected 4 samples for d=3, lmax=0 in grid order, got 0"),
+], ids=["text", "number-text", "nested-list", "object", "null", "bool", "short-pair",
+        "text-then-short-pair", "object-row", "empty"])
+def test_a_sample_that_is_no_number_is_named_as_the_reference_names_it(tmp_path, rows, message):
+    # the rows, then valid ones up to the 4 nodes of the d = 3, lmax 0 grid
+    values = rows + [[0.5, 0.0]] * (4 - len(rows)) if rows else rows
+    samples = _write(tmp_path / "samples.json", {"values": values})
+    config = {"d": 3, "kind": "interior", "radii": [1.0], "lmax": 0,
+              "boundary": [{"radius": 1.0, "samples-file": samples}]}
+    path = _write(tmp_path / "config.json", config)
+    want, want_error = _outcome(reference_load_problem, path)
+    assert want_error == f"{path}: {samples}: {message}"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["solve", path])
+    assert rc == 2 and out.getvalue() == "" and err.getvalue() == f"error: {want_error}\n"
+
+
 @pytest.mark.parametrize("index, message", [
     ([10**400, 0], "index level " + "1" + "0" * 400 + " exceeds lmax=2"),
     ([2**63, 2**63], "index level 9223372036854775808 exceeds lmax=2"),

@@ -1,6 +1,7 @@
 import io
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -392,9 +393,10 @@ class TestStagedSynthesis:
         exp = manufactured(rng, d, lmax, "interior")
         grid = sphere_grid(d, lmax)
         samples = solver._synthesize(exp, 1.0, grid)
-        labels, got = solver._read_off(solver._project((samples,), grid, lmax)[0], d, lmax)
+        levels = solver._project((samples,), grid, lmax).reshape(lmax + 1, 1, -1)
+        labels, got = solver._read_off(levels, d, lmax)
         assert np.array_equal(labels, exp.labels)
-        assert np.max(np.abs(got - exp.values[:, 0])) <= 1e-13
+        assert np.max(np.abs(got[:, 0] - exp.values[:, 0])) <= 1e-13
 
     def test_high_degree_round_trip(self):
         # fit, synthesize, fit again at lmax 100: the tables stay in the double range
@@ -474,6 +476,28 @@ class TestGridTables:
         exp = manufactured(np.random.default_rng(140), d, lmax, "interior")
         assert_allclose(solver._synthesize(exp, 1.0, shifted),
                         eval_expansion(exp, 1.0, shifted.points), rtol=0, atol=1e-13)
+
+
+class TestTransformMemory:
+    def test_projection_holds_two_phi_stage_tensors(self):
+        # two spheres at (7, 6): the phi stage's tensor is 13 MiB.  The
+        # stages run through it and one buffer of its size; a stage that
+        # made its own stacked input and product peaked at three tensors
+        d, lmax = 7, 6
+        grid = sphere_grid(d, lmax)
+        rng = np.random.default_rng(150)
+        samples = tuple(rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+                        for _ in range(2))
+        solver._tables(grid, lmax)  # built before the count
+        tensor = 2 * grid.size // grid.n_phi * (2 * lmax + 1) * 16
+        tracemalloc.start()
+        try:
+            coef = solver._project(samples, grid, lmax)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coef.shape == (2,) + solver._tensor_shape(d, lmax)
+        assert peak <= 2 * tensor + 2**20
 
 
 class TestFits:
