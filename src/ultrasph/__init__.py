@@ -9,97 +9,16 @@ kernel expansion (:mod:`ultrasph.solver`), and a verification suite with a
 command-line front end (:mod:`ultrasph.verify`, :mod:`ultrasph.cli`).
 """
 
-from .geometry import (
-    CartesianPoint,
-    UltrasphericalPoint,
-    cos_gamma,
-    solid_angle,
-    to_cartesian,
-    to_ultraspherical,
-)
-from .gegenbauer import (
-    assoc,
-    deriv_at_one,
-    norm_factor,
-    ode_residual,
-    poly,
-    poly_deriv,
-    poly_reference,
-)
-from .harmonics import (
-    MultiIndex,
-    addition_reduced,
-    addition_sum,
-    axis_factors,
-    count,
-    enumerate_indices,
-    eval_harmonic,
-    eval_psi,
-    harmonic_values,
-    harmonicity_residual,
-    norm_coeff,
-)
-from .quadrature import (
-    SphereGrid,
-    ThetaRule,
-    grid_shape,
-    sphere_grid,
-    theta_rule,
-)
-from .solver import (
-    BoundaryProblem,
-    HarmonicExpansion,
-    eval_expansion,
-    fit_annulus,
-    fit_exterior,
-    fit_interior,
-    green_expansion,
-    project_boundary,
-    radial_eval,
-)
+from . import gegenbauer, geometry, harmonics, quadrature, solver
+from .geometry import *  # noqa: F403
+from .gegenbauer import *  # noqa: F403
+from .harmonics import *  # noqa: F403
+from .quadrature import *  # noqa: F403
+from .solver import *  # noqa: F403
 from .verify import VerifyReport, run_verification
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundaryProblem",
-    "CartesianPoint",
-    "HarmonicExpansion",
-    "MultiIndex",
-    "SphereGrid",
-    "ThetaRule",
-    "UltrasphericalPoint",
-    "VerifyReport",
-    "addition_reduced",
-    "addition_sum",
-    "assoc",
-    "axis_factors",
-    "cos_gamma",
-    "count",
-    "deriv_at_one",
-    "enumerate_indices",
-    "eval_expansion",
-    "eval_harmonic",
-    "eval_psi",
-    "fit_annulus",
-    "fit_exterior",
-    "fit_interior",
-    "green_expansion",
-    "grid_shape",
-    "harmonic_values",
-    "harmonicity_residual",
-    "norm_coeff",
-    "norm_factor",
-    "ode_residual",
-    "poly",
-    "poly_deriv",
-    "poly_reference",
-    "project_boundary",
-    "radial_eval",
-    "run_verification",
-    "solid_angle",
-    "sphere_grid",
-    "theta_rule",
-    "to_cartesian",
-    "to_ultraspherical",
-]
+# each module's public names are written once, in its own __all__
+__all__ = sorted([*geometry.__all__, *gegenbauer.__all__, *harmonics.__all__,
+                  *quadrature.__all__, *solver.__all__, "VerifyReport", "run_verification"])

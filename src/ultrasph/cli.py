@@ -16,9 +16,9 @@ import numpy as np
 from . import formats
 from .gegenbauer import assoc, norm_factor, poly
 from .harmonics import count
-from .quadrature import _D_LIMITS, _DEGREE_LIMIT, _LMAX_LIMITS
+from .quadrature import _DEGREE_LIMIT
 from .solver import eval_expansion, fit_annulus, fit_exterior, fit_interior
-from .verify import HARMONICITY_FLOOR, run_verification
+from .verify import _LEVEL_CAP, HARMONICITY_FLOOR, run_verification
 
 
 def _fmt(value):
@@ -35,10 +35,12 @@ def _checked(convert, ok, message):
     return read
 
 
-_DIMENSION = _checked(int, lambda d: _D_LIMITS[0] <= d <= _D_LIMITS[1],
-                      "dimension {} out of range %d..%d" % _D_LIMITS)
-_LMAX = _checked(int, lambda v: _LMAX_LIMITS[0] <= v <= _LMAX_LIMITS[1],
-                 "{} out of range %d..%d" % _LMAX_LIMITS)
+_VERIFY_D = "%d..%d" % (min(_LEVEL_CAP), max(_LEVEL_CAP))  # the dimensions verify covers
+_VERIFY_DIMENSION = _checked(int, _LEVEL_CAP.__contains__,
+                             f"dimension {{}} out of range {_VERIFY_D}")
+_DIMENSION = _checked(int, lambda d: 3 <= d <= _DEGREE_LIMIT,
+                      f"dimension {{}} out of range 3..{_DEGREE_LIMIT}")
+_LMAX = _checked(int, lambda v: 0 <= v <= _DEGREE_LIMIT, f"{{}} out of range 0..{_DEGREE_LIMIT}")
 _DEGREE = _checked(int, lambda v: v <= _DEGREE_LIMIT, f"{{}} is above the limit {_DEGREE_LIMIT}")
 
 
@@ -53,7 +55,7 @@ def _parse_d_range(text):
     if lo > hi:
         raise ValueError(f"empty dimension range {text!r}")
     # each end is checked before the list is built, so a huge range costs nothing
-    return list(range(_DIMENSION(lo), _DIMENSION(hi) + 1))
+    return list(range(_VERIFY_DIMENSION(lo), _VERIFY_DIMENSION(hi) + 1))
 
 
 def _parse_floats(text):
@@ -121,7 +123,8 @@ def _cmd_tabulate(args):
             if args.lmax is None:
                 _fail("tabulate", "tabulate count needs --lmax")
             header = "# l  count"
-            rows = [(l, count(args.d, l)) for l in range(args.lmax + 1)]
+            # str here: a count past Python's int-to-str digit limit raises before any print
+            rows = [(l, str(count(args.d, l))) for l in range(args.lmax + 1)]
     print(header)
     for row in rows:
         print(*row)
@@ -172,8 +175,8 @@ _HELP = "-h/--help"
 # positional, read in table order, or an option's spellings joined by "/"
 _COMMANDS = {
     "verify": (_cmd_verify, {
-        "--d": (_parse_d_range, [4], "dimension or range like 3-6 (each in %d..%d)" % _D_LIMITS),
-        "--lmax": (_LMAX, 4, "harmonic band limit (grid-based checks cap levels per dimension)"),
+        "--d": (_parse_d_range, [4], f"dimension or range like 3-6 (each in {_VERIFY_D})"),
+        "--lmax": (_LMAX, 4, f"harmonic band limit, <= {_DEGREE_LIMIT} (checks cap their levels)"),
         "--tol": (_checked(float, lambda tol: 0 < tol < math.inf,
                            "tolerance must be finite and positive"), 1e-8,
                   f"tolerance for algebraic checks; harmonicity's floor is {HARMONICITY_FLOOR:g}"),
@@ -183,13 +186,13 @@ _COMMANDS = {
         "kind": (_checked(str, ("poly", "assoc", "norm", "count").__contains__,
                           "invalid choice {!r} (choose from poly, assoc, norm, count)"), _REQUIRED,
                  "poly (columns x value), assoc (theta value), norm (n value) or count (l count)"),
-        "--d": (_DIMENSION, _REQUIRED, "dimension (required)"),
+        "--d": (_DIMENSION, _REQUIRED, f"dimension (required), <= {_DEGREE_LIMIT}"),
         "--l": (_DEGREE, None, f"degree (poly, assoc, norm), <= {_DEGREE_LIMIT}"),
         "--m": (_DEGREE, None, f"order (assoc), <= {_DEGREE_LIMIT}"),
         "--n": (_DEGREE, None, f"order (norm), <= {_DEGREE_LIMIT}"),
         "--x": (_parse_floats, None, "comma-separated finite numbers, any value (poly)"),
         "--theta": (_parse_floats, None, "comma-separated finite angles, any value (assoc)"),
-        "--lmax": (_LMAX, None, "top level (count)"),
+        "--lmax": (_LMAX, None, f"top level (count), <= {_DEGREE_LIMIT}"),
     }, "print values of the core functions to 17 significant digits"),
     "solve": (_cmd_solve, {
         "config": (str, _REQUIRED, "JSON config {d, kind, radii, lmax, boundary}"),

@@ -36,7 +36,7 @@ import numpy as np
 
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, to_ultraspherical
 from .harmonics import MultiIndex, _chain_ok
-from .quadrature import _D_LIMITS, _LMAX_LIMITS, grid_shape, sphere_grid
+from .quadrature import _check_budget, grid_shape, sphere_grid
 from .solver import BoundaryProblem, HarmonicExpansion, _synthesize
 
 __all__ = [
@@ -105,7 +105,8 @@ def parse_harmonic_spec(spec, d):
 def load_config(path):
     """Read a boundary-problem config and check it against the schema; returns a dict.
 
-    Only the file's syntax is checked here, plus the supported size limits;
+    Only the file's syntax is checked here, plus the byte budget of a fit
+    on the config's grid (quadrature._check_budget);
     the rules of a problem (kind, radius count and order) are
     BoundaryProblem's, applied by :func:`build_problem`.  A relative
     'samples-file' path is read, by build_problem, from the current
@@ -115,14 +116,16 @@ def load_config(path):
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     d = _require(obj, "d", int, path)
-    lo, hi = _D_LIMITS
-    if not lo <= d <= hi:
-        raise FormatError(f"{path}: dimension out of range, need {lo} <= d <= {hi}")
+    if d < 3:
+        raise FormatError(f"{path}: dimension out of range, need d >= 3")
     kind = _require(obj, "kind", str, path)
     lmax = _require(obj, "lmax", int, path)
-    lo, hi = _LMAX_LIMITS
-    if not lo <= lmax <= hi:
-        raise FormatError(f"{path}: lmax out of range, need {lo} <= lmax <= {hi}")
+    if lmax < 0:
+        raise FormatError(f"{path}: lmax out of range, need lmax >= 0")
+    try:
+        _check_budget(d, lmax)  # sphere_grid's rule, before any samples file is read
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     radii = _require(obj, "radii", list, path)
     if not all(_is_finite_number(r) for r in radii):
         raise FormatError(f"{path}: radii must be finite numbers")

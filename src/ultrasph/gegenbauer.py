@@ -240,7 +240,8 @@ def norm_factor(l, n, d):
               * (d-3)! (l-n)! / (d+l+n-3)! ).
 
     The rational part is one correctly rounded integer division, the
-    nearest double to its exact value (0.0 once it underflows).
+    nearest double to its exact value (0.0 once it underflows).  From d = 344,
+    past Gamma's range, Omega_{d-1}/Omega_d is _starts' 1/mu_0 of (1-x^2)^((d-3)/2).
     """
     l = _check_int(l, "degree", 0)
     n = _check_int(n, "order", 0)
@@ -250,7 +251,9 @@ def norm_factor(l, n, d):
     ratio = (2 * l + d - 2) * math.factorial(d - 3) * math.factorial(l - n) / (
         (d - 2) * math.factorial(d + l + n - 3)
     )
-    return math.sqrt(ratio * solid_angle(d - 1) / solid_angle(d))
+    if d < 344:
+        return math.sqrt(ratio * solid_angle(d - 1) / solid_angle(d))
+    return math.sqrt(ratio * _starts((d - 3) / 2.0, 1)[0] ** 2)
 
 
 def ode_residual(l, m, d, theta):

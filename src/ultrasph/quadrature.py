@@ -27,7 +27,9 @@ which share their rules, and the transforms keep the per-axis tables
 of the last (grid, lmax) pair (solver._tables).  A
 shared grid holds only its axes; its node mesh and weight tensor are
 formed on each read, and its total weight is the product of the
-per-axis sums.
+per-axis sums.  sphere_grid, where every transform and verify take
+their grid, and formats.load_config refuse a size whose modelled fit
+(_fit_bytes) exceeds one byte budget; that bounds the _tables entry too.
 """
 
 import math
@@ -170,14 +172,37 @@ class SphereGrid:
         return self.n_phi * self.phi_weight * math.prod(r.total_weight() for r in self.theta_rules)
 
 
-# The supported problem sizes, (lowest, highest) inclusive: the dimensions
-# and band limits the command line accepts and verify covers.  The grid
-# has (lmax+2)^(d-2) (2 lmax+2) nodes: 18 million at d = 8, lmax = 8.
-_D_LIMITS = (3, 8)
-_LMAX_LIMITS = (0, 8)
+# The working bytes a fit may take, as _fit_bytes models them: every d <= 8
+# at lmax <= 8 fits ((8, 8) models 2.55 GiB), and d = 3 up to lmax = 340.
+_FIT_BUDGET = 3 * 2**30
 # The highest degree or order tabulate takes: the cost of one value grows
 # with it, 0.03 s for assoc at d = 8 and l = m = 10,000, 3.5 s at 100,000.
 _DEGREE_LIMIT = 10_000
+
+
+def _fit_bytes(d, lmax):
+    """The working bytes of a fit on sphere_grid(d, lmax), from its nodes and table entries.
+
+    A node takes two spheres' samples and stage buffers, 16 bytes each, and
+    a callable's node mesh, 8 (d - 1).  A table entry (solver._tables) takes
+    8 bytes, its weighted copy 8 and matmul's complex cast of that 16, and 8 spare.
+    """
+    nodes = (lmax + 2) ** (d - 2) * (2 * lmax + 2)
+    entries = (2 * lmax + 1) * (lmax + 1) * (lmax + 2) + (d - 3) * (lmax + 1) ** 2 * (lmax + 2)
+    return (96 + 8 * (d - 1)) * nodes + 40 * entries
+
+
+def _check_budget(d, lmax):
+    """Raise ValueError when a fit on sphere_grid(d, lmax) would take more than _FIT_BUDGET.
+
+    A grid has at least 2^(d-1) and 2 lmax^2 nodes, so a d or an lmax past
+    the budget alone is refused before the node count is formed.
+    """
+    alone = d > _FIT_BUDGET.bit_length() or lmax > math.isqrt(_FIT_BUDGET)
+    nbytes = math.inf if alone else _fit_bytes(d, lmax)
+    if nbytes > _FIT_BUDGET:
+        raise ValueError(f"a fit at d={d}, lmax={lmax} would take about {nbytes / 2**20:.0f} MiB, "
+                         f"above the budget of {_FIT_BUDGET // 2**20} MiB")
 
 
 def grid_shape(d, lmax):
@@ -195,15 +220,16 @@ def sphere_grid(d, lmax):
     """The product grid for dimension d and harmonic band limit lmax.
 
     Each (d, lmax) is built once per process, like its rules: later calls
-    return the same SphereGrid, whose phi nodes are read-only.
+    return the same SphereGrid, whose phi nodes are read-only.  A size above
+    the byte budget raises ValueError before any rule is built.
     """
-    grid_shape(d, lmax)  # the integer checks
-    return _sphere_grid(int(d), int(lmax))
+    return _sphere_grid(_check_int(d, "dimension", 3), _check_int(lmax, "lmax", 0))
 
 
 @lru_cache(maxsize=64)
 def _sphere_grid(d, lmax):
     """The grid of :func:`sphere_grid`, keyed on its validated plain ints."""
+    _check_budget(d, lmax)
     shape = grid_shape(d, lmax)
     rules = [theta_rule(j - 2, n) for j, n in zip(range(d, 2, -1), shape[:-1])]
     n_phi = shape[-1]

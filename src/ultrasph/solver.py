@@ -364,7 +364,8 @@ def _project(datasets, grid, lmax):
             )
         # the phi stage as one 2-D matmul over every other node axis
         np.matmul(values.reshape(-1, grid.n_phi), phase, out=out.reshape(-1, 2 * lmax + 1))
-    del points, values  # a callable's mesh and samples are not kept through the stages
+        del values  # a callable's samples go before the next callable makes its own
+    del points  # nor is its mesh kept through the stages
     d = grid.d
     # coef axes are the data set, n_d, ..., n_k, then the orders m_{k-2},
     # ..., m_1 of the axes below; stage k turns n_k into the degree on
@@ -454,8 +455,8 @@ def _solve_levels(d, radii, branches, rhs):
                           -np.diagonal(m[:, ::-1], axis1=1, axis2=2).prod(axis=1)])[: len(radii)]
         det = terms.sum(axis=0)
         ok = np.isfinite(m).all(axis=(1, 2)) & m.all(axis=(1, 2)) & np.isfinite(det) & (det != 0)
-        x = np.zeros(rhs.shape, dtype=complex)
-        x[ok] = np.linalg.solve(m[ok], rhs[ok])
+        m[~ok] = np.eye(len(branches))  # a failing level solves the identity; it raises below
+        x = np.linalg.solve(m, rhs)  # the one array beside rhs
     ok &= np.isfinite(x).all(axis=(1, 2))
     failed = len(ok) if ok.all() else int(ok.argmin())
     scale = np.abs(terms).max(axis=0)

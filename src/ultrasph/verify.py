@@ -13,9 +13,10 @@ staged grid synthesis makes, itself held to the scattered evaluation).
 Each check reports its maximum residual and the tolerance it was held
 to.  Algebraic identities use the caller's tolerance directly; the
 finite-difference harmonicity check has an O(h^2) method floor of 1e-4
-(h = 1e-3), so its effective tolerance is max(tol, 1e-4).  Every check
-caps the level, whatever lmax is asked.  Those over harmonic levels cap
-it per dimension to keep grids desk-sized (_LEVEL_CAP for the Gram and
+(h = 1e-3), so its effective tolerance is max(tol, 1e-4).  Verify covers
+the dimensions of _LEVEL_CAP, 3..8.  Every check caps the level, so any
+lmax costs what lmax = 8 does.  Those over harmonic levels cap it per
+dimension to keep grids desk-sized (_LEVEL_CAP for the Gram and
 boundary-fit checks, l <= 4 for the addition theorems, l <= 3 for
 harmonicity).  The one-dimensional ones stop at l <= min(lmax, cap): the
 derivative shift at l <= 6 and m <= 3, the Sturm-Liouville,
@@ -48,7 +49,7 @@ __all__ = ["CheckResult", "VerifyReport", "run_verification"]
 
 HARMONICITY_FLOOR = 1e-4
 _FD_STEP = 3e-4
-# level caps for grid-based checks, one per dimension in quadrature._D_LIMITS
+# level caps for grid-based checks, one per dimension verify covers
 _LEVEL_CAP = {3: 4, 4: 4, 5: 4, 6: 3, 7: 2, 8: 2}
 
 
@@ -366,10 +367,10 @@ def _count_residual(d, lmax):
 
 def run_verification(d_values, lmax, tol):
     """Run every check for each dimension; returns a VerifyReport."""
-    lo, hi = qd._D_LIMITS
-    unsupported = [d for d in d_values if d not in range(lo, hi + 1)]
+    unsupported = [d for d in d_values if d not in _LEVEL_CAP]
     if unsupported:
-        raise ValueError(f"verify supports d = {lo}..{hi}, got {unsupported}")
+        raise ValueError(f"verify supports d = {min(_LEVEL_CAP)}..{max(_LEVEL_CAP)}, "
+                         f"got {unsupported}")
     report = VerifyReport()
     rule_residual = _theta_rule_residual()
     report.add("solid_angle_closed_form_and_recursion", {"d": "2..12"},

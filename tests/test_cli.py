@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from ultrasph import formats
 from ultrasph.cli import _COMMANDS, _parse, main
-from ultrasph.gegenbauer import assoc, poly
+from ultrasph.gegenbauer import assoc, norm_factor, poly
 from ultrasph.geometry import UltrasphericalPoint, solid_angle
-from ultrasph.harmonics import MultiIndex, enumerate_indices
-from ultrasph.quadrature import _D_LIMITS, _DEGREE_LIMIT, _LMAX_LIMITS, SphereGrid, sphere_grid
+from ultrasph.harmonics import MultiIndex, _labels, enumerate_indices
+from ultrasph.quadrature import _DEGREE_LIMIT, SphereGrid, sphere_grid
 from ultrasph.solver import HarmonicExpansion, _synthesize, eval_expansion, fit_annulus
 from ultrasph.verify import run_verification
 
@@ -128,6 +128,12 @@ class TestVerifyCommand:
             with pytest.raises(ValueError, match=r"d = 3\.\.8"):
                 run_verification(d_values, 4, 1e-8)
 
+    def test_an_lmax_up_to_the_degree_limit_checks_what_lmax_8_checks(self):
+        # every check caps its level, so lmax 10,000 costs and finds what lmax 8 does
+        high, low = (run_verification([3], lmax, 1e-8) for lmax in (_DEGREE_LIMIT, 8))
+        assert [(c.name, c.max_residual) for c in high.checks] == \
+            [(c.name, c.max_residual) for c in low.checks]
+
 
 class TestTabulateCommand:
     def test_count_values(self, capsys):
@@ -172,6 +178,24 @@ class TestTabulateCommand:
             assert rc == 0
             assert out.splitlines()[1:] == [f"{float(argv[-1]):.17g} {want:.17g}"]
 
+    def test_norm_past_the_overflow_of_the_solid_angles(self, capsys):
+        rc = main(["tabulate", "norm", "--d", "400", "--l", "3", "--n", "0"])
+        out = capsys.readouterr().out
+        assert rc == 0 and out.splitlines()[-1] == f"0 {norm_factor(3, 0, 400):.17g}"
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit")
+    def test_count_past_the_digit_limit_prints_no_table(self, capsys):
+        # at the limit's floor, 640 digits, count(10000, l) passes it near l = 330
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc = main(["tabulate", "count", "--d", "10000", "--lmax", "10000"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_degree_at_the_limit_is_tabulated(self, capsys):
         rc = main(["tabulate", "poly", "--d", "3", "--l", "10000", "--x", "0.5"])
         out = capsys.readouterr().out
@@ -208,8 +232,8 @@ _USAGE_ERRORS = {
     "poly-inf": ["tabulate", "poly", "--d", "3", "--l", "2", "--x", "inf,0.5"],
     "assoc-inf": ["tabulate", "assoc", "--d", "3", "--l", "2", "--m", "1", "--theta", "inf"],
     "count-negative-lmax": ["tabulate", "count", "--d", "3", "--lmax", "-1"],
-    "count-lmax-above-limit": ["tabulate", "count", "--d", "3", "--lmax", "9"],
-    "tabulate-d-above-limit": ["tabulate", "count", "--d", "9", "--lmax", "2"],
+    "count-lmax-above-limit": ["tabulate", "count", "--d", "3", "--lmax", str(_DEGREE_LIMIT + 1)],
+    "tabulate-d-above-limit": ["tabulate", "count", "--d", str(_DEGREE_LIMIT + 1), "--lmax", "2"],
     "norm-underflow": ["tabulate", "norm", "--d", "3", "--l", "100", "--n", "100"],
     "tol-inf": ["verify", "--d", "3", "--lmax", "1", "--tol", "inf"],
     "tol-nan": ["verify", "--d", "3", "--lmax", "1", "--tol", "nan"],
@@ -275,9 +299,8 @@ def _ref_d_range(text):
     if lo > hi:
         raise argparse.ArgumentTypeError(f"empty dimension range {text!r}")
     for d in (lo, hi):
-        if not _D_LIMITS[0] <= d <= _D_LIMITS[1]:
-            raise argparse.ArgumentTypeError(
-                f"dimension {d} out of range {_D_LIMITS[0]}..{_D_LIMITS[1]}")
+        if not 3 <= d <= 8:
+            raise argparse.ArgumentTypeError(f"dimension {d} out of range 3..8")
     return list(range(lo, hi + 1))
 
 
@@ -295,22 +318,22 @@ def _reference_parse(argv):
     """The argparse parser of the CLI before its table, with the option checks of its commands."""
     parser = argparse.ArgumentParser(prog="ultrasph")
     sub = parser.add_subparsers(dest="command", required=True)
-    lmax_range = range(_LMAX_LIMITS[0], _LMAX_LIMITS[1] + 1)
-    d_range = range(_D_LIMITS[0], _D_LIMITS[1] + 1)
+    # the ranges as metavars, so a usage line does not spell out 10,000 choices
+    lmax_range, d_range = range(0, _DEGREE_LIMIT + 1), range(3, _DEGREE_LIMIT + 1)
     p_verify = sub.add_parser("verify")
     p_verify.add_argument("--d", type=_ref_d_range, default=[4])
-    p_verify.add_argument("--lmax", type=int, default=4, choices=lmax_range)
+    p_verify.add_argument("--lmax", type=int, default=4, choices=lmax_range, metavar="LMAX")
     p_verify.add_argument("--tol", type=float, default=1e-8)
     p_verify.add_argument("--json", metavar="PATH")
     p_tab = sub.add_parser("tabulate")
     p_tab.add_argument("kind", choices=["poly", "assoc", "norm", "count"])
-    p_tab.add_argument("--d", type=int, required=True, choices=d_range)
+    p_tab.add_argument("--d", type=int, required=True, choices=d_range, metavar="D")
     p_tab.add_argument("--l", type=int)
     p_tab.add_argument("--m", type=int)
     p_tab.add_argument("--n", type=int)
     p_tab.add_argument("--x", type=_ref_floats)
     p_tab.add_argument("--theta", type=_ref_floats)
-    p_tab.add_argument("--lmax", type=int, choices=lmax_range)
+    p_tab.add_argument("--lmax", type=int, choices=lmax_range, metavar="LMAX")
     p_solve = sub.add_parser("solve")
     p_solve.add_argument("config")
     p_solve.add_argument("-o", "--output")
@@ -375,6 +398,9 @@ _SPELLINGS = {
     "negative-decimal-value": ("tabulate poly --d 3 --l 2 --x -.5", {"x": [-0.5]}),
     "dash-value": ("solve p.json -o -", {"output": "-"}),
     "degree-at-limit": (f"tabulate norm --d 3 --l {_DEGREE_LIMIT} --n 0", {"l": _DEGREE_LIMIT}),
+    "verify-lmax-at-limit": (f"verify --lmax {_DEGREE_LIMIT}", {"lmax": _DEGREE_LIMIT}),
+    "count-at-limits": (f"tabulate count --d {_DEGREE_LIMIT} --lmax {_DEGREE_LIMIT}",
+                        {"d": _DEGREE_LIMIT, "lmax": _DEGREE_LIMIT}),
 }
 
 
@@ -415,7 +441,7 @@ def test_help_names_every_command_positional_and_option(capsys):
 @pytest.mark.parametrize("argv", [
     ["tabulate", "poly", "--bogus", "1"],
     ["tabulate", "poly", "--d"],
-    ["tabulate", "poly", "--d", "9"],
+    ["tabulate", "poly", "--d", str(_DEGREE_LIMIT + 1)],
     ["tabulate", "--d", "3"],
     ["solve"],
     ["eval", "a", "b", "c"],
@@ -608,11 +634,42 @@ class TestSolveCommand:
         assert "R_inner < R_outer" in err
 
     def test_dimension_out_of_range_exit_2(self, tmp_path, capsys):
-        config = interior_config(tmp_path, d=9)
+        config = interior_config(tmp_path, d=2)
         rc = main(["solve", config])
         err = capsys.readouterr().err
         assert rc == 2
         assert "dimension out of range" in err
+
+    @pytest.mark.parametrize("lmax", [9, 40])
+    def test_band_limits_above_8_round_trip(self, tmp_path, capsys, lmax):
+        d, radii = 3, (0.8, 1.25)
+        labels = _labels(d, lmax, 0)
+        values = np.random.default_rng(lmax).standard_normal((len(labels), 4)).view(complex)
+        truth = HarmonicExpansion._of(d, lmax, labels, values)
+        boundary = []
+        for j, radius in enumerate(radii):
+            samples = _synthesize(truth, radius, sphere_grid(d, lmax))
+            path = write_json(tmp_path / f"samples{j}.json",
+                              {"values": np.stack([samples.real, samples.imag], axis=1).tolist()})
+            boundary.append({"radius": radius, "samples-file": path})
+        config = write_json(tmp_path / "annulus.json", {"d": d, "kind": "annulus", "radii": radii,
+                                                        "lmax": lmax, "boundary": boundary})
+        out_path = tmp_path / "coeffs.json"
+        assert main(["solve", config, "-o", str(out_path)]) == 0
+        fit = formats.load_coefficients(str(out_path))
+        assert np.array_equal(fit.labels, labels)
+        assert np.max(np.abs(fit.values - values)) <= 1e-10
+
+    def test_config_over_the_budget_exits_2_before_any_samples_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        config = write_json(tmp_path / "big.json", {
+            "d": 3, "kind": "interior", "radii": [1.0], "lmax": 400,
+            "boundary": [{"radius": 1.0, "samples-file": missing}]})
+        rc = main(["solve", config])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith(f"error: {config}: a fit at d=3, lmax=400 would take about ")
+        assert err.endswith(" MiB, above the budget of 3072 MiB\n")
 
     def test_bad_harmonic_spec_exit_2(self, tmp_path, capsys):
         config = interior_config(tmp_path, data="harmonic:(1,0)")

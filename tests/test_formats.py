@@ -19,7 +19,7 @@ from ultrasph.cli import main
 from ultrasph.formats import FormatError
 from ultrasph.geometry import CartesianPoint, UltrasphericalPoint, _check_int, to_ultraspherical
 from ultrasph.harmonics import MultiIndex, enumerate_indices
-from ultrasph.quadrature import sphere_grid
+from ultrasph.quadrature import _check_budget, sphere_grid
 from ultrasph.solver import HarmonicExpansion
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -314,12 +314,16 @@ def reference_load_problem(path):
     if not isinstance(obj, dict):
         raise FormatError(f"{path}: config must be a JSON object")
     d = _require(obj, "d", int, path)
-    if not 3 <= d <= 8:
-        raise FormatError(f"{path}: dimension out of range, need 3 <= d <= 8")
+    if d < 3:
+        raise FormatError(f"{path}: dimension out of range, need d >= 3")
     kind = _require(obj, "kind", str, path)
     lmax = _require(obj, "lmax", int, path)
-    if not 0 <= lmax <= 8:
-        raise FormatError(f"{path}: lmax out of range, need 0 <= lmax <= 8")
+    if lmax < 0:
+        raise FormatError(f"{path}: lmax out of range, need lmax >= 0")
+    try:
+        _check_budget(d, lmax)  # the one size rule, sphere_grid's
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     radii = _require(obj, "radii", list, path)
     if not all(_is_finite_number(r) for r in radii):
         raise FormatError(f"{path}: radii must be finite numbers")

@@ -307,6 +307,34 @@ def norm_factor_fraction(l, n, d):
     return math.sqrt(float(ratio) * solid_angle(d - 1) / solid_angle(d))
 
 
+def norm_factor_exact(l, n, d):
+    """norm_factor with Omega_{d-1}/Omega_d = Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)) exact.
+
+    The Gamma ratio is rational for odd d and rational / pi for even d, so
+    the square is one rounding of an exact fraction (and one division by pi).
+    """
+    f = math.factorial
+    rational = Fraction((2 * l + d - 2) * f(d - 3) * f(l - n), (d - 2) * f(d + l + n - 3))
+    k = d // 2
+    if d % 2:  # Gamma(k + 1/2) / (sqrt(pi) Gamma(k)) = (2k)! / (4^k k! (k-1)!)
+        return math.sqrt(float(rational * Fraction(f(2 * k), 4**k * f(k) * f(k - 1))))
+    # Gamma(k) / (sqrt(pi) Gamma(k - 1/2)) = 4^(k-1) (k-1)!^2 / (pi (2k-2)!)
+    omega_pi = Fraction(4 ** (k - 1) * f(k - 1) ** 2, f(2 * k - 2))
+    return math.sqrt(float(rational * omega_pi) / math.pi)
+
+
+class TestNormFactorAtHighDimension:
+    @pytest.mark.parametrize("d", [345, 400, 2000, 10_000])
+    def test_past_the_overflow_of_the_solid_angles(self, d):
+        # the lgamma difference of weight_total(d - 2) would be 4.2e-12 off at d = 10,000
+        for l, n in ((0, 0), (3, 0), (7, 5), (40, 20)):
+            assert norm_factor(l, n, d) == pytest.approx(norm_factor_exact(l, n, d), rel=1e-14)
+
+    def test_the_solid_angle_route_up_to_d_343(self):
+        for d in (3, 4, 100, 343):
+            assert norm_factor(3, 1, d) == pytest.approx(norm_factor_exact(3, 1, d), rel=1e-15)
+
+
 def _outcome(f, *args):
     """("value", bit pattern) of a result, or ("raises", exception type)."""
     try:

@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,9 +8,12 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
+from ultrasph import formats, quadrature, solver
 from ultrasph.geometry import solid_angle
 from ultrasph.harmonics import MultiIndex, axis_factors, enumerate_indices, eval_harmonic, eval_psi
-from ultrasph.quadrature import sphere_grid, theta_rule, weight_total
+from ultrasph.quadrature import (
+    _FIT_BUDGET, _check_budget, _fit_bytes, sphere_grid, theta_rule, weight_total,
+)
 from ultrasph.verify import _moment
 
 
@@ -238,3 +242,66 @@ class TestInnerProduct:
         val = grid_inner(y, y, grid)
         assert_allclose(val.real, 4 * math.pi / 3, rtol=1e-12)
         assert abs(val.imag) <= 1e-14
+
+
+def _fit_peak(d, lmax, data):
+    """tracemalloc's peak bytes of an annulus fit at (d, lmax) from cold caches.
+
+    ``data`` "samples" makes the two spheres' samples as ``ultrasph solve``
+    does for a harmonic-spec config (formats.build_problem, inside the
+    measurement); "callable" fits a callable that makes one float and one
+    complex array per sphere.
+    """
+    solver._tables.cache_clear()
+    quadrature._sphere_grid.cache_clear()
+    gc.collect()
+    head = ",".join(["1"] + ["0"] * (d - 3))
+    boundary = [{"radius": r, "data": f"harmonic:({head};0)"} for r in (0.5, 2.0)]
+    config = {"d": d, "kind": "annulus", "radii": [0.5, 2.0], "lmax": lmax,
+              "boundary": boundary, "path": "config.json"}
+    tracemalloc.start()
+    try:
+        if data == "samples":
+            problem = formats.build_problem(config)
+        else:
+            def f(p):
+                return np.cos(p.theta[0]) + 0j
+            problem = solver.BoundaryProblem(d, "annulus", (0.5, 2.0), lmax, (f, f))
+        solver.fit_annulus(problem)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFitBudget:
+    """One byte budget, modelled from the node count and the table entries, bounds every grid."""
+
+    def test_every_size_up_to_d_8_and_lmax_8_is_admitted(self):
+        for d in range(3, 9):
+            for lmax in range(9):
+                assert _fit_bytes(d, lmax) <= _FIT_BUDGET
+                _check_budget(d, lmax)
+
+    @pytest.mark.parametrize("d, lmax", [(3, 400), (9, 9), (40, 2), (10**400, 0), (3, 10**400)])
+    def test_sphere_grid_refuses_above_the_budget_before_any_rule(self, monkeypatch, d, lmax):
+        def no_rule(*args):
+            raise AssertionError("a rule was built")
+        monkeypatch.setattr(quadrature, "theta_rule", no_rule)
+        budget = f"MiB, above the budget of {_FIT_BUDGET // 2**20} MiB"
+        with pytest.raises(ValueError, match=budget):
+            sphere_grid(d, lmax)
+
+    def test_the_message_names_the_modelled_bytes(self):
+        with pytest.raises(ValueError, match=r"^a fit at d=3, lmax=400 would take about "
+                           f"{_fit_bytes(3, 400) / 2**20:.0f} MiB"):
+            _check_budget(3, 400)
+
+    # the anchors up to about 0.5 GiB; (3, 300) and (8, 8) peak at 1.7 and 2.4 GiB
+    @pytest.mark.parametrize("d, lmax", [(3, 100), (3, 200), (4, 100), (5, 20), (7, 8), (8, 6)])
+    def test_the_model_bounds_the_measured_peak(self, d, lmax):
+        model = _fit_bytes(d, lmax)
+        samples = _fit_peak(d, lmax, "samples")
+        assert samples <= model
+        if samples >= 50 * 2**20:  # and stays within 2x of a large one
+            assert model <= 2 * samples
+        assert _fit_peak(d, lmax, "callable") <= model

@@ -499,6 +499,23 @@ class TestTransformMemory:
         assert coef.shape == (2,) + solver._tensor_shape(d, lmax)
         assert peak <= 2 * tensor + 2**20
 
+    def test_radial_solve_makes_one_array_of_the_right_hand_sides(self):
+        # nine annulus levels, 28.8 MB of right-hand sides: the solve's result
+        # and LAPACK's per-level copies; a zero-filled result, a masked copy
+        # of rhs and LAPACK's own result beside it took three times rhs
+        rng = np.random.default_rng(151)
+        rhs = rng.standard_normal((9, 2, 100_000)) + 1j * rng.standard_normal((9, 2, 100_000))
+        radii = np.array([0.5, 2.0])
+        tracemalloc.start()
+        try:
+            x = solver._solve_levels(3, radii, [0, 1], rhs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * rhs.nbytes
+        m = np.array([[radii**l, radii ** -(l + 1)] for l in range(9)]).transpose(0, 2, 1)
+        assert np.allclose(m @ x, rhs, rtol=0, atol=1e-12)
+
 
 class TestFits:
     def test_interior_unit_radius_identity(self):
