@@ -163,8 +163,8 @@ def _cmd_eval(args):
         )
     try:
         values = eval_expansion(expansion, points.r, points)
-    except ValueError as exc:  # a radius where a radial power leaves the double range
-        raise formats.FormatError(f"{args.points}: {exc}") from exc
+    except ValueError as exc:  # a value out of the double range, or tables above the budget
+        raise formats.FormatError(f"{args.coefficients} at {args.points}: {exc}") from exc
     _write_or_stdout(args.output, lambda fp: formats.save_values(fp, values))
     return 0
 

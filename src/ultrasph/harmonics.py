@@ -52,6 +52,7 @@ import numpy as np
 
 from .gegenbauer import _orthonormal, _steps, assoc, norm_factor, poly
 from .geometry import CartesianPoint, UltrasphericalPoint, _check_int, solid_angle, to_cartesian, to_ultraspherical
+from .quadrature import _FIT_BUDGET
 
 __all__ = [
     "MultiIndex",
@@ -282,13 +283,20 @@ def _chain_blocks(labels, angles, shape, out=None, spare=0):
     its rows of ``out``, and Y is that view.  Otherwise Y is a buffer of
     the chunk that the next block overwrites, so the caller may change it
     in place; ``spare`` is the bytes per entry the caller's own
-    temporaries take beside it (_chunk_blocks).
+    temporaries take beside it (_chunk_blocks).  A top level whose one-point
+    tables and steps (_steps), 16 (top + 1)^2 bytes per axis, exceed
+    _FIT_BUDGET raises ValueError before any is built.
     """
     top = int(labels[:, 0].max(initial=0))
+    tables = 8 * (top + 1) ** 2 * (angles.d - 2)  # one point's; the steps take about as many
+    if 2 * tables > _FIT_BUDGET:
+        raise ValueError(f"harmonics of level {top} at d={angles.d} would take about "
+                         f"{2 * tables / 2**20:.0f} MiB of tables per point, "
+                         f"above the budget of {_FIT_BUDGET // 2**20} MiB")
     chunks = [()]
     if shape:
         # the tables and phases of all the points
-        nbytes = (8 * (top + 1) ** 2 * (angles.d - 2) + 16 * (2 * top + 1)) * math.prod(shape)
+        nbytes = (tables + 16 * (2 * top + 1)) * math.prod(shape)
         chunks = [(s,) for s in _slices(shape[0], nbytes)]
     for at in chunks:
         yield from _chunk_blocks(labels, top, angles, at, shape, out, spare)

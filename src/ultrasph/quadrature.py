@@ -239,14 +239,12 @@ def _sphere_grid(d, lmax):
 
 
 def weight_total(alpha):
-    """Analytic int_0^pi sin^alpha(theta) dtheta = sqrt(pi) Gamma((alpha+1)/2) / Gamma(alpha/2+1).
+    """Analytic int_0^pi sin^alpha(theta) dtheta = c (alpha-1)!! / alpha!!, c = pi (even) or 2 (odd).
 
-    The direct ratio is correct to a few ulps while the Gamma values are
-    finite (alpha <= 340).  Above that it is formed in logs with
-    math.lgamma, whose rounding near lgamma(alpha/2) limits it to about
-    1e-13 relative (2.2e-14 at alpha = 400).
+    The double-factorial ratio is one correctly rounded division of two
+    Python ints, as in gegenbauer.deriv_at_one, so the value is within
+    2 ulp at every alpha.  It shares no step with the Gauss rules' weights
+    (gegenbauer._starts), so verify's moment check has an independent reference.
     """
-    if alpha <= 340:
-        return math.sqrt(math.pi) * math.gamma((alpha + 1) / 2.0) / math.gamma(alpha / 2.0 + 1.0)
-    return math.exp(0.5 * math.log(math.pi) + math.lgamma((alpha + 1) / 2.0)
-                    - math.lgamma(alpha / 2.0 + 1.0))
+    ratio = math.prod(range(alpha - 1, 0, -2)) / math.prod(range(alpha, 0, -2))
+    return (2.0 if alpha % 2 else math.pi) * ratio

@@ -8,9 +8,9 @@ A scalar Laplace solution with purely radial boundary conditions is
 where the two radial branches solve the Euler equation with eigenvalue
 -l(l+d-2).  Interior problems keep only the A branch (regular at the
 origin), exterior problems only the B branch (decaying at infinity), and
-annulus problems determine both.  One stacked solve covers the radial
-system of every level, each applied to its level's whole coefficient
-slice (_solve_levels, _BRANCHES).
+annulus problems determine both.  One stacked solve covers every label
+row, each against its own level's radial system (_solve_levels,
+_BRANCHES).
 
 Both transforms use the product form of Y_idx: (2 pi)^(-1/2) e^(i m_1 phi)
 times one normalized factor T_k[deg, ord](theta_k) per polar axis
@@ -32,8 +32,8 @@ syntheses on a grid reuse its tables.
   sphere's phi stage is one 2-D matmul written into it, so no sample is
   copied, and each theta stage one matmul per order of the axis below,
   so BLAS sees few large products; every stage runs through the same two
-  buffers (_stage).  _read_off gathers each label row's entries from the
-  radial solve, the arrays HarmonicExpansion keeps.
+  buffers (_stage).  _read_off gathers the label rows' entries from it,
+  so the radial solve sees those rows alone, the arrays HarmonicExpansion keeps.
 * Inverse, two routes.  On a grid, _synthesize is the staged adjoint of
   the forward contraction without the weights: each row's A and B are
   weighted by its level's powers and scattered into the coefficient
@@ -62,9 +62,9 @@ else the call raises ValueError naming the first such level; a power no
 coefficient of the level needs is left 0, so 0 * inf never appears.  A
 sum that overflows although its powers are finite raises ValueError too
 (_check_finite), so no route returns inf or NaN.
-The label row -> tensor-position formula is written once (_positions),
-for _read_off's gather and _synthesize's scatter, and the tables of
-both contractions come from one helper (_tables).
+The label rows' index into the coefficient tensor is written once
+(_positions), for _read_off's gather and _synthesize's scatter, and the
+tables of both contractions come from one helper (_tables).
 """
 
 import math
@@ -284,9 +284,8 @@ def _tensor_shape(d, lmax):
 
 
 def _positions(labels, lmax):
-    """Flat positions of the label rows in the coefficient tensor: (l, *m[:-1], m_1 + lmax)."""
-    shape = _tensor_shape(labels.shape[1] + 1, lmax)
-    return np.ravel_multi_index((*labels[:, :-1].T, labels[:, -1] + lmax), shape)
+    """The label rows' tuple index into the coefficient tensor: (l, *m[:-1], m_1 + lmax)."""
+    return (*labels[:, :-1].T, labels[:, -1] + lmax)
 
 
 @lru_cache(maxsize=1)
@@ -387,23 +386,23 @@ def _synthesize(expansion, r, grid):
     d, lmax = expansion.d, expansion.lmax
     if grid.d != d:
         raise ValueError(f"dimension mismatch: expansion d={d}, grid d={grid.d}")
-    flat, shape = _positions(expansion.labels, lmax), _tensor_shape(d, lmax)
+    shape = _tensor_shape(d, lmax)
     a, b = expansion.values.T
     levels = expansion.labels[:, 0]
     # each stage turns a degree axis (lmax + 1) into a node axis (the
     # grid's n), so the largest tensor is the first or the last
     size = max(lmax + 1, grid.shape[0]) ** (d - 2) * shape[-1]
     buffers = [np.empty(size, dtype=complex) for _ in range(2)]
-    coef = buffers[1][: math.prod(shape)]
+    coef = buffers[1][: math.prod(shape)].reshape(shape)
     coef.fill(0)
     phase, tables = _tables(grid, lmax)
     with np.errstate(over="ignore", invalid="ignore"):
         grow, decay = _radial_powers(d, np.asarray(r, dtype=float), _need(levels, expansion.values, lmax))
-        coef[flat] = a * grow[levels] + b * decay[levels]
+        coef[_positions(expansion.labels, lmax)] = a * grow[levels] + b * decay[levels]
         # coef axes are the nodes n_d, ..., n_{k+1}, the degree on theta_k,
         # then the orders below it; stage k turns the degree into the node n_k
-        coef = _stage(coef.reshape(shape), [(table.transpose(0, 2, 1), d - k) for k, table
-                                            in zip(range(d, 2, -1), reversed(tables))], buffers)
+        coef = _stage(coef, [(table.transpose(0, 2, 1), d - k) for k, table
+                             in zip(range(d, 2, -1), reversed(tables))], buffers)
         # the orders m_1 last and contiguous, in the free buffer, for the phi stage
         rows = buffers[0][: coef.size].reshape(coef.shape)
         np.copyto(rows, coef)
@@ -413,14 +412,10 @@ def _synthesize(expansion, r, grid):
     return values
 
 
-def _read_off(levels, d, lmax):
-    """(labels, entries) of every level <= lmax, by one gather from ``levels``.
-
-    ``levels`` is (lmax + 1, k, rest of the level's slice of the
-    _tensor_shape tensor); row i of ``entries`` holds label row i's k entries.
-    """
+def _read_off(coef, d, lmax):
+    """The label rows of levels <= lmax and their entries of _project's ``coef``, (rows, sets)."""
     labels = _labels(d, lmax, 0)
-    return labels, levels[labels[:, 0], :, _positions(labels, lmax) % levels.shape[2]]
+    return labels, coef[(slice(None), *_positions(labels, lmax))].T
 
 
 def project_boundary(data, grid, lmax):
@@ -430,8 +425,7 @@ def project_boundary(data, grid, lmax):
     samples at the grid nodes.  Data beyond the grid's exactness band is
     aliased; callers control the band limit through the grid.
     """
-    levels = _project((data,), grid, lmax).reshape(lmax + 1, 1, -1)
-    labels, entries = _read_off(levels, grid.d, lmax)
+    labels, entries = _read_off(_project((data,), grid, lmax), grid.d, lmax)
     return dict(zip(_indices(grid.d, labels), entries[:, 0].tolist()))
 
 
@@ -440,24 +434,25 @@ def project_boundary(data, grid, lmax):
 _BRANCHES = {"interior": [0], "exterior": [1], "annulus": [0, 1]}
 
 
-def _solve_levels(d, radii, branches, rhs):
-    """Solve M_l x_l = rhs[l] for every level l by one stacked solve, one row of rhs[l] per sphere.
+def _solve_levels(d, radii, branches, levels, rhs):
+    """Solve M_l x = rhs[i], l = levels[i], for each complex row i (one entry per sphere) in one stack.
 
     A zero or non-finite entry or determinant of M_l, or a non-finite
-    solution, raises ValueError naming the first such level; |det| below
-    1e-12 of its largest term warns, once per level below it.
+    solution of one of its rows, raises ValueError naming the first such
+    level; |det| below 1e-12 of its largest term warns, once per level below it.
     """
     with np.errstate(all="ignore"):
         m = np.stack([np.stack((radii**l, radii ** -(l + d - 2)), axis=1)[:, branches]
-                      for l in range(len(rhs))])
+                      for l in range(levels.max() + 1)])
         # the terms of det M_l: one for a single sphere, two for the annulus
         terms = np.stack([np.diagonal(m, axis1=1, axis2=2).prod(axis=1),
                           -np.diagonal(m[:, ::-1], axis1=1, axis2=2).prod(axis=1)])[: len(radii)]
         det = terms.sum(axis=0)
         ok = np.isfinite(m).all(axis=(1, 2)) & m.all(axis=(1, 2)) & np.isfinite(det) & (det != 0)
         m[~ok] = np.eye(len(branches))  # a failing level solves the identity; it raises below
-        x = np.linalg.solve(m, rhs)  # the one array beside rhs
-    ok &= np.isfinite(x).all(axis=(1, 2))
+        # cast once per level, so the rows' gathered matrices are not cast again
+        x = np.linalg.solve(m.astype(complex)[levels], rhs[..., None])[..., 0]
+    ok[levels[~np.isfinite(x).all(axis=1)]] = False
     failed = len(ok) if ok.all() else int(ok.argmin())
     scale = np.abs(terms).max(axis=0)
     for l in np.flatnonzero(np.abs(det[:failed]) < 1e-12 * scale[:failed]).tolist():
@@ -471,18 +466,14 @@ def _solve_levels(d, radii, branches, rhs):
 
 
 def _fit(problem, kind):
-    """(A, B) for every index, read straight from one stacked radial solve over the levels."""
+    """(A, B) for every label row: its entries of the projection, solved against its level's M_l."""
     if problem.kind != kind:
         raise ValueError(f"expected an {kind} problem, got {problem.kind!r}")
     d, lmax = problem.d, problem.lmax
     branches, radii = _BRANCHES[kind], np.array(problem.radii)
-    # the right-hand sides as (level, sphere, rest of the level's tensor
-    # slice); the projection is not named, so its buffers go once copied out
-    rhs = np.moveaxis(_project(problem.data, sphere_grid(d, lmax), lmax), 1, 0).reshape(
-        lmax + 1, len(radii), -1)
-    labels, entries = _read_off(_solve_levels(d, radii, branches, rhs), d, lmax)
-    values = np.zeros((len(labels), 2), dtype=complex)
-    values[:, branches] = entries  # a branch the kind does not keep is 0
+    labels, rhs = _read_off(_project(problem.data, sphere_grid(d, lmax), lmax), d, lmax)
+    values = np.zeros((len(labels), 2), dtype=complex)  # a branch the kind does not keep is 0
+    values[:, branches] = _solve_levels(d, radii, branches, labels[:, 0], rhs)
     return HarmonicExpansion._of(d, lmax, labels, values)
 
 

@@ -1125,6 +1125,22 @@ def test_singular_eval_exit_2(tmp_path, capsys, kind, r):
     assert points in err and "overflows" in err
 
 
+def test_eval_refuses_tables_above_the_budget(tmp_path, capsys):
+    # a file of one record, at level 20,000, which would need 6.4 GB of
+    # tables and steps at each point: refused before any is built
+    coeffs = write_json(tmp_path / "coeffs.json", {
+        "format": "ultrasph-coefficients", "d": 3, "lmax": 20000,
+        "coefficients": [{"index": [20000, 0], "A": [1.0, 0.0], "B": [0.0, 0.0]}],
+    })
+    points = write_json(tmp_path / "points.json", {"points": [
+        {"cartesian": [0.1, 0.2, 0.3]}, {"cartesian": [0.3, 0.1, 0.2]},
+    ]})
+    assert main(["eval", coeffs, points]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert coeffs in err and "level 20000" in err and "budget" in err
+
+
 def test_overflowing_sum_at_finite_powers_exit_2(tmp_path, capsys):
     # r^1 = 1e300 is finite, but A r^l = 1e310 is not: no inf or NaN is written
     coeffs = write_json(tmp_path / "coeffs.json", {

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ultrasph import harmonics, solver, verify
+from ultrasph import gegenbauer, harmonics, solver, verify
 from ultrasph.gegenbauer import assoc, norm_factor, poly
 from ultrasph.geometry import UltrasphericalPoint, cos_gamma, solid_angle
 from ultrasph.harmonics import (
@@ -522,6 +522,38 @@ class TestBlockGather:
                 assert len([start for _, start, _ in blocks]) > 2
             want = np.array(list(chain_products_reference(indices, point)))
             assert_bitwise(harmonic_values(point, lmax), want)
+
+    def test_a_level_above_the_budget_builds_no_table(self, monkeypatch):
+        # one point's table and steps at d = 3, level 20,000 would take 6.4 GB
+        calls = []
+        for name in ("axis_factors", "_steps"):
+            monkeypatch.setattr(harmonics, name, lambda *args, name=name: calls.append(name))
+        point = UltrasphericalPoint(3, 1.0, (0.5,), 1.0)
+        expansion = HarmonicExpansion._of(3, 20_000, np.array([[20_000, 0]]),
+                                          np.array([[1.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="level 20000 at d=3 .* above the budget"):
+            eval_expansion(expansion, 1.0, point)
+        with pytest.raises(ValueError, match="level 20000 at d=3 .* above the budget"):
+            harmonic_values(point, 20_000, 20_000)
+        assert calls == []
+
+    @pytest.mark.parametrize("d, top", [(3, 1500), (5, 300)])
+    def test_the_budget_check_counts_what_one_point_takes(self, d, top):
+        # the check counts one point's tables and their steps as
+        # 16 (top + 1)^2 (d - 2) bytes; measured with the steps built afresh
+        point = UltrasphericalPoint(d, 1.0, (0.5,) * (d - 2), 1.0)
+        label = np.zeros((1, d - 1), dtype=int)
+        label[0, 0] = top
+        expansion = HarmonicExpansion._of(d, top, label, np.array([[1.0, 0.0]], dtype=complex))
+        gegenbauer._steps.cache_clear()
+        tracemalloc.start()
+        try:
+            eval_expansion(expansion, 1.0, point)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counted = 16 * (top + 1) ** 2 * (d - 2)
+        assert counted / 2 <= peak <= 1.05 * counted + 2**20
 
     def test_chunked_point_sets_span_several_chunks(self, monkeypatch):
         point = self.points(np.random.default_rng(69), 4)["chunked flat"]

@@ -58,6 +58,18 @@ class TestThetaRule:
         assert_allclose(weight_total(400), 0.12525310615320498, rtol=1e-13)
         assert_allclose(theta_rule(400, 3).total_weight(), weight_total(400), rtol=1e-13)
 
+    @pytest.mark.parametrize("alpha", (1, 2, 6, 340, 341, 1000, 4000, 9998))
+    def test_weight_total_is_exact_to_two_ulp(self, alpha):
+        # pi (alpha even) or 2 (odd) times (alpha-1)!!/alpha!!, exactly; the
+        # Gamma ratio was 3.5e-14 off at 341 and its lgamma form 8.4e-12 at 9998
+        pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+        ratio = Fraction(math.prod(range(alpha - 1, 0, -2)), math.prod(range(alpha, 0, -2)))
+        exact = ratio * (2 if alpha % 2 else pi)
+        got = weight_total(alpha)
+        assert abs(Fraction(got) - exact) <= 2 * Fraction(math.ulp(float(exact)))
+        if alpha == 1:
+            assert got == 2.0
+
     @pytest.mark.parametrize("alpha", (60, 61, 400, 601, 1000))
     def test_total_weight_at_large_alpha_is_exact_to_rounding(self, alpha):
         # (alpha-1)!!/alpha!! times pi (alpha even) or 2 (odd), rounded twice; a

@@ -393,8 +393,8 @@ class TestStagedSynthesis:
         exp = manufactured(rng, d, lmax, "interior")
         grid = sphere_grid(d, lmax)
         samples = solver._synthesize(exp, 1.0, grid)
-        levels = solver._project((samples,), grid, lmax).reshape(lmax + 1, 1, -1)
-        labels, got = solver._read_off(levels, d, lmax)
+        labels, got = solver._read_off(solver._project((samples,), grid, lmax), d, lmax)
+        assert got.shape == (len(labels), 1)
         assert np.array_equal(labels, exp.labels)
         assert np.max(np.abs(got[:, 0] - exp.values[:, 0])) <= 1e-13
 
@@ -500,21 +500,24 @@ class TestTransformMemory:
         assert peak <= 2 * tensor + 2**20
 
     def test_radial_solve_makes_one_array_of_the_right_hand_sides(self):
-        # nine annulus levels, 28.8 MB of right-hand sides: the solve's result
-        # and LAPACK's per-level copies; a zero-filled result, a masked copy
-        # of rhs and LAPACK's own result beside it took three times rhs
+        # 200,000 annulus label rows over nine levels, 6.4 MB of right-hand
+        # sides: the solve holds each row's complex 2x2 matrix, gathered (twice
+        # the size of rhs), and the result, so 3 rhs in all
         rng = np.random.default_rng(151)
-        rhs = rng.standard_normal((9, 2, 100_000)) + 1j * rng.standard_normal((9, 2, 100_000))
+        rows = 200_000
+        levels = np.sort(rng.integers(0, 9, rows))
+        rhs = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
         radii = np.array([0.5, 2.0])
         tracemalloc.start()
         try:
-            x = solver._solve_levels(3, radii, [0, 1], rhs)
+            x = solver._solve_levels(3, radii, [0, 1], levels, rhs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * rhs.nbytes
+        assert x.shape == rhs.shape and x.dtype == complex
+        assert peak <= 3.25 * rhs.nbytes
         m = np.array([[radii**l, radii ** -(l + 1)] for l in range(9)]).transpose(0, 2, 1)
-        assert np.allclose(m @ x, rhs, rtol=0, atol=1e-12)
+        assert np.allclose((m[levels] @ x[..., None])[..., 0], rhs, rtol=0, atol=1e-12)
 
 
 class TestFits:
@@ -621,6 +624,29 @@ class TestFits:
         scale = np.max(np.abs(ref), axis=0)
         assert np.all(np.abs(got - ref) <= 1e-15 * scale)
 
+    @pytest.mark.parametrize("kind", ["interior", "exterior", "annulus"])
+    @pytest.mark.parametrize("d, lmax", [(3, 8), (4, 8), (5, 6), (6, 4)])
+    def test_each_label_row_solves_its_levels_matrix(self, d, lmax, kind):
+        # at the benchmark's solve sizes, each row's (A, B) is, bitwise, the
+        # solve of its level's M_l against its entries of the projection
+        rng = np.random.default_rng(160 + d)
+        grid = sphere_grid(d, lmax)
+        radii = {"interior": (0.7,), "exterior": (1.6,), "annulus": (0.5, 2.0)}[kind]
+        data = tuple(rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
+                     for _ in radii)
+        fit = {"interior": fit_interior, "exterior": fit_exterior, "annulus": fit_annulus}[kind](
+            BoundaryProblem(d, kind, radii, lmax, data))
+        coef = solver._project(data, grid, lmax)
+        branches, r = solver._BRANCHES[kind], np.array(radii)
+        want = np.zeros((len(fit.labels), 2), dtype=complex)
+        rows = [idx for l in range(lmax + 1) for idx in enumerate_indices(d, l)]
+        for i, idx in enumerate(rows):
+            m = np.stack((r**idx.l, r ** -(idx.l + d - 2)), axis=1)[:, branches]
+            want[i, branches] = np.linalg.solve(
+                m, coef[(slice(None), idx.l, *idx.m[:-1], idx.m[-1] + lmax)])
+        assert fit.labels.tolist() == [[idx.l, *idx.m] for idx in rows]
+        assert_bitwise(fit.values, want)
+
     def test_annulus_warns_once_per_nearly_singular_level(self):
         d, lmax = 4, 3
         n = sphere_grid(d, lmax).size
@@ -633,6 +659,16 @@ class TestFits:
         for l, w in enumerate(record):
             assert f"level {l} " in str(w.message)
             assert w.filename == __file__  # attributed to the caller of the fit
+
+    def test_a_level_fails_only_by_its_own_rows(self):
+        # interior at R = 1e-100: M_3 = R^3 = 1e-300, so level 3 fails only
+        # when the solution of one of its rows overflows
+        radii, levels = np.array([1e-100]), np.array([0, 1, 2, 3, 3])
+        rhs = np.ones((5, 1), dtype=complex)
+        assert np.isfinite(solver._solve_levels(3, radii, [0], levels, rhs)).all()
+        rhs[4] = 1e10
+        with pytest.raises(ValueError, match="level 3 .* leaves the double range"):
+            solver._solve_levels(3, radii, [0], levels, rhs)
 
     def test_annulus_zero_inner_data(self):
         d, lmax = 4, 2
